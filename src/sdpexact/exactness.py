@@ -39,12 +39,6 @@ class ExactnessReport:
     details: dict = field(default_factory=dict)
 
 
-# Every summary produced during a process run is recorded here so the test
-# suite can assert the implication chain (strong => weak, ch => weak,
-# burer_ye => strong) over everything it ever touched.
-PROCESSED_SUMMARIES: list = []
-
-
 def _slice_b_vectors(inst, face):
     """(b_obj + b(v)) per slice vertex and b(r) per slice ray."""
     verts = [inst.objective.b + model.aggregate_constraints(inst, v).b
@@ -366,5 +360,4 @@ def exactness_summary(inst, supplied_generators=None, with_oracle: bool = True) 
 
         cmp_rep = oracles.compare_opt(inst)
         out["oracle"] = cmp_rep
-    PROCESSED_SUMMARIES.append(out)
     return out

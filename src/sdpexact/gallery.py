@@ -273,9 +273,7 @@ def run(name: str, seed: int = 0) -> dict:
         summary = exactness.exactness_summary(inst, ent.get("gamma_generators"))
         report["summary"] = summary
         mset = _constraint_lmi_set(inst)
-        if len(mset.matrices) == 2 and all(s == "LE" for s in mset.senses):
-            rv = rog.check_pair(*mset.matrices, seed=seed)
-        elif len(mset.matrices) == 2:
+        if len(mset.matrices) == 2:
             rv = rog.check_pair(*mset.matrices, seed=seed)
         elif len(mset.matrices) == 1:
             rv = rog.RogVerdict(status="ROG_CERTIFIED",

@@ -1,8 +1,9 @@
 """Dense symmetric linear algebra with explicit tolerances.
 
 Everything in here operates on small (dim <= ~50) dense symmetric matrices.
-The eigensolver is a cyclic Jacobi iteration: for the matrix sizes we care
-about, robustness and determinism matter far more than speed.
+Eigendecompositions go to LAPACK through ``np.linalg.eigh``, after ``sym``
+has validated the input; every classification below thresholds the
+resulting spectrum relative to its largest magnitude.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 SYM_TOL = 1e-12
 PSD_TOL = 1e-7
 RANK_TOL = 1e-7
-
-JACOBI_SWEEP_CAP = 100
-JACOBI_OFFDIAG_TOL = 1e-12
 
 
 class PsdStatus(enum.Enum):
@@ -59,56 +57,9 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    app, aqq, apq = a[p, p], a[q, q], a[p, q]
-    phi = 0.5 * np.arctan2(2.0 * apq, aqq - app)
-    c, s = np.cos(phi), np.sin(phi)
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
 def eig_sym(S) -> Spectrum:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps until the off-diagonal Frobenius norm drops below
-    JACOBI_OFFDIAG_TOL * ||S||_F, capped at JACOBI_SWEEP_CAP sweeps (reaching
-    the cap on a symmetric input would be an internal defect).
-    """
-    a = sym(S).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return Spectrum(eigenvalues=a[0].copy(), eigenvectors=v)
-    norm = np.linalg.norm(a, "fro")
-    thresh = JACOBI_OFFDIAG_TOL * max(norm, np.finfo(float).tiny)
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = np.sqrt(max(0.0, norm**2 - np.sum(np.diag(a) ** 2)))
-        off = np.linalg.norm(a - np.diag(np.diag(a)), "fro")
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > thresh / (n * n):
-                    _jacobi_rotate(a, v, p, q)
-    else:
-        off = np.linalg.norm(a - np.diag(np.diag(a)), "fro")
-        if off > thresh * 100:
-            raise RuntimeError("Jacobi iteration failed to converge (internal defect)")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+    """Eigendecomposition of a symmetric matrix (ValueError if it is not one)."""
+    return Spectrum(*np.linalg.eigh(sym(S)))
 
 
 def psd_status(S, tol: float = PSD_TOL) -> PsdStatus:

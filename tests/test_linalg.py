@@ -56,6 +56,27 @@ class TestEig:
             ref = np.linalg.eigvalsh(S)
             assert np.allclose(w, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
 
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError):
+            linalg.eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_1x1(self):
+        spec = linalg.eig_sym(np.array([[-2.5]]))
+        assert spec.eigenvalues.shape == (1,)
+        assert spec.eigenvalues[0] == -2.5
+        assert spec.eigenvectors.shape == (1, 1)
+        assert abs(spec.eigenvectors[0, 0]) == 1.0
+
+    def test_repeated_eigenvalues_orthonormal(self):
+        rng = np.random.default_rng(7)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        S = Q @ np.diag([2.0, 2.0, 2.0, -1.0, -1.0]) @ Q.T
+        spec = linalg.eig_sym(0.5 * (S + S.T))
+        V, w = spec.eigenvectors, spec.eigenvalues
+        assert np.allclose(w, [-1.0, -1.0, 2.0, 2.0, 2.0], atol=1e-12)
+        assert np.linalg.norm(V.T @ V - np.eye(5)) <= 1e-12
+        assert np.linalg.norm((V * w) @ V.T - S) <= 1e-12
+
 
 class TestPsdStatus:
     @pytest.mark.parametrize("mat,expected", [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sdpexact import linalg, rog
 from conftest import (make_perspective_instance, make_separation_instance,
@@ -128,6 +130,48 @@ class TestCheckPair:
         v = rog.check_pair(A, B)
         assert v.status == "NOT_ROG_CERTIFIED"
         assert rog.verify_certificate(v, A, B)
+
+
+def int_sym_pairs():
+    """Pairs of symmetric 3x3 or 4x4 matrices with integer entries in [-5, 5]."""
+    def pair(d):
+        mat = hnp.arrays(np.int64, (d, d), elements=st.integers(-5, 5))
+        return st.tuples(mat, mat).map(
+            lambda ab: tuple(np.triu(m) + np.triu(m, 1).T for m in ab))
+    return st.sampled_from((3, 4)).flatmap(pair)
+
+
+class TestCertificateProperty:
+    @given(int_sym_pairs())
+    def test_check_pair_certificate_verifies(self, pair):
+        M1, M2 = (m.astype(float) for m in pair)
+        assert rog.verify_certificate(rog.check_pair(M1, M2), M1, M2)
+
+
+class TestAngularScan:
+    def test_stacked_grid_matches_per_angle(self):
+        rng = np.random.default_rng(41)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
+        for d in (3, 4):
+            for _ in range(10):
+                A = random_sym(rng, d)
+                B = random_sym(rng, d)
+                stacked = rog._lmin(A, B, thetas)
+                ref = [np.linalg.eigvalsh(np.cos(t) * A + np.sin(t) * B)[0]
+                       for t in thetas]
+                assert stacked.shape == thetas.shape
+                assert np.max(np.abs(stacked - ref)) <= 1e-12
+
+    def test_psd_combination_found_and_verified(self):
+        A = np.diag([1.0, 1.0, -1.0])
+        B = np.diag([0.0, 0.0, 1.0])
+        alpha = rog._angular_scan(A, B)
+        assert alpha is not None
+        assert abs(float(np.max(np.abs(alpha))) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(alpha[0] * A + alpha[1] * B)[0] >= -1e-7
+
+    def test_pd_witness_pair_has_no_psd_combination(self):
+        assert rog._angular_scan(M1_3D, M2_3D) is None
 
 
 class TestNullLines:
