@@ -198,14 +198,14 @@ def _cmd_ratio(args) -> int:
                              np.array(d["rhs"], dtype=float), float(d["radius"]))
     else:
         try:
-            M_obj = gallery._dec_matrix(d["M_obj"])
-            B = gallery._dec_matrix(d["B"])
-            mats = tuple(gallery._dec_matrix(m) for m in d["mset"]["matrices"])
+            M_obj = model.matrix_from_dict(d["M_obj"])
+            B = model.matrix_from_dict(d["B"])
+            mats = tuple(model.matrix_from_dict(m) for m in d["mset"]["matrices"])
             senses = tuple(d["mset"]["senses"])
         except (KeyError, ValueError) as exc:
             raise InputError(f"malformed ratio instance: {exc}")
         p = ratio.RatioProblem(M_obj, B, rog.LmiSet(mats, senses))
-    out = ratio.solve_ratio(p, seed=args.seed)
+    out = ratio.solve_ratio(p)
     _report_line("value", f"{out['value']:.10g}")
     _report_line("claim", out["claim"])
     _report_line("rog_hypothesis", out["hypotheses"]["rog"]["status"])
@@ -269,8 +269,6 @@ def _cmd_examples(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-7,
-                        help="strict-inequality threshold")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--json", metavar="PATH",
                         help="write a machine report to PATH")

@@ -1,9 +1,37 @@
 """Built-in instance gallery.
 
-Each entry ships as a JSON file under gallery_data/ and runs a pipeline
-appropriate to its kind: full exactness analysis for QCQP instances,
-pair/set classification for raw LMI data, and the ratio solver for ratio
-problems.
+Each entry is one JSON file under gallery_data/, and those files are the
+only definition of the gallery: adding an entry means adding a file.
+``load`` decodes an entry and ``run`` executes the pipeline for its kind:
+full exactness analysis for QCQP instances, pair/set classification for
+raw LMI data, and the ratio solver for ratio problems.
+
+Entries (what each one shows):
+
+- big_m_perspective: mixed-binary epigraph, minimize x^2 with x(1-y) = 0
+  and y(1-y) = 0.
+- centered: indefinite diagonal objective over the unit disc, no linear
+  terms anywhere.
+- diag_sign_definite: diagonal forms with sign-definite linear terms.
+- explicit_sdp: norm objective under two concentric-hyperbola constraints;
+  optimum 2 at the four corners (+-1, +-1).
+- gtrs_indefinite: indefinite objective with a linear term, one ball
+  constraint.
+- lifting_non_rog: an inequality pair with a shared factor whose equality
+  lifting (with a slack coordinate) stops being rank-one generated.
+- qmp_k2: repeated-block structure with two identical diagonal blocks.
+- rog_pair_3d_not: the 3x3 pair diag(1,-1,0), diag(0,1,-1), not rank-one
+  generated, with a rank-two extreme-ray witness.
+- rog_pair_not: the 2x2 pair diag(1,-1), [[0,1],[1,0]], not rank-one
+  generated.
+- rog_vs_ch: not rank-one generated, yet hull-exact as a QCQP.
+- rtls_small: regularized total least squares, 4x2 Gaussian data (seed 7)
+  over the unit ball.
+- soc_cap: polyhedrally generated second-order-cone slice with a
+  quadratic cap.
+- swiss_cheese_2x2: norm minimization outside one ball, below one
+  halfspace.
+- trs_1d: one-dimensional trust region, minimize -x^2 over x^2 <= 1.
 """
 
 from __future__ import annotations
@@ -13,225 +41,38 @@ import json
 
 import numpy as np
 
-from . import exactness, model, oracles, ratio, rog, solver
+from . import exactness, model, ratio, rog
 
 
-def _enc_matrix(M) -> dict:
-    M = np.asarray(M, dtype=float)
-    d = np.diag(M)
-    if np.max(np.abs(M - np.diag(d)), initial=0.0) == 0.0:
-        return {"kind": "diag", "data": [model._num(v) for v in d]}
-    return {"kind": "dense", "data": [model._num(v) for v in M.reshape(-1)]}
-
-
-def _dec_matrix(enc: dict) -> np.ndarray:
-    data = [float(v) for v in enc["data"]]
-    if enc["kind"] == "diag":
-        return np.diag(data)
-    d = int(round(len(data) ** 0.5))
-    return np.array(data).reshape(d, d)
-
-
-# ---------------------------------------------------------------------------
-# entry definitions
-# ---------------------------------------------------------------------------
-
-
-def _q(A, b, c):
-    return model.QuadraticForm(np.asarray(A, dtype=float),
-                               np.asarray(b, dtype=float), float(c))
-
-
-def _build_entries() -> dict:
-    e = {}
-
-    # two concentric-hyperbola constraints; norm objective; optimum 2 at
-    # the four corners (+-1, +-1)
-    e["explicit_sdp"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.eye(2), [0, 0], 0),
-            (_q(np.diag([-2.0, 1.0]), [0, 0], 1.0),
-             _q(np.diag([1.0, -2.0]), [0, 0], 1.0))),
-    }
-
-    e["trs_1d"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            1, _q([[-1.0]], [0], 0), (_q([[1.0]], [0], -1.0),)),
-    }
-
-    # indefinite objective, one ball constraint
-    e["gtrs_indefinite"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.diag([1.0, -1.0]), [0.0, 0.5], 0),
-            (_q(np.eye(2), [0, 0], -1.0),)),
-    }
-
-    # norm minimization outside one ball, below one halfspace
-    e["swiss_cheese_2x2"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.eye(2), [0, 0], 0),
-            (_q(-np.eye(2), [1.0, 0.0], -0.25),
-             _q(np.zeros((2, 2)), [0.0, 0.5], -1.0))),
-    }
-
-    # diagonal with sign-definite linear terms
-    e["diag_sign_definite"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.diag([-1.0, 1.0]), [0.5, 0.0], 0),
-            (_q(np.diag([1.0, 0.0]), [0, 0], -1.0),)),
-    }
-
-    # no linear terms anywhere
-    e["centered"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.diag([1.0, -2.0]), [0, 0], 0),
-            (_q(np.eye(2), [0, 0], -1.0),)),
-    }
-
-    # mixed-binary epigraph: minimize x^2 with x(1-y) = 0 and y(1-y) = 0
-    e["big_m_perspective"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.diag([1.0, 0.0]), [0, 0], 0),
-            (),
-            (_q([[0.0, -0.5], [-0.5, 0.0]], [0.5, 0.0], 0.0),
-             _q(np.diag([0.0, -1.0]), [0.0, 0.5], 0.0))),
-    }
-
-    # repeated-block structure with two identical diagonal blocks
-    e["qmp_k2"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            4, _q(np.diag([1.0, -1.0, 1.0, -1.0]), [0, 0, 0, 0], 0),
-            (_q(np.eye(4), [0, 0, 0, 0], -1.0),)),
-    }
-
-    e["rog_pair_not"] = {
-        "kind": "matrix_pair",
-        "matrices": (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
-    }
-
-    e["rog_pair_3d_not"] = {
-        "kind": "matrix_pair",
-        "matrices": (np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])),
-    }
-
-    # not rank-one generated, yet hull-exact as a QCQP
-    e["rog_vs_ch"] = {
-        "kind": "qcqp",
-        "instance": model.QcqpInstance(
-            2, _q(np.eye(2), [0, 0], 0),
-            (_q(np.diag([-1.0, 1.0]), [0, 0], -1.0),
-             _q(np.diag([2.0, -1.0]), [0, 0], -1.0))),
-    }
-
-    # an inequality pair with a shared factor whose equality lifting (with a
-    # slack coordinate) stops being rank-one generated
-    E = np.eye(4)
-    lift1 = 0.5 * (np.outer(E[0], E[1]) + np.outer(E[1], E[0]))
-    lift2 = 0.5 * (np.outer(E[0], E[2]) + np.outer(E[2], E[0])) + np.outer(E[3], E[3])
-    e["lifting_non_rog"] = {
-        "kind": "lmi_set",
-        "matrices": (lift1, lift2),
-        "senses": ("EQ", "EQ"),
-        "original": {
-            "matrices": (lift1[:3, :3],
-                         0.5 * (np.outer(E[0][:3], E[2][:3]) + np.outer(E[2][:3], E[0][:3]))),
-            "senses": ("LE", "LE"),
-        },
-    }
-
-    # polyhedrally generated second-order-cone slice with a quadratic cap
-    thetas = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]
-    c = np.array([0.0, 0.0, 1.0])
-    soc_members = [
-        -0.5 * (np.outer(c, k) + np.outer(np.asarray(k), c))
-        for k in ([np.cos(t), np.sin(t), 1.0] for t in thetas)
-    ]
-    soc_members.append(np.diag([1.0, 1.0, -1.0]))
-    e["soc_cap"] = {
-        "kind": "lmi_set",
-        "matrices": tuple(soc_members),
-        "senses": ("LE",) * len(soc_members),
-    }
-
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((4, 2))
-    b = rng.standard_normal(4)
-    e["rtls_small"] = {
-        "kind": "ratio",
-        "data": A,
-        "rhs": b,
-        "radius": 1.0,
-    }
-    return e
-
-
-_ENTRIES = None
-
-
-def _entries() -> dict:
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build_entries()
-    return _ENTRIES
+def _data():
+    return importlib.resources.files("sdpexact").joinpath("gallery_data")
 
 
 def names() -> list:
-    return sorted(_entries().keys())
+    """Sorted entry names: the stems of the shipped JSON files."""
+    return sorted(f.name[:-len(".json")] for f in _data().iterdir()
+                  if f.name.endswith(".json"))
 
 
-def entry_to_dict(name: str) -> dict:
-    ent = _entries()[name]
-    kind = ent["kind"]
-    if kind == "qcqp":
-        d = {"kind": "qcqp"}
-        d.update(model.instance_to_dict(ent["instance"]))
-        return d
-    if kind == "matrix_pair":
-        return {"kind": "matrix_pair",
-                "matrices": [_enc_matrix(M) for M in ent["matrices"]]}
-    if kind == "lmi_set":
-        d = {"kind": "lmi_set",
-             "matrices": [_enc_matrix(M) for M in ent["matrices"]],
-             "senses": list(ent["senses"])}
-        if "original" in ent:
-            d["original"] = {
-                "matrices": [_enc_matrix(M) for M in ent["original"]["matrices"]],
-                "senses": list(ent["original"]["senses"]),
-            }
-        return d
-    if kind == "ratio":
-        return {"kind": "ratio",
-                "data": [[model._num(v) for v in row] for row in ent["data"]],
-                "rhs": [model._num(v) for v in ent["rhs"]],
-                "radius": model._num(ent["radius"])}
-    raise KeyError(kind)
+def _matrices(d: dict) -> tuple:
+    return tuple(model.matrix_from_dict(m) for m in d["matrices"])
 
 
-def entry_from_dict(d: dict) -> dict:
+def load(name: str) -> dict:
+    """Decode a shipped entry (FileNotFoundError for an unknown name)."""
+    d = json.loads(_data().joinpath(f"{name}.json").read_text())
     kind = d["kind"]
     if kind == "qcqp":
         inst, gens = model.instance_from_dict(d)
         return {"kind": "qcqp", "instance": inst, "gamma_generators": gens}
     if kind == "matrix_pair":
-        return {"kind": "matrix_pair",
-                "matrices": tuple(_dec_matrix(m) for m in d["matrices"])}
+        return {"kind": "matrix_pair", "matrices": _matrices(d)}
     if kind == "lmi_set":
-        out = {"kind": "lmi_set",
-               "matrices": tuple(_dec_matrix(m) for m in d["matrices"]),
+        out = {"kind": "lmi_set", "matrices": _matrices(d),
                "senses": tuple(d["senses"])}
         if "original" in d:
-            out["original"] = {
-                "matrices": tuple(_dec_matrix(m) for m in d["original"]["matrices"]),
-                "senses": tuple(d["original"]["senses"]),
-            }
+            out["original"] = {"matrices": _matrices(d["original"]),
+                               "senses": tuple(d["original"]["senses"])}
         return out
     if kind == "ratio":
         return {"kind": "ratio",
@@ -239,22 +80,6 @@ def entry_from_dict(d: dict) -> dict:
                 "rhs": np.array(d["rhs"], dtype=float),
                 "radius": float(d["radius"])}
     raise KeyError(kind)
-
-
-def write_gallery_files(directory) -> None:
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in names():
-        (directory / f"{name}.json").write_text(
-            json.dumps(entry_to_dict(name), indent=2) + "\n")
-
-
-def load(name: str) -> dict:
-    """Load an entry from the shipped JSON data (not the in-memory builder)."""
-    ref = importlib.resources.files("sdpexact").joinpath(f"gallery_data/{name}.json")
-    return entry_from_dict(json.loads(ref.read_text()))
 
 
 def _constraint_lmi_set(inst: model.QcqpInstance) -> rog.LmiSet:
@@ -310,7 +135,7 @@ def run(name: str, seed: int = 0) -> dict:
         return report
     if kind == "ratio":
         p = ratio.build_rtls(ent["data"], ent["rhs"], ent["radius"])
-        out = ratio.solve_ratio(p, seed=seed)
+        out = ratio.solve_ratio(p)
         report["ratio"] = out
         report["grid_value"] = ratio.rtls_grid_value(ent["data"], ent["rhs"],
                                                      ent["radius"])

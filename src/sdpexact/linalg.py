@@ -111,17 +111,6 @@ def kernel_basis(S, tol: float = RANK_TOL) -> np.ndarray:
     return spec.eigenvectors[:, mask]
 
 
-def project_onto(v, basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto span(basis columns)."""
-    v = np.asarray(v, dtype=float)
-    b = np.asarray(basis, dtype=float)
-    if b.size == 0:
-        return np.zeros_like(v)
-    if b.ndim == 1:
-        b = b[:, None]
-    return b @ (b.T @ v)
-
-
 def binary_quadratic_resultant(q1, q2) -> float:
     """Resultant of two binary quadratic forms.
 

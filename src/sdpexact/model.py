@@ -9,6 +9,7 @@ inequality (<= 0) and equality (= 0) constraint forms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,25 +196,39 @@ def _num(x: float) -> float:
     return float(format(float(x), ".17g"))
 
 
+def matrix_to_dict(M) -> dict:
+    """Encode a square matrix: "diag" when it has no off-diagonal entry, else "dense"."""
+    M = np.asarray(M, dtype=float)
+    d = np.diag(M)
+    if np.max(np.abs(M - np.diag(d)), initial=0.0) == 0.0:
+        return {"kind": "diag", "data": [_num(v) for v in d]}
+    return {"kind": "dense", "data": [_num(v) for v in M.reshape(-1)]}
+
+
+def matrix_from_dict(enc: dict) -> np.ndarray:
+    """Inverse of matrix_to_dict.
+
+    Raises ValueError for an unknown kind or a dense payload whose length
+    is not a perfect square.
+    """
+    kind = enc["kind"]
+    data = [float(v) for v in enc["data"]]
+    if kind == "diag":
+        return np.diag(data)
+    if kind != "dense":
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    d = math.isqrt(len(data))
+    if d * d != len(data):
+        raise ValueError(f"dense matrix data of length {len(data)} is not square")
+    return np.array(data).reshape(d, d)
+
+
 def _form_to_dict(q: QuadraticForm) -> dict:
-    d = np.diag(q.A)
-    if np.max(np.abs(q.A - np.diag(d)), initial=0.0) == 0.0:
-        a_enc = {"kind": "diag", "data": [_num(v) for v in d]}
-    else:
-        a_enc = {"kind": "dense", "data": [_num(v) for v in q.A.reshape(-1)]}
-    return {"A": a_enc, "b": [_num(v) for v in q.b], "c": _num(q.c)}
+    return {"A": matrix_to_dict(q.A), "b": [_num(v) for v in q.b], "c": _num(q.c)}
 
 
 def _form_from_dict(d: dict, n: int) -> QuadraticForm:
-    kind = d["A"]["kind"]
-    data = [float(v) for v in d["A"]["data"]]
-    if kind == "diag":
-        A = np.diag(data)
-    elif kind == "dense":
-        A = np.array(data).reshape(n, n)
-    else:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    return QuadraticForm(A, d.get("b", [0.0] * n), d.get("c", 0.0))
+    return QuadraticForm(matrix_from_dict(d["A"]), d.get("b", [0.0] * n), d.get("c", 0.0))
 
 
 def instance_to_dict(inst: QcqpInstance, gamma_generators=None) -> dict:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.optimize
 import scipy.stats.qmc
 
-from . import linalg, model, solver
+from . import linalg, solver
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,20 @@ def _feasibility_slack(inst, resolution: float) -> float:
         (np.linalg.norm(q.b) for q in inst.constraints), default=0.0))
 
 
-def grid_opt(inst, box, resolution: float = 0.01):
-    """Exhaustive scan of a box; returns (approx min, argmin or None)."""
-    if inst.n > 3:
-        raise ValueError("grid oracle limited to n <= 3")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+def _scan(inst, box, resolution: float, extra=None):
+    """Evaluate the instance on the box grid at `resolution`, plus `extra` rows.
+
+    Returns (points, feasibility mask, objective values); every form is
+    evaluated as x^T A x + 2 b^T x + c over all points at once, and the
+    feasibility band is _feasibility_slack at the grid resolution.
+    """
     axes = [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in box]
-    slack = _feasibility_slack(inst, resolution)
-    best = np.inf
-    arg = None
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    # vectorized evaluation per form
+    if extra is not None:
+        pts = np.vstack([pts, extra])
+    slack = _feasibility_slack(inst, resolution)
+
     def ev(q):
         return np.einsum("ki,ij,kj->k", pts, q.A, pts) + 2.0 * pts @ q.b + q.c
 
@@ -55,14 +56,21 @@ def grid_opt(inst, box, resolution: float = 0.01):
         ok &= ev(q) <= slack
     for q in inst.equalities:
         ok &= np.abs(ev(q)) <= slack
+    return pts, ok, ev(inst.objective)
+
+
+def grid_opt(inst, box, resolution: float = 0.01):
+    """Exhaustive scan of a box; returns (approx min, argmin or None)."""
+    if inst.n > 3:
+        raise ValueError("grid oracle limited to n <= 3")
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    pts, ok, vals = _scan(inst, box, resolution)
     if not np.any(ok):
         return np.inf, None
-    vals = ev(inst.objective)[ok]
-    sel = pts[ok]
+    vals = vals[ok]
     k = int(np.argmin(vals))
-    best = float(vals[k])
-    arg = sel[k]
-    return best, arg
+    return float(vals[k]), pts[ok][k]
 
 
 def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
@@ -142,24 +150,15 @@ def conv_membership_sample(inst, x, t, n_samples: int = 2000, seed: int = 0,
         r = max(2.0, 2.0 * float(np.linalg.norm(x)))
         box = [(-r, r)] * inst.n
     rng = np.random.default_rng(seed)
-    pts = []
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     # structured grid plus random fill
     res = max((hi - lo).max() / 40.0, 1e-3)
-    axes = [np.arange(b[0], b[1] + res / 2, res) for b in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([g.reshape(-1) for g in grids], axis=1)
-    cand = np.vstack([cand, lo + (hi - lo) * rng.random((n_samples, inst.n))])
-    slack = _feasibility_slack(inst, res)
-    for p in cand:
-        feas = all(model.eval_form(q, p) <= slack for q in inst.inequalities)
-        feas = feas and all(abs(model.eval_form(q, p)) <= slack for q in inst.equalities)
-        if feas:
-            pts.append(np.concatenate([p, [model.eval_form(inst.objective, p)]]))
-    if not pts:
+    fill = lo + (hi - lo) * rng.random((n_samples, inst.n))
+    pts, ok, vals = _scan(inst, box, res, extra=fill)
+    if not np.any(ok):
         return "NOT_SHOWN"
-    P = np.array(pts)  # (N, n+1)
+    P = np.column_stack([pts[ok], vals[ok]])  # (N, n+1)
     N = P.shape[0]
     target = np.concatenate([x, [t]])
     # variables: lambda (N), mu >= 0 (vertical ray), d (deviation)

@@ -82,8 +82,7 @@ def _dual_certificate(p: RatioProblem, tol: float = 1e-7, bound: float = 1e6):
     return {"found": False, "lambda_min": (-float(best.fun)) if best is not None else None}
 
 
-def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000,
-                seed: int = 0) -> dict:
+def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000) -> dict:
     """Solve the normalized SDP and report the hypothesis checks.
 
     Returns {value, z, Z, hypotheses, claim} where claim is EXACT when the
@@ -120,12 +119,6 @@ def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000,
     if hyp_ok and out["z"] is not None and sol.status == solver.SolveStatus.OPTIMAL:
         out["claim"] = "EXACT"
     return out
-
-
-def sign_split(p: RatioProblem):
-    """Two normalized sub-problems covering both signs of the denominator."""
-    neg = RatioProblem(M_obj=-p.M_obj, B=-p.B, mset=p.mset)
-    return p, neg
 
 
 def build_rtls(data_rows, rhs, radius: float) -> RatioProblem:

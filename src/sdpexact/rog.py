@@ -76,20 +76,6 @@ def _same_direction(u, v, tol=ANGLE_TOL) -> bool:
     return abs(float(u @ v) / (nu * nv)) >= 1.0 - tol
 
 
-def envelope_member(z, Z, mset: LmiSet, tol: float = 1e-8) -> bool:
-    """Whether z^T M z is pinched between <M,Z> and 0 for every member."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    Z = linalg.sym(Z)
-    for M in mset.expanded():
-        val = float(z @ M @ z)
-        inner = float(np.sum(M * Z))
-        lo, hi = min(inner, 0.0), max(inner, 0.0)
-        # LE members have <M,Z> <= 0, so the band is [<M,Z>, 0]
-        if not (lo - tol <= val <= hi + tol):
-            return False
-    return True
-
-
 def decompose_rank2_indefinite(M):
     """Split M = Sym(a b^T) when M has rank <= 2 and is not definite.
 
@@ -402,7 +388,8 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
     kind = cert.get("kind")
     if verdict.status == "ROG_CERTIFIED" and kind == "AggregationWeights":
         alpha = np.asarray(cert["alpha"], dtype=float)
-        if abs(float(np.max(np.abs(alpha))) - 1.0) > 1e-6 and float(np.max(np.abs(alpha))) <= 1e-9:
+        # check_pair emits max|alpha| = 1; a tiny alpha would pass any pair
+        if abs(float(np.max(np.abs(alpha))) - 1.0) > 1e-6:
             return False
         combo = alpha[0] * M1 + alpha[1] * M2
         w = linalg.eig_sym(combo).eigenvalues
@@ -431,8 +418,9 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
                     if _same_direction(u, v):
                         return False
             return True
-        # span dim != 3: condition (i) alone decides
-        return cert.get("span_dim") != 3
+        # span dim != 3: condition (i) alone decides; recomputed, since the
+        # reported span_dim is the certificate's own claim
+        return _joint_range_dim(M1, M2) != 3
     return False
 
 
@@ -700,17 +688,6 @@ def check_common_factor(mset: LmiSet) -> RogVerdict:
                                    "cofactors": cofactors})
 
 
-def build_cone_constraint_set(c, cone_generators) -> LmiSet:
-    """LMIs enforcing Zc against a finitely generated cone: <Sym(-c k^T), Z> <= 0
-    per generator k means k^T Z c >= 0."""
-    c = np.asarray(c, dtype=float).reshape(-1)
-    mats = []
-    for k in cone_generators:
-        k = np.asarray(k, dtype=float).reshape(-1)
-        mats.append(-0.5 * (np.outer(c, k) + np.outer(k, c)))
-    return LmiSet(matrices=tuple(mats), senses=("LE",) * len(mats))
-
-
 def detect_soc_cap(mset: LmiSet) -> RogVerdict:
     """Structural rule: a common-factor family plus one capping LMI.
 
@@ -739,20 +716,6 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
                 certificate={"kind": "SocCap", "cap_index": cap_idx,
                              "c": fam.certificate["c"], "cofactors": cofs})
     return RogVerdict(status="UNDECIDED", diagnostics={"reason": "no cap structure"})
-
-
-def restrict_to_joint_range(mset: LmiSet):
-    """Project every member to the span of all ranges; verdicts transfer."""
-    mats = list(mset.matrices)
-    if not mats:
-        return mset, np.zeros((0, 0))
-    d = mats[0].shape[0]
-    stacked = np.hstack(mats)
-    U, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if s.size else 0.0)))
-    B = U[:, :rank]
-    reduced = tuple(B.T @ M @ B for M in mats)
-    return LmiSet(reduced, mset.senses), B
 
 
 def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
@@ -785,14 +748,6 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
                         "v_rank1": v_rank1, "gap": gap})
     return {"max_gap": worst, "flagged": bool(worst > gap_tol),
             "records": records, "seed": seed, "trials": trials}
-
-
-def face_program(mset: LmiSet, subset) -> LmiSet:
-    """Tighten the chosen members to equalities (a face of the slice)."""
-    subset = set(subset)
-    senses = tuple("EQ" if k in subset else s
-                   for k, s in enumerate(mset.senses))
-    return LmiSet(mset.matrices, senses)
 
 
 def clconv_report(inst, verdict: RogVerdict):

@@ -293,44 +293,3 @@ def dsdp_membership(inst, x, t, tol: float = 1e-6, max_iter: int = DEFAULT_MAX_I
     if sol.status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
         return sol.primal_residual <= tol
     return False
-
-
-def extract_rank_one(Z, Mset=(), tol: float = 1e-5):
-    """Attempt to read a rank-one representative off an optimal Z.
-
-    Returns z with Z ~ z z^T when the second singular value is negligible.
-    For a single LMI, falls back to a two-term splitting: rotate within the
-    top-2 eigenspace so the leading rank-one piece satisfies the LMI.
-    """
-    Z = linalg.sym(Z)
-    spec = linalg.eig_sym(Z)
-    w = spec.eigenvalues[::-1]
-    V = spec.eigenvectors[:, ::-1]
-    if w[0] <= 0:
-        return None
-    if Z.shape[0] == 1 or w[1] / w[0] <= tol:
-        return np.sqrt(max(w[0], 0.0)) * V[:, 0]
-    Mlist = [linalg.sym(M) for M in Mset]
-    if len(Mlist) == 1 and w[1] > 0:
-        M = Mlist[0]
-        a = np.sqrt(w[0]) * V[:, 0]
-        b = np.sqrt(w[1]) * V[:, 1]
-        # z(theta) = cos(theta) a + sin(theta) b; find theta with z^T M z = 0
-        # scaled to the sign of <M, Z>: solve the scalar quadratic in tan(theta).
-        qa = float(a @ M @ a)
-        qb = float(b @ M @ b)
-        qab = float(a @ M @ b)
-        target = float(np.sum(M * Z))
-        # want z^T M z <= tol (mirrors the LE sense of the LMI)
-        if qa <= tol * max(1.0, abs(target)):
-            return a
-        if qb <= tol * max(1.0, abs(target)):
-            return b
-        # qa > 0 and qb > 0: no rotation helps unless qab bridges a sign change
-        disc = qab * qab - qa * qb
-        if disc >= 0:
-            root = (-qab + np.sqrt(disc)) / qa
-            z = root * a + b
-            if float(z @ M @ z) <= tol * max(1.0, np.linalg.norm(z) ** 2):
-                return z
-    return None

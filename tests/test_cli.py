@@ -108,6 +108,18 @@ class TestRog:
         assert "max_gap:" in capsys.readouterr().out
 
 
+class TestRatio:
+    def test_unknown_matrix_kind_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "ratio.json"
+        path.write_text(json.dumps({
+            "M_obj": {"kind": "sparse", "data": [1.0, 0.0, 0.0, 1.0]},
+            "B": {"kind": "diag", "data": [1.0, 1.0]},
+            "mset": {"matrices": [{"kind": "diag", "data": [1.0, -1.0]}],
+                     "senses": ["LE"]}}))
+        assert cli.main(["ratio", str(path)]) == 2
+        assert "unknown matrix kind" in capsys.readouterr().err
+
+
 class TestOracleAndExamples:
     def test_oracle_compare(self, instance_file, capsys):
         rc = cli.main(["oracle", "compare", instance_file])

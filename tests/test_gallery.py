@@ -1,9 +1,11 @@
 """Built-in gallery: shipped data integrity and the per-kind pipelines."""
 
-import numpy as np
+import importlib.resources
+import json
+
 import pytest
 
-from sdpexact import gallery
+from sdpexact import gallery, model
 
 EXPECTED_NAMES = {
     "big_m_perspective", "centered", "diag_sign_definite", "explicit_sdp",
@@ -13,30 +15,37 @@ EXPECTED_NAMES = {
 }
 
 
+def _lmis(ent: dict) -> dict:
+    out = {"matrices": [model.matrix_to_dict(M) for M in ent["matrices"]]}
+    if "senses" in ent:
+        out["senses"] = list(ent["senses"])
+    return out
+
+
+def _encode(ent: dict) -> dict:
+    """Re-encode a loaded entry with model's codec (the inverse of gallery.load)."""
+    kind = ent["kind"]
+    if kind == "qcqp":
+        return {"kind": kind,
+                **model.instance_to_dict(ent["instance"], ent["gamma_generators"])}
+    if kind == "ratio":
+        return {"kind": kind, "data": ent["data"].tolist(),
+                "rhs": ent["rhs"].tolist(), "radius": ent["radius"]}
+    out = {"kind": kind, **_lmis(ent)}
+    if "original" in ent:
+        out["original"] = _lmis(ent["original"])
+    return out
+
+
 class TestData:
     def test_names_complete(self):
         assert set(gallery.names()) == EXPECTED_NAMES
 
-    def test_shipped_files_match_builders(self):
+    def test_shipped_files_roundtrip_through_model_codec(self):
+        data = importlib.resources.files("sdpexact").joinpath("gallery_data")
         for name in gallery.names():
-            shipped = gallery.load(name)
-            built = gallery.entry_from_dict(gallery.entry_to_dict(name))
-            assert shipped["kind"] == built["kind"]
-            if shipped["kind"] == "qcqp":
-                a, b = shipped["instance"], built["instance"]
-                assert np.array_equal(a.objective.A, b.objective.A)
-                assert a.m_i == b.m_i and a.m_e == b.m_e
-            elif shipped["kind"] in ("matrix_pair", "lmi_set"):
-                for M, N in zip(shipped["matrices"], built["matrices"]):
-                    assert np.array_equal(M, N)
-            else:
-                assert np.array_equal(shipped["data"], built["data"])
-
-    def test_roundtrip_through_dict(self):
-        for name in gallery.names():
-            d = gallery.entry_to_dict(name)
-            back = gallery.entry_from_dict(d)
-            assert back["kind"] == d["kind"]
+            shipped = json.loads(data.joinpath(f"{name}.json").read_text())
+            assert _encode(gallery.load(name)) == shipped, name
 
 
 class TestRun:

@@ -115,13 +115,6 @@ class TestRankKernel:
                 assert np.linalg.norm(S @ K) <= 1e-6 * max(1.0, np.linalg.norm(S))
                 assert np.linalg.norm(K.T @ K - np.eye(d - r)) <= 1e-10
 
-    def test_project_onto(self):
-        basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(linalg.project_onto(v, basis), [1.0, 2.0, 0.0])
-        assert np.allclose(linalg.project_onto(v, np.zeros((3, 0))), 0.0)
-
-
 class TestResultant:
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     def test_shared_root_gives_zero(self, r, a, b):

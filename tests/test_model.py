@@ -164,6 +164,16 @@ class TestSerialization:
         assert gens is None
         assert inst.objective.b[0] == 0.0 and inst.objective.c == 0.0
 
+    def test_matrix_codec(self):
+        for M in (np.diag([1.0, -0.5, 0.0]), np.array([[0.0, 1.5], [1.5, 2.0]])):
+            enc = model.matrix_to_dict(M)
+            assert enc["kind"] == ("diag" if M.shape[0] == 3 else "dense")
+            assert np.array_equal(model.matrix_from_dict(enc), M)
+        with pytest.raises(ValueError):
+            model.matrix_from_dict({"kind": "dense", "data": [1.0, 2.0, 3.0]})
+        with pytest.raises(ValueError):
+            model.matrix_from_dict({"kind": "sparse", "data": [1.0]})
+
     def test_unknown_matrix_kind_rejected(self):
         with pytest.raises(ValueError):
             model.instance_from_dict({

@@ -2,9 +2,49 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sdpexact import model, oracles
 from conftest import q, make_explicit_instance
+
+
+@st.composite
+def scan_cases(draw):
+    """An instance with inequalities and equalities, a box, a grid step and
+    extra points, all dyadic: both evaluation orders are then exact, so the
+    masks must agree bit for bit, not merely up to rounding at the band edge."""
+    n = draw(st.integers(1, 3))
+    ints = st.integers(-3, 3)
+
+    def form():
+        A = draw(hnp.arrays(np.int64, (n, n), elements=ints))
+        b = draw(hnp.arrays(np.int64, n, elements=ints))
+        return q(np.triu(A) + np.triu(A, 1).T, b / 2.0, draw(ints))
+
+    inst = model.QcqpInstance(
+        n, form(),
+        tuple(form() for _ in range(draw(st.integers(1, 2)))),
+        tuple(form() for _ in range(draw(st.integers(1, 2)))))
+    r = draw(st.sampled_from((1.0, 2.0)))
+    extra = draw(hnp.arrays(np.int64, (draw(st.integers(0, 20)), n),
+                            elements=st.integers(-8, 8))) * (r / 8.0)
+    return inst, [(-r, r)] * n, draw(st.sampled_from((0.25, 0.5))), extra
+
+
+class TestScan:
+    @given(scan_cases())
+    def test_mask_matches_per_point_eval_form(self, case):
+        inst, box, res, extra = case
+        pts, ok, vals = oracles._scan(inst, box, res, extra=extra)
+        slack = oracles._feasibility_slack(inst, res)
+        want = [all(model.eval_form(g, p) <= slack for g in inst.inequalities)
+                and all(abs(model.eval_form(g, p)) <= slack for g in inst.equalities)
+                for p in pts]
+        assert ok.tolist() == want
+        assert len(extra) == 0 or np.array_equal(pts[-len(extra):], extra)
+        assert np.allclose(vals, [model.eval_form(inst.objective, p) for p in pts],
+                           rtol=0.0, atol=1e-12)
 
 
 class TestGrid:

@@ -79,12 +79,3 @@ class TestRtls:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ratio.build_rtls(np.eye(2), [1.0, 1.0, 1.0], 1.0)
-
-
-class TestSignSplit:
-    def test_negation(self):
-        p = ratio.build_rtls(np.eye(2), [1.0, 0.0], 1.0)
-        pos, neg = ratio.sign_split(p)
-        assert pos is p
-        assert np.allclose(neg.M_obj, -p.M_obj)
-        assert np.allclose(neg.B, -p.B)

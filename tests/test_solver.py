@@ -133,28 +133,3 @@ class TestMembership:
         inst = model.QcqpInstance(
             1, q([[1.0]], [0], 0), (q([[1.0]], [0], -1.0),))
         assert not solver.dsdp_membership(inst, [3.0], 10.0)
-
-
-class TestExtractRankOne:
-    def test_rank_one_recovered(self):
-        z = np.array([1.0, -2.0, 0.5])
-        out = solver.extract_rank_one(np.outer(z, z))
-        assert out is not None
-        if out[0] * z[0] < 0:
-            out = -out
-        assert np.allclose(out, z, atol=1e-6)
-
-    def test_rank_two_single_lmi_split(self):
-        # Z = diag(1, 1), M = diag(1, -1): a representative with z^T M z <= 0
-        # exists inside the top eigenspace
-        Z = np.eye(2)
-        M = np.diag([1.0, -1.0])
-        z = solver.extract_rank_one(Z, (M,))
-        assert z is not None
-        assert float(z @ M @ z) <= 1e-5 * max(1.0, float(z @ z))
-
-    def test_none_for_psd_obstruction(self):
-        # rank-2 Z with a single LMI that is PD on its range: no split exists
-        Z = np.eye(2)
-        M = np.eye(2)
-        assert solver.extract_rank_one(Z, (M,)) is None
