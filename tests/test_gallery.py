@@ -3,6 +3,7 @@
 import importlib.resources
 import json
 
+import numpy as np
 import pytest
 
 from sdpexact import gallery, model
@@ -37,11 +38,53 @@ def _encode(ent: dict) -> dict:
     return out
 
 
+def _q(A, b, c) -> model.QuadraticForm:
+    return model.QuadraticForm(np.asarray(A, dtype=float),
+                               np.asarray(b, dtype=float), float(c))
+
+
+def _builders() -> dict:
+    return {
+        "trs_1d": {"kind": "qcqp", "instance": model.QcqpInstance(
+            1, _q([[-1.0]], [0], 0), (_q([[1.0]], [0], -1.0),))},
+        "big_m_perspective": {"kind": "qcqp", "instance": model.QcqpInstance(
+            2, _q(np.diag([1.0, 0.0]), [0, 0], 0), (),
+            (_q([[0.0, -0.5], [-0.5, 0.0]], [0.5, 0.0], 0.0),
+             _q(np.diag([0.0, -1.0]), [0.0, 0.5], 0.0)))},
+        "rog_pair_not": {"kind": "matrix_pair", "matrices": (
+            np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))},
+        "rog_pair_3d_not": {"kind": "matrix_pair", "matrices": (
+            np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0]))},
+    }
+
+
 class TestData:
     def test_names_complete(self):
         assert set(gallery.names()) == EXPECTED_NAMES
 
-    def test_shipped_files_roundtrip_through_model_codec(self):
+    def test_shipped_files_match_builders(self):
+        # Entries that the gallery docstring pins down exactly, rebuilt here.
+        rng = np.random.default_rng(7)
+        rtls_data = rng.standard_normal((4, 2))
+        rtls_rhs = rng.standard_normal(4)
+        for name, built in _builders().items():
+            shipped = gallery.load(name)
+            assert shipped["kind"] == built["kind"], name
+            if built["kind"] == "qcqp":
+                assert model.instance_to_dict(shipped["instance"]) == \
+                    model.instance_to_dict(built["instance"]), name
+            else:
+                for M, N in zip(shipped["matrices"], built["matrices"],
+                                strict=True):
+                    assert np.array_equal(M, N), name
+        rtls = gallery.load("rtls_small")
+        assert np.array_equal(rtls["data"], rtls_data)
+        assert np.array_equal(rtls["rhs"], rtls_rhs)
+        assert rtls["radius"] == 1.0
+
+    def test_roundtrip_through_dict(self):
+        # Every shipped file, decoded by gallery.load and re-encoded with
+        # model's codec, equals its JSON exactly.
         data = importlib.resources.files("sdpexact").joinpath("gallery_data")
         for name in gallery.names():
             shipped = json.loads(data.joinpath(f"{name}.json").read_text())
