@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import exactness, gallery, gamma, model, oracles, ratio, rog, solver
+from . import exactness, gallery, gamma, linalg, model, oracles, ratio, rog, solver
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,34 +54,45 @@ def _write_json(path, payload):
 def parse_matrix_literal(text: str) -> np.ndarray:
     """`diag:1,-1,0` or `dense:1,0;0,1` (rows separated by semicolons)."""
     if text.startswith("diag:"):
-        vals = [float(v) for v in text[5:].split(",") if v]
-        return np.diag(vals)
+        return np.diag([float(v) for v in text[5:].split(",") if v])
     if text.startswith("dense:"):
         rows = [[float(v) for v in row.split(",") if v]
                 for row in text[6:].split(";") if row]
-        M = np.array(rows)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        if any(len(row) != len(rows) for row in rows):
             raise InputError("dense literal must be square")
-        return M
+        return np.array(rows)
     raise InputError(f"matrix literal must start with diag: or dense: ({text!r})")
 
 
-def _load_instance(path: str):
+def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
             d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read instance {path}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
+    if not isinstance(d, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return d
+
+
+def _load_instance(path: str):
+    d = _read_json(path)
     if d.get("kind") not in (None, "qcqp"):
         raise InputError(f"{path} is not a QCQP instance file")
     try:
         return model.instance_from_dict(d)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance {path}: {exc}")
 
 
-def _load_matrices(args_matrices):
-    return [parse_matrix_literal(t) for t in args_matrices]
+def _load_matrices(literals):
+    """Parsed literals, checked to be finite, symmetric and of one dimension."""
+    mats = [parse_matrix_literal(t) for t in literals]
+    if len({M.shape[0] for M in mats}) > 1:
+        raise InputError("matrices must all have the same dimension")
+    if not all(np.isfinite(M).all() for M in mats):
+        raise InputError("matrix entries must be finite")
+    return [linalg.sym(M) for M in mats]
 
 
 def _report_line(name: str, value) -> None:
@@ -104,13 +115,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _gamma_or_fail(inst, gens):
-    try:
-        return gamma.build_gamma_data(inst, gens)
-    except gamma.NotDiagonalError as exc:
-        raise InputError(str(exc))
-
-
 def _cmd_check(args) -> int:
     inst, gens = _load_instance(args.instance)
     which = args.which
@@ -118,11 +122,10 @@ def _cmd_check(args) -> int:
         if args.x is None or args.t is None:
             raise InputError("ch-point requires --x and --t")
         x = [float(v) for v in args.x.split(",")]
-        gd = _gamma_or_fail(inst, gens)
-        try:
-            verdict, witness = exactness.check_ch_general_pointwise(inst, gd, x, args.t)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        if len(x) != inst.n:
+            raise InputError(f"--x has {len(x)} entries, the instance has n = {inst.n}")
+        gd = gamma.build_gamma_data(inst, gens)
+        verdict, witness = exactness.check_ch_general_pointwise(inst, gd, x, args.t)
         _report_line("verdict", verdict)
         if witness is not None:
             _report_line("witness_x", [float(v) for v in witness[0]])
@@ -134,7 +137,7 @@ def _cmd_check(args) -> int:
     elif which == "qmp":
         rep = exactness.check_qmp_bounds(inst, gamma_polyhedral=model.is_diagonal_instance(inst) or gens is not None)
     else:
-        gd = _gamma_or_fail(inst, gens)
+        gd = gamma.build_gamma_data(inst, gens)
         fn = {"obj-strong": exactness.check_obj_strong,
               "obj-weak": exactness.check_obj_weak,
               "ch": exactness.check_ch_polyhedral}[which]
@@ -188,23 +191,18 @@ def _cmd_rog(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
+    d = _read_json(args.instance)
     try:
-        with open(args.instance) as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read ratio instance: {exc}")
-    if d.get("kind") == "ratio" and "data" in d:
-        p = ratio.build_rtls(np.array(d["data"], dtype=float),
-                             np.array(d["rhs"], dtype=float), float(d["radius"]))
-    else:
-        try:
+        if d.get("kind") == "ratio" and "data" in d:
+            p = ratio.build_rtls(np.array(d["data"], dtype=float),
+                                 np.array(d["rhs"], dtype=float), float(d["radius"]))
+        else:
             M_obj = model.matrix_from_dict(d["M_obj"])
             B = model.matrix_from_dict(d["B"])
             mats = tuple(model.matrix_from_dict(m) for m in d["mset"]["matrices"])
-            senses = tuple(d["mset"]["senses"])
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"malformed ratio instance: {exc}")
-        p = ratio.RatioProblem(M_obj, B, rog.LmiSet(mats, senses))
+            p = ratio.RatioProblem(M_obj, B, rog.LmiSet(mats, tuple(d["mset"]["senses"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed ratio instance: {exc}")
     out = ratio.solve_ratio(p)
     _report_line("value", f"{out['value']:.10g}")
     _report_line("claim", out["claim"])
@@ -236,11 +234,12 @@ def _cmd_examples(args) -> int:
         for name in gallery.names():
             print(name)
         return EXIT_OK
-    names = gallery.names() if args.all else [args.name]
-    if not args.all and args.name is None:
-        raise InputError("examples run needs a name or --all")
-    if not args.all and args.name not in gallery.names():
-        raise InputError(f"unknown example {args.name!r}")
+    names = gallery.names() if args.all else args.names
+    if not names:
+        raise InputError("examples run needs one or more names, or --all")
+    unknown = [name for name in names if name not in gallery.names()]
+    if unknown:
+        raise InputError(f"unknown example(s): {', '.join(unknown)}")
     payload = {}
     for name in names:
         rep = gallery.run(name, seed=args.seed)
@@ -256,6 +255,8 @@ def _cmd_examples(args) -> int:
                       f"(exact: {s['oracle'].exactness_flag})")
         if "rog" in rep:
             print(f"  rog: {rep['rog'].status}")
+        if "certificate_verified" in rep:
+            print(f"  verified: {rep['certificate_verified']}")
         if "original_rog" in rep:
             print(f"  original_rog: {rep['original_rog'].status}")
         if "clconv" in rep:
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="examples_cmd", required=True)
     esub.add_parser("list", parents=[common])
     ep = esub.add_parser("run", parents=[common])
-    ep.add_argument("name", nargs="?")
+    ep.add_argument("names", nargs="*", metavar="name")
     ep.add_argument("--all", action="store_true")
     p.set_defaults(fn=_cmd_examples)
     return ap
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except ValueError as exc:  # InputError and the library's own input checks
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except rog.ConstructionFailed as exc:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 
 from . import gamma as gamma_mod
-from . import linalg, model, solver
+from . import model, solver
 
 STRICT_TOL = 1e-7
 
@@ -39,12 +39,73 @@ class ExactnessReport:
     details: dict = field(default_factory=dict)
 
 
-def _slice_b_vectors(inst, face):
-    """(b_obj + b(v)) per slice vertex and b(r) per slice ray."""
-    verts = [inst.objective.b + model.aggregate_constraints(inst, v).b
-             for v in face.slice_vertices]
-    rays = [model.aggregate_constraints(inst, r).b for r in face.slice_rays]
-    return verts, rays
+def _nullspace(A: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace columns of A (SVD, rank cut 1e-10 * max(1, s_0))."""
+    _, s, Vt = np.linalg.svd(A)
+    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
+    return Vt[rank:].T
+
+
+def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, tol: float,
+               decide) -> ExactnessReport:
+    """Bookkeeping shared by the face-based checks.
+
+    Non-semidefinite faces are SKIPPED and faces with an empty slice PASS.
+    Every other face is handed to decide(B, verts, rays, tol), which sees the
+    V(F) basis B and the slice linear terms projected onto it (B^T v per
+    vertex, B^T r per ray) and returns (passed, vector): the vector is the
+    face's witness when it passes and its violating multiplier when it fails.
+    """
+    rep = ExactnessReport(condition=condition, verdict="HOLDS",
+                          provenance=gd.provenance, threshold=tol)
+    if gd.assumption1_witness is None:
+        rep.verdict = "NOT_APPLICABLE"
+        rep.details["reason"] = "no positive definite aggregate combination"
+        return rep
+    for face in gd.faces:
+        rec = FaceRecord(face.face_id, face.classification, "SKIPPED")
+        rep.face_records.append(rec)
+        if face.classification != "SEMIDEFINITE":
+            continue
+        rec.sub_verdict = "PASS"
+        if not face.slice_vertices:
+            continue
+        B = face.vf_basis
+        verts = [B.T @ (inst.objective.b + model.aggregate_constraints(inst, v).b)
+                 for v in face.slice_vertices]
+        rays = [B.T @ model.aggregate_constraints(inst, r).b for r in face.slice_rays]
+        passed, vec = decide(B, verts, rays, tol)
+        if passed:
+            rec.witness = vec
+        else:
+            rec.sub_verdict = "FAIL"
+            rec.violating_multiplier = vec
+    if any(rec.sub_verdict == "FAIL" for rec in rep.face_records):
+        rep.verdict = "FAILS"
+    return rep
+
+
+def _strong_face(B, verts, rays, tol):
+    k = B.shape[1]
+    nv, nr = len(verts), len(rays)
+    # variables: lambda (nv), mu (nr), s+ (k), s- (k)
+    n_var = nv + nr + 2 * k
+    c = np.concatenate([np.zeros(nv + nr), np.ones(2 * k)])
+    A_eq = np.zeros((k + 1, n_var))
+    b_eq = np.zeros(k + 1)
+    for j, v in enumerate(verts):
+        A_eq[:k, j] = v
+    for j, r in enumerate(rays):
+        A_eq[:k, nv + j] = r
+    A_eq[:k, nv + nr: nv + nr + k] = -np.eye(k)
+    A_eq[:k, nv + nr + k:] = np.eye(k)
+    A_eq[k, :nv] = 1.0
+    b_eq[k] = 1.0
+    res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq,
+                                 bounds=[(0, None)] * n_var, method="highs")
+    if res.status == 0 and res.fun <= tol:
+        return False, res.x[:nv + nr]
+    return True, None
 
 
 def check_obj_strong(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> ExactnessReport:
@@ -54,46 +115,22 @@ def check_obj_strong(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> 
     plus a conic combination of slice rays whose linear term projects to zero
     on V(F); the face passes iff the minimal slack stays above tol.
     """
-    rep = ExactnessReport(condition="obj_strong", verdict="HOLDS",
-                          provenance=gd.provenance, threshold=tol)
-    if gd.assumption1_witness is None:
-        rep.verdict = "NOT_APPLICABLE"
-        rep.details["reason"] = "no positive definite aggregate combination"
-        return rep
-    for face in gd.faces:
-        if face.classification != "SEMIDEFINITE":
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "SKIPPED"))
-            continue
-        if not face.slice_vertices:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "PASS"))
-            continue
-        B = face.vf_basis
-        k = B.shape[1]
-        verts, rays = _slice_b_vectors(inst, face)
-        nv, nr = len(verts), len(rays)
-        # variables: lambda (nv), mu (nr), s+ (k), s- (k)
-        n_var = nv + nr + 2 * k
-        c = np.concatenate([np.zeros(nv + nr), np.ones(2 * k)])
-        A_eq = np.zeros((k + 1, n_var))
-        b_eq = np.zeros(k + 1)
-        for j, v in enumerate(verts):
-            A_eq[:k, j] = B.T @ v
-        for j, r in enumerate(rays):
-            A_eq[:k, nv + j] = B.T @ r
-        A_eq[:k, nv + nr: nv + nr + k] = -np.eye(k)
-        A_eq[:k, nv + nr + k:] = np.eye(k)
-        A_eq[k, :nv] = 1.0
-        b_eq[k] = 1.0
-        res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq,
-                                     bounds=[(0, None)] * n_var, method="highs")
-        if res.status == 0 and res.fun <= tol:
-            lam = res.x[:nv + nr]
-            rep.face_records.append(FaceRecord(face.face_id, face.classification,
-                                               "FAIL", violating_multiplier=lam))
-            rep.verdict = "FAILS"
-        else:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "PASS"))
-    return rep
+    return _face_walk("obj_strong", inst, gd, tol, _strong_face)
+
+
+def _weak_face(B, verts, rays, tol):
+    k = B.shape[1]
+    rows = np.array(verts + rays)
+    for j in range(k):
+        for sign in (1.0, -1.0):
+            bounds = [(-1.0, 1.0)] * k
+            bounds[j] = (sign, sign)
+            res = scipy.optimize.linprog(
+                np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                bounds=bounds, method="highs")
+            if res.status == 0:
+                return True, B @ res.x
+    return False, None
 
 
 def check_obj_weak(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> ExactnessReport:
@@ -103,43 +140,18 @@ def check_obj_weak(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> Ex
     Solved as 2*dim(V(F)) LPs pinning one V(F)-coordinate to +/-1 with the
     rest boxed in [-1, 1]; the face passes iff any LP is feasible.
     """
-    rep = ExactnessReport(condition="obj_weak", verdict="HOLDS",
-                          provenance=gd.provenance, threshold=tol)
-    if gd.assumption1_witness is None:
-        rep.verdict = "NOT_APPLICABLE"
-        rep.details["reason"] = "no positive definite aggregate combination"
-        return rep
-    for face in gd.faces:
-        if face.classification != "SEMIDEFINITE":
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "SKIPPED"))
-            continue
-        if not face.slice_vertices:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "PASS"))
-            continue
-        B = face.vf_basis
-        k = B.shape[1]
-        verts, rays = _slice_b_vectors(inst, face)
-        rows = np.array([B.T @ v for v in verts] + [B.T @ r for r in rays])
-        found = None
-        for j in range(k):
-            for sign in (1.0, -1.0):
-                bounds = [(-1.0, 1.0)] * k
-                bounds[j] = (sign, sign)
-                res = scipy.optimize.linprog(
-                    np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                    bounds=bounds, method="highs")
-                if res.status == 0:
-                    found = B @ res.x
-                    break
-            if found is not None:
-                break
-        if found is not None:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification,
-                                               "PASS", witness=found))
-        else:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "FAIL"))
-            rep.verdict = "FAILS"
-    return rep
+    return _face_walk("obj_weak", inst, gd, tol, _weak_face)
+
+
+def _ch_face(B, verts, rays, tol):
+    k = B.shape[1]
+    rows = [np.concatenate([v, [-1.0]]) for v in verts]
+    rows += [np.concatenate([r, [0.0]]) for r in rays]
+    null = _nullspace(np.array(rows))
+    for col in range(null.shape[1]):
+        if np.linalg.norm(null[:k, col]) > tol:
+            return True, B @ null[:k, col]
+    return False, None
 
 
 def check_ch_polyhedral(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> ExactnessReport:
@@ -149,40 +161,7 @@ def check_ch_polyhedral(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) 
     A homogeneous linear system over (V(F)-coordinates, r); the face passes
     iff the nullspace contains an element with nonzero v-part.
     """
-    rep = ExactnessReport(condition="ch", verdict="HOLDS",
-                          provenance=gd.provenance, threshold=tol)
-    if gd.assumption1_witness is None:
-        rep.verdict = "NOT_APPLICABLE"
-        rep.details["reason"] = "no positive definite aggregate combination"
-        return rep
-    for face in gd.faces:
-        if face.classification != "SEMIDEFINITE":
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "SKIPPED"))
-            continue
-        if not face.slice_vertices:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "PASS"))
-            continue
-        B = face.vf_basis
-        k = B.shape[1]
-        verts, rays = _slice_b_vectors(inst, face)
-        rows = [np.concatenate([B.T @ v, [-1.0]]) for v in verts]
-        rows += [np.concatenate([B.T @ r, [0.0]]) for r in rays]
-        A = np.array(rows)
-        _, s, Vt = np.linalg.svd(A)
-        rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
-        null = Vt[rank:].T  # (k+1, nullity)
-        found = None
-        for col in range(null.shape[1]):
-            if np.linalg.norm(null[:k, col]) > tol:
-                found = B @ null[:k, col]
-                break
-        if found is not None:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification,
-                                               "PASS", witness=found))
-        else:
-            rep.face_records.append(FaceRecord(face.face_id, face.classification, "FAIL"))
-            rep.verdict = "FAILS"
-    return rep
+    return _face_walk("ch", inst, gd, tol, _ch_face)
 
 
 def check_burer_ye_diag(inst, tol: float = STRICT_TOL) -> ExactnessReport:
@@ -317,12 +296,7 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat,
         agg = model.aggregate_constraints(inst, r)
         vec = agg.A @ x_hat + agg.b
         rows.append(np.concatenate([B.T @ vec, [0.0]]))
-    if not rows:
-        rows = [np.zeros(k + 1)]
-    A = np.array(rows)
-    _, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
-    null = Vt[rank:].T
+    null = _nullspace(np.array(rows))
     for col in range(null.shape[1]):
         vec = null[:, col]
         if np.linalg.norm(vec) > tol:

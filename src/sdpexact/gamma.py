@@ -186,27 +186,9 @@ def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
     return model.aggregate_with_obj(inst, ray[0], ray[1:]).A
 
 
-def check_definiteness_assumption(inst: model.QcqpInstance, gens, tol: float = STRICT_TOL):
-    """Witness (gamma_obj, gamma) with PD aggregate, or None.
-
-    Each generator aggregate is PSD, so the kernels of the generators
-    intersect exactly in the kernel of their sum: the uniform mixture is PD
-    if and only if some conic combination is.
-    """
-    gens = [np.asarray(g, dtype=float) for g in gens]
-    if not gens:
-        return None
-    mix = np.mean(gens, axis=0)
-    A = _aggregate_A(inst, mix)
-    spec = linalg.eig_sym(A)
-    lo = float(spec.eigenvalues[0])
-    scale = max(1.0, float(np.max(np.abs(spec.eigenvalues), initial=0.0)))
-    if lo > tol * scale:
-        return mix
-    return None
-
-
 def _classify(inst, gens_on_face, tol=STRICT_TOL):
+    """DEFINITE, with the generator mean as witness, when its aggregate is PD;
+    the aggregates are PSD, so the mean is PD iff some conic combination is."""
     mix = np.mean(gens_on_face, axis=0)
     A = _aggregate_A(inst, mix)
     spec = linalg.eig_sym(A)
@@ -325,11 +307,10 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
             )
         )
 
-    witness1 = check_definiteness_assumption(inst, gens)
     return GammaData(
         hrep=hrep,
         generators=tuple(gens),
         faces=tuple(faces),
         provenance=provenance,
-        assumption1_witness=witness1,
+        assumption1_witness=_classify(inst, gens)[1],
     )

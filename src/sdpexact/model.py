@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +46,6 @@ class QuadraticForm:
         M[n, :n] = self.b
         M[n, n] = self.c
         return M
-
-    @staticmethod
-    def zero(n: int) -> "QuadraticForm":
-        return QuadraticForm(np.zeros((n, n)), np.zeros(n), 0.0)
 
     @staticmethod
     def from_embedding(M) -> "QuadraticForm":
@@ -95,16 +91,6 @@ class QcqpInstance:
     def constraints(self) -> tuple:
         # inequality forms first (indices [m_I]), then equalities
         return self.inequalities + self.equalities
-
-
-@dataclass(frozen=True)
-class EpigraphPoint:
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-        object.__setattr__(self, "t", float(self.t))
 
 
 def aggregate_constraints(inst: QcqpInstance, gamma) -> QuadraticForm:

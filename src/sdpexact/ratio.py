@@ -98,8 +98,6 @@ def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000) -> d
     hyp = {
         "rog": _rog_status(p.mset),
         "dual": _dual_certificate(p),
-        "closure": {"mode": "SAMPLED_ONLY",
-                    "note": "verified only on sampled feasible directions"},
     }
     out = {"value": sol.objective_value, "Z": sol.Z, "solution": sol,
            "hypotheses": hyp, "z": None, "sigma_ratio": None,

@@ -379,6 +379,12 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
     return RogVerdict(status="NOT_ROG_CERTIFIED", seed=seed, certificate=cert)
 
 
+def _is_sym_product(M, a, b) -> bool:
+    """M = Sym(a b^T) within 1e-7 relative (Frobenius)."""
+    r = np.linalg.norm(M - 0.5 * (np.outer(a, b) + np.outer(b, a)))
+    return bool(r <= 1e-7 * max(1.0, np.linalg.norm(M)))
+
+
 def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
     """Independent re-verification of a pair verdict's certificate."""
     M1 = linalg.sym(M1)
@@ -396,10 +402,7 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
         return bool(w[0] >= -1e-7 * max(1.0, np.linalg.norm(combo, 2), 1.0))
     if verdict.status == "ROG_CERTIFIED" and kind == "CommonFactor":
         a, b, c = (np.asarray(cert[k], dtype=float) for k in ("a", "b", "c"))
-        r1 = np.linalg.norm(M1 - 0.5 * (np.outer(a, c) + np.outer(c, a)))
-        r2 = np.linalg.norm(M2 - 0.5 * (np.outer(b, c) + np.outer(c, b)))
-        return r1 <= 1e-7 * max(1.0, np.linalg.norm(M1)) and r2 <= 1e-7 * max(
-            1.0, np.linalg.norm(M2))
+        return _is_sym_product(M1, a, c) and _is_sym_product(M2, b, c)
     if verdict.status == "NOT_ROG_CERTIFIED" and kind == "PdWitness":
         Z = linalg.sym(cert["Z"])
         if linalg.eig_sym(Z).eigenvalues[0] <= 1e-7:
@@ -413,11 +416,11 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
             return linalg.rank_eps(al[0] * M1 + al[1] * M2) >= 3
         df = cert.get("distinct_factors")
         if df is not None:
-            for u in (df["a1"], df["b1"]):
-                for v in (df["a2"], df["b2"]):
-                    if _same_direction(u, v):
-                        return False
-            return True
+            # the factors are the certificate's claim: check they factor M1, M2
+            a1, b1, a2, b2 = (np.asarray(df[k], dtype=float) for k in ("a1", "b1", "a2", "b2"))
+            if not (_is_sym_product(M1, a1, b1) and _is_sym_product(M2, a2, b2)):
+                return False
+            return not any(_same_direction(u, v) for u in (a1, b1) for v in (a2, b2))
         # span dim != 3: condition (i) alone decides; recomputed, since the
         # reported span_dim is the certificate's own claim
         return _joint_range_dim(M1, M2) != 3

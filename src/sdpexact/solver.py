@@ -1,4 +1,4 @@
-"""Desk-scale dense SDP/LP solver.
+"""Desk-scale dense SDP solver.
 
 First-order operator splitting: the iterate alternates between projection
 onto the affine constraint set (a dense linear solve whose normal matrix is
@@ -54,7 +54,6 @@ class ConicProgram:
     objective_matrix: np.ndarray
     constraints: tuple
     trace_normalization: float | None = None
-    diagonal_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "objective_matrix", linalg.sym(self.objective_matrix))
@@ -112,7 +111,7 @@ def solve(
     eps: float = DEFAULT_EPS,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SdpSolution:
-    """Solve min <C,Z> s.t. constraints, Z PSD (Z diagonal-nonneg in LP mode)."""
+    """Solve min <C,Z> s.t. constraints, Z PSD."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = prog.dim
@@ -120,24 +119,7 @@ def solve(
     if prog.trace_normalization is not None:
         cons.append(Constraint(np.eye(d), "EQ", prog.trace_normalization))
 
-    if prog.diagonal_only:
-        nz = d
-
-        def to_vec(M):
-            return np.diag(M).astype(float).copy()
-
-        def cone_proj_z(v):
-            return np.clip(v, 0.0, None)
-
-    else:
-        nz = d * (d + 1) // 2
-
-        def to_vec(M):
-            return svec(M, d)
-
-        def cone_proj_z(v):
-            return svec(_project_psd(smat(v, d)), d)
-
+    nz = d * (d + 1) // 2
     le_idx = [k for k, con in enumerate(cons) if con.sense == "LE"]
     p = len(le_idx)
     ncon = len(cons)
@@ -147,13 +129,13 @@ def solve(
     A = np.zeros((ncon, nvar))
     rhs = np.zeros(ncon)
     for k, con in enumerate(cons):
-        A[k, :nz] = to_vec(con.matrix)
+        A[k, :nz] = svec(con.matrix, d)
         rhs[k] = con.rhs
     for j, k in enumerate(le_idx):
         A[k, nz + j] = 1.0
 
     c = np.zeros(nvar)
-    c[:nz] = to_vec(prog.objective_matrix)
+    c[:nz] = svec(prog.objective_matrix, d)
 
     if ncon == 0:
         # No affine rows: the cone projection of -c/rho decides everything.
@@ -181,7 +163,7 @@ def solve(
 
     def cone_proj(t):
         out = np.empty_like(t)
-        out[:nz] = cone_proj_z(t[:nz])
+        out[:nz] = svec(_project_psd(smat(t[:nz], d)), d)
         out[nz:] = np.clip(t[nz:], 0.0, None)
         return out
 
@@ -216,8 +198,8 @@ def solve(
     # Reported per-constraint multipliers follow the aggregation convention
     # C + sum(lambda_k M_k) PSD, i.e. lambda = -y; LE multipliers come out >= 0.
     lam = -y_eq
-    Z = smat(v[:nz], d) if not prog.diagonal_only else np.diag(v[:nz])
-    obj = float(np.sum(to_vec(prog.objective_matrix) * v[:nz]))
+    Z = smat(v[:nz], d)
+    obj = float(np.sum(svec(prog.objective_matrix, d) * v[:nz]))
     dual_obj = float(rhs @ y_eq)
     gap = abs(obj - dual_obj) / max(1.0, abs(obj), abs(dual_obj))
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sdpexact import cli, model
+from sdpexact import cli, gallery, model
 from conftest import make_explicit_instance
 
 
@@ -120,6 +120,36 @@ class TestRatio:
         assert "unknown matrix kind" in capsys.readouterr().err
 
 
+BAD_DIAG = {"kind": "diag", "data": 5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{instance}"],
+    ["ratio", "{ratio}"],
+    ["rog", "pair", "diag:x", "diag:1"],
+    ["rog", "pair", "dense:1,2;3", "diag:1,1"],
+    ["rog", "pair", "diag:1,2", "diag:1,2,3"],
+    ["rog", "pair", "dense:1,2;3,4", "diag:1,1"],
+    ["rog", "probe", "diag:1,-1,1,1,1", "diag:1,1,1,-1,1"],
+    ["rog", "pair", "diag:1e400,1", "diag:1,1"],
+    ["check", "ch-point", "{explicit}", "--x", "0", "--t", "2"],
+], ids=["solve-bad-matrix", "ratio-bad-matrix", "non-numeric", "ragged",
+        "dimension-mismatch", "asymmetric", "probe-5x5", "non-finite",
+        "point-length"])
+def test_malformed_input_exits_2(argv, instance_file, tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"n": 2, "objective": {"A": BAD_DIAG}}))
+    ratio_file = tmp_path / "ratio.json"
+    ratio_file.write_text(json.dumps({
+        "M_obj": BAD_DIAG, "B": {"kind": "diag", "data": [1.0, 1.0]},
+        "mset": {"matrices": [{"kind": "diag", "data": [1.0, -1.0]}],
+                 "senses": ["LE"]}}))
+    argv = [a.format(instance=instance, ratio=ratio_file, explicit=instance_file)
+            for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 class TestOracleAndExamples:
     def test_oracle_compare(self, instance_file, capsys):
         rc = cli.main(["oracle", "compare", instance_file])
@@ -136,6 +166,19 @@ class TestOracleAndExamples:
         assert rc == 0
         out = capsys.readouterr().out
         assert "== trs_1d ==" in out
+
+    def test_examples_run_several(self, capsys):
+        assert cli.main(["examples", "run", "trs_1d", "rog_pair_not"]) == 0
+        out = capsys.readouterr().out
+        assert "== trs_1d ==" in out and "== rog_pair_not ==" in out
+        assert "verified: True" in out
+
+    def test_examples_run_all_json(self, capsys, tmp_path):
+        out_json = tmp_path / "gallery.json"
+        assert cli.main(["examples", "run", "--all", "--json", str(out_json)]) == 0
+        payload = json.loads(out_json.read_text())
+        assert sorted(payload) == gallery.names()
+        assert payload["rog_pair_not"]["certificate_verified"] is True
 
     def test_examples_unknown_name(self, capsys):
         assert cli.main(["examples", "run", "missing_entry"]) == 2

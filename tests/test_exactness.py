@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdpexact import exactness, gamma, model, oracles, solver
+from sdpexact import exactness, gallery, gamma, model, oracles, solver
 from conftest import (q, make_explicit_instance, make_gtrs,
                       make_separation_instance)
 
@@ -66,6 +66,82 @@ class TestChPolyhedral:
         gd = gamma.build_gamma_data(inst)
         rep = exactness.check_ch_polyhedral(inst, gd)
         assert rep.verdict == "HOLDS"
+
+
+DIAGONAL_GALLERY = ("centered", "diag_sign_definite", "explicit_sdp",
+                    "gtrs_indefinite", "qmp_k2", "rog_vs_ch", "swiss_cheese_2x2",
+                    "trs_1d")
+
+
+def _face_instance(key):
+    inst = (gallery.load(key)["instance"] if isinstance(key, str)
+            else make_gtrs(key))
+    return inst, gamma.build_gamma_data(inst)
+
+
+def _slice_terms(inst, face):
+    """Linear terms b_obj + b(v) per slice vertex and b(r) per slice ray."""
+    verts = [inst.objective.b + model.aggregate_constraints(inst, v).b
+             for v in face.slice_vertices]
+    rays = [model.aggregate_constraints(inst, r).b for r in face.slice_rays]
+    return verts, rays
+
+
+@pytest.mark.parametrize("key", DIAGONAL_GALLERY + (0, 2, 3))
+class TestFaceRecords:
+    """The certificates the face walk attaches to each record hold up."""
+
+    def test_walk_bookkeeping(self, key):
+        inst, gd = _face_instance(key)
+        for check in (exactness.check_obj_strong, exactness.check_obj_weak,
+                      exactness.check_ch_polyhedral):
+            rep = check(inst, gd)
+            assert [r.face_id for r in rep.face_records] == [f.face_id for f in gd.faces]
+            for rec, face in zip(rep.face_records, gd.faces):
+                if face.classification != "SEMIDEFINITE":
+                    assert rec.sub_verdict == "SKIPPED"
+                elif not face.slice_vertices:
+                    assert rec.sub_verdict == "PASS" and rec.witness is None
+            failed = any(r.sub_verdict == "FAIL" for r in rep.face_records)
+            assert rep.verdict == ("FAILS" if failed else "HOLDS")
+
+    def test_strong_fail_multipliers(self, key):
+        inst, gd = _face_instance(key)
+        for rec in exactness.check_obj_strong(inst, gd).face_records:
+            if rec.sub_verdict != "FAIL":
+                continue
+            face = gd.faces[rec.face_id]
+            verts, rays = _slice_terms(inst, face)
+            lam = rec.violating_multiplier[:len(verts)]
+            mu = rec.violating_multiplier[len(verts):]
+            assert len(mu) == len(rays)
+            assert np.all(lam >= -1e-9) and abs(lam.sum() - 1.0) <= 1e-9
+            assert np.all(mu >= -1e-9)
+            combo = sum(l * v for l, v in zip(lam, verts)) + sum(
+                m * r for m, r in zip(mu, rays))
+            assert np.linalg.norm(face.vf_basis.T @ combo) <= 1e-6
+
+    def test_ch_pass_witnesses(self, key):
+        inst, gd = _face_instance(key)
+        for rec in exactness.check_ch_polyhedral(inst, gd).face_records:
+            if rec.witness is None:
+                continue
+            verts, rays = _slice_terms(inst, gd.faces[rec.face_id])
+            w = rec.witness
+            assert np.linalg.norm(w) > exactness.STRICT_TOL
+            values = [float(v @ w) for v in verts]
+            assert max(values) - min(values) <= 1e-9
+            assert all(abs(float(r @ w)) <= 1e-9 for r in rays)
+
+    def test_weak_witnesses_nonpositive(self, key):
+        inst, gd = _face_instance(key)
+        for rec in exactness.check_obj_weak(inst, gd).face_records:
+            if rec.witness is None:
+                continue
+            verts, rays = _slice_terms(inst, gd.faces[rec.face_id])
+            w = rec.witness
+            assert np.linalg.norm(w) > exactness.STRICT_TOL
+            assert all(float(t @ w) <= 1e-9 for t in verts + rays)
 
 
 class TestBurerYe:

@@ -72,6 +72,10 @@ class TestRtls:
         attained = float(np.sum((A @ x - b) ** 2)) / (float(x @ x) + 1.0)
         assert abs(attained - out["value"]) <= 1e-4 * max(1.0, attained)
 
+    def test_hypotheses_are_the_checked_ones(self):
+        p = ratio.build_rtls(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]), 1.0)
+        assert set(ratio.solve_ratio(p)["hypotheses"]) == {"rog", "dual"}
+
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             ratio.build_rtls(np.eye(2), [1.0, 1.0], 0.0)

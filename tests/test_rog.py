@@ -141,6 +141,25 @@ class TestCheckPair:
             certificate={"kind": "PdWitness", "Z": np.eye(3), "span_dim": 2})
         assert not rog.verify_certificate(forged, A, B)
 
+    def test_forged_distinct_factors_rejected(self):
+        # Z = I is PD and orthogonal to S13, S23, and no pairing of the
+        # forged factors shares a direction; they just do not factor the pair
+        E = np.eye(3)
+        A, B = sym_outer(E[0], E[2]), sym_outer(E[1], E[2])
+        forged = rog.RogVerdict(
+            status="NOT_ROG_CERTIFIED",
+            certificate={"kind": "PdWitness", "Z": np.eye(3), "span_dim": 3,
+                         "distinct_factors": {"a1": E[0], "b1": E[1],
+                                              "a2": E[2], "b2": np.ones(3)}})
+        assert not rog.verify_certificate(forged, A, B)
+
+    def test_honest_distinct_factors_verify(self):
+        A, B = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        v = rog.check_pair(A, B)
+        assert v.status == "NOT_ROG_CERTIFIED"
+        assert "distinct_factors" in v.certificate
+        assert rog.verify_certificate(v, A, B)
+
     def test_orthogonal_change_of_basis_keeps_verdict(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
         A, B = Q.T @ M1_3D @ Q, Q.T @ M2_3D @ Q
