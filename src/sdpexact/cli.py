@@ -152,8 +152,22 @@ def _cmd_check(args) -> int:
 
 def _cmd_rog(args) -> int:
     sub = args.rog_cmd
+    if sub == "battery":
+        if args.pairs < 0:
+            raise InputError("--pairs must be nonnegative")
+        out = rog.run_battery(pairs=args.pairs, seed=args.seed)
+        _report_line("pairs", args.pairs)
+        _report_line("elapsed_s", f"{out['elapsed_s']:.1f}")
+        for status, c in sorted(out["counts"].items()):
+            print(f"  {status}: {c}")
+        _report_line("certificate verification failures", len(out["verify_failures"]))
+        _report_line("inconsistencies", len(out["inconsistencies"]))
+        _write_json(args.json, out)
+        if out["verify_failures"] or out["inconsistencies"]:
+            return EXIT_VERIFICATION
+        return EXIT_OK
+    mats = _load_matrices(args.matrices)
     if sub == "pair":
-        mats = _load_matrices(args.matrices)
         if len(mats) != 2:
             raise InputError("rog pair needs exactly two matrices")
         v = rog.check_pair(mats[0], mats[1], seed=args.seed)
@@ -166,7 +180,6 @@ def _cmd_rog(args) -> int:
             return EXIT_VERIFICATION
         return EXIT_OK
     if sub == "witness3d":
-        mats = _load_matrices(args.matrices)
         if len(mats) != 2 or mats[0].shape[0] != 3:
             raise InputError("rog witness3d needs two 3x3 matrices")
         try:
@@ -180,7 +193,6 @@ def _cmd_rog(args) -> int:
         _write_json(args.json, wit)
         return EXIT_OK
     if sub == "probe":
-        mats = _load_matrices(args.matrices)
         mset = rog.LmiSet(tuple(mats), ("LE",) * len(mats))
         rep = rog.probe_random_objectives(mset, trials=args.trials, seed=args.seed)
         _report_line("max_gap", rep["max_gap"])
@@ -295,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         rp.add_argument("matrices", nargs="+", help="diag:... or dense:... literals")
         if name == "probe":
             rp.add_argument("--trials", type=int, default=10)
+    rp = rsub.add_parser("battery", parents=[common],
+                         help="seeded random-pair battery, every verdict re-checked")
+    rp.add_argument("--pairs", type=int, default=200)
     p.set_defaults(fn=_cmd_rog)
 
     p = sub.add_parser("ratio", help="ratio-of-quadratics minimization", parents=[common])

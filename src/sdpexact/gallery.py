@@ -82,12 +82,6 @@ def load(name: str) -> dict:
     raise KeyError(kind)
 
 
-def _constraint_lmi_set(inst: model.QcqpInstance) -> rog.LmiSet:
-    mats, _ = model.homogenize(inst)
-    return rog.LmiSet(tuple(M for M, _ in mats),
-                      tuple(s for _, s in mats))
-
-
 def run(name: str, seed: int = 0) -> dict:
     """Execute the entry's full pipeline and return a report dict."""
     ent = load(name)
@@ -95,20 +89,9 @@ def run(name: str, seed: int = 0) -> dict:
     report = {"name": name, "kind": kind}
     if kind == "qcqp":
         inst = ent["instance"]
-        summary = exactness.exactness_summary(inst, ent.get("gamma_generators"))
-        report["summary"] = summary
-        mset = _constraint_lmi_set(inst)
-        if len(mset.matrices) == 2:
-            rv = rog.check_pair(*mset.matrices, seed=seed)
-        elif len(mset.matrices) == 1:
-            rv = rog.RogVerdict(status="ROG_CERTIFIED",
-                                certificate={"kind": "SingleLmi"})
-        else:
-            rv = rog.check_common_factor(mset)
-            if rv.status == "UNDECIDED":
-                rv = rog.check_pairwise_sufficient(mset)
-        report["rog"] = rv
-        report["clconv"] = rog.clconv_report(inst, rv)
+        report["summary"] = exactness.exactness_summary(inst, ent.get("gamma_generators"))
+        report["rog"] = rog.check_set(rog.LmiSet.from_instance(inst), seed=seed)
+        report["clconv"] = rog.clconv_report(inst, report["rog"])
         return report
     if kind == "matrix_pair":
         M1, M2 = ent["matrices"]
@@ -119,19 +102,11 @@ def run(name: str, seed: int = 0) -> dict:
             report["witness"] = rog.construct_rank2_witness_3d(M1, M2, seed=seed)
         return report
     if kind == "lmi_set":
-        mset = rog.LmiSet(ent["matrices"], ent["senses"])
-        if len(mset.matrices) == 2:
-            v = rog.check_pair(*mset.matrices, seed=seed)
-        else:
-            v = rog.detect_soc_cap(mset)
-            if v.status == "UNDECIDED":
-                v = rog.check_common_factor(mset)
-            if v.status == "UNDECIDED":
-                v = rog.check_pairwise_sufficient(mset)
-        report["rog"] = v
+        report["rog"] = rog.check_set(rog.LmiSet(ent["matrices"], ent["senses"]),
+                                      seed=seed)
         if "original" in ent:
-            ov = rog.check_pair(*ent["original"]["matrices"], seed=seed)
-            report["original_rog"] = ov
+            report["original_rog"] = rog.check_pair(*ent["original"]["matrices"],
+                                                    seed=seed)
         return report
     if kind == "ratio":
         p = ratio.build_rtls(ent["data"], ent["rhs"], ent["radius"])

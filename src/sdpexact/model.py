@@ -47,12 +47,6 @@ class QuadraticForm:
         M[n, n] = self.c
         return M
 
-    @staticmethod
-    def from_embedding(M) -> "QuadraticForm":
-        M = linalg.sym(M)
-        n = M.shape[0] - 1
-        return QuadraticForm(M[:n, :n], M[:n, n], M[n, n])
-
 
 def eval_form(q: QuadraticForm, x) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -246,7 +240,3 @@ def instance_from_dict(d: dict):
 
 def dump_instance(inst: QcqpInstance, gamma_generators=None) -> str:
     return json.dumps(instance_to_dict(inst, gamma_generators), indent=2)
-
-
-def load_instance(text: str):
-    return instance_from_dict(json.loads(text))

@@ -34,23 +34,6 @@ class RatioProblem:
         return self.M_obj.shape[0]
 
 
-def _rog_status(mset: rog.LmiSet) -> dict:
-    mats = mset.matrices
-    if len(mats) == 0:
-        return {"status": "ROG_CERTIFIED", "note": "plain PSD cone"}
-    if len(mats) == 1:
-        # a single homogeneous LMI never destroys rank-one generation
-        return {"status": "ROG_CERTIFIED", "note": "single LMI"}
-    if len(mats) == 2 and all(s == "LE" for s in mset.senses):
-        v = rog.check_pair(mats[0], mats[1])
-        return {"status": v.status, "certificate": v.certificate}
-    for rule in (rog.check_pairwise_sufficient, rog.check_common_factor, rog.detect_soc_cap):
-        v = rule(mset)
-        if v.status == "ROG_BY_SUFFICIENT_RULE":
-            return {"status": v.status, "certificate": v.certificate}
-    return {"status": "UNDECIDED"}
-
-
 def _dual_certificate(p: RatioProblem, tol: float = 1e-7, bound: float = 1e6):
     """Search for theta >= 0, lambda with M_obj + sum theta_j M_j + lambda B PSD."""
     mats = list(p.mset.expanded())
@@ -95,8 +78,9 @@ def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000) -> d
     prog = solver.ConicProgram(dim=p.dim, objective_matrix=p.M_obj,
                                constraints=tuple(cons))
     sol = solver.solve(prog, eps=eps, max_iter=max_iter)
+    rv = rog.check_set(p.mset)
     hyp = {
-        "rog": _rog_status(p.mset),
+        "rog": {"status": rv.status, "certificate": rv.certificate},
         "dual": _dual_certificate(p),
     }
     out = {"value": sol.objective_value, "Z": sol.Z, "solution": sol,

@@ -8,11 +8,12 @@ sufficient rules and sampled refutation evidence are attempted.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, solver
+from . import linalg, model, oracles, solver
 
 ANGLE_TOL = 1e-8  # on |cos| for "same direction"
 RESULTANT_TOL = 1e-9
@@ -41,6 +42,12 @@ class LmiSet:
         if any(s not in ("LE", "EQ") for s in senses):
             raise ValueError("senses must be LE or EQ")
         object.__setattr__(self, "senses", senses)
+
+    @classmethod
+    def from_instance(cls, inst) -> "LmiSet":
+        """The homogenized constraints of a QCQP (``model.homogenize``)."""
+        mats, _ = model.homogenize(inst)
+        return cls(tuple(M for M, _ in mats), tuple(s for _, s in mats))
 
     @property
     def dim(self) -> int:
@@ -121,6 +128,15 @@ def _linear_dependence(M1, M2, tol=1e-9):
     return None
 
 
+def _bordered(M, extra):
+    """[[M, 0], [0, extra]]: M bordered by one extra diagonal entry."""
+    d = M.shape[0]
+    W = np.zeros((d + 1, d + 1))
+    W[:d, :d] = M
+    W[d, d] = extra
+    return W
+
+
 def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
     """Decide whether some nonzero combination of M1, M2 is PSD.
 
@@ -133,53 +149,50 @@ def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
     The search runs the normalized program max tau over {Y PSD, tau >= 0,
     <M_i, Y> + tau tr(M_i) = 0, tr Y + tau d = 1}; a positive optimum yields
     the definite witness Z = Y + tau I, while at optimum ~0 the equality
-    multipliers aggregate the M_i into a PSD combination.
+    multipliers aggregate the M_i into a PSD combination.  A pair the first
+    solve leaves open gets one solve with ten times the iteration budget.
     """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
     d = M1.shape[0]
-    scale = max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
-
-    def blk(M, extra):
-        W = np.zeros((d + 1, d + 1))
-        W[:d, :d] = M
-        W[d, d] = extra
-        return W
-
-    C = blk(np.zeros((d, d)), -1.0)
+    C = _bordered(np.zeros((d, d)), -1.0)
     cons = (
-        solver.Constraint(blk(M1, float(np.trace(M1))), "EQ", 0.0),
-        solver.Constraint(blk(M2, float(np.trace(M2))), "EQ", 0.0),
-        solver.Constraint(blk(np.eye(d), float(d)), "EQ", 1.0),
+        solver.Constraint(_bordered(M1, float(np.trace(M1))), "EQ", 0.0),
+        solver.Constraint(_bordered(M2, float(np.trace(M2))), "EQ", 0.0),
+        solver.Constraint(_bordered(np.eye(d), float(d)), "EQ", 1.0),
     )
     prog = solver.ConicProgram(dim=d + 1, objective_matrix=C, constraints=cons)
-    sol = solver.solve(prog, eps=eps, max_iter=max_iter)
-    tau = float(sol.Z[d, d])
-    if tau > PD_WITNESS_TOL:
-        Z = _polish_pd_witness(M1, M2, sol.Z[:d, :d] + tau * np.eye(d))
-        if Z is not None:
-            return "pd_witness", Z
-    # dual recovery: C + lam_1 B_1 + lam_2 B_2 + lam_3 I_blk PSD implies
-    # lam_1 M1 + lam_2 M2 >= -lam_3 I with lam_3 ~ -tau* ~ 0
-    alpha = np.array([sol.y[0], sol.y[1]]) if len(sol.y) >= 2 else np.zeros(2)
-    alpha = _verify_alpha(M1, M2, alpha)
-    if alpha is not None:
-        return "psd_combo", alpha
-    # fallback: angular scan of the smallest eigenvalue over directions
+    for budget in (max_iter, 10 * max_iter):
+        sol = solver.solve(prog, eps=eps, max_iter=budget)
+        tau = float(sol.Z[d, d])
+        if tau > PD_WITNESS_TOL:
+            Z = _polish_pd_witness(M1, M2, sol.Z[:d, :d] + tau * np.eye(d))
+            if Z is not None:
+                return "pd_witness", Z
+        # dual recovery: C + lam_1 B_1 + lam_2 B_2 + lam_3 I_blk PSD implies
+        # lam_1 M1 + lam_2 M2 >= -lam_3 I with lam_3 ~ -tau* ~ 0
+        alpha = _verify_alpha(M1, M2, np.array(sol.y[:2]))
+        if alpha is not None:
+            return "psd_combo", alpha
+    return "undecided", {"tau": tau, "status": sol.status.name}
+
+
+def _condition_i(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
+    """Condition (i) for a linearly independent symmetric pair.
+
+    The one decision behind ``check_pair``, the pairwise family rule and
+    the zero-line precondition: the angular scan of the smallest
+    eigenvalue, then the identity polished into a PD witness, then the
+    normalized SDP of ``gordan_stiemke``, whose (outcome, payload) pairs it
+    returns.
+    """
     alpha = _angular_scan(M1, M2)
     if alpha is not None:
         return "psd_combo", alpha
-    # last resort for slow boundary convergence: one long resolve
-    sol = solver.solve(prog, eps=eps, max_iter=10 * max_iter)
-    tau = float(sol.Z[d, d])
-    if tau > PD_WITNESS_TOL:
-        Z = _polish_pd_witness(M1, M2, sol.Z[:d, :d] + tau * np.eye(d))
-        if Z is not None:
-            return "pd_witness", Z
-    alpha = _verify_alpha(M1, M2, np.array(sol.y[:2]))
-    if alpha is not None:
-        return "psd_combo", alpha
-    return "undecided", {"tau": tau, "status": sol.status.name}
+    Z = _polish_pd_witness(M1, M2, np.eye(M1.shape[0]))
+    if Z is not None:
+        return "pd_witness", Z
+    return gordan_stiemke(M1, M2, eps=eps, max_iter=max_iter)
 
 
 def _polish_pd_witness(M1, M2, Z):
@@ -329,20 +342,8 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
                          "note": "first matrix numerically zero"},
         )
 
-    # (b) condition (i): some nonzero combination PSD.  Two cheap routes
-    # decide almost all generic pairs; the normalized SDP handles boundary
-    # cases.
-    alpha = _angular_scan(M1, M2)
-    if alpha is not None:
-        return RogVerdict(
-            status="ROG_CERTIFIED", seed=seed,
-            certificate={"kind": "AggregationWeights", "alpha": alpha},
-        )
-    Zq = _polish_pd_witness(M1, M2, np.eye(M1.shape[0]))
-    if Zq is not None:
-        outcome, payload = "pd_witness", Zq
-    else:
-        outcome, payload = gordan_stiemke(M1, M2, eps=eps, max_iter=max_iter)
+    # (b) condition (i): some nonzero combination PSD
+    outcome, payload = _condition_i(M1, M2, eps=eps, max_iter=max_iter)
     if outcome == "psd_combo":
         return RogVerdict(
             status="ROG_CERTIFIED", seed=seed,
@@ -432,10 +433,6 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _binary_form_mul(p, q):
-    return np.convolve(p, q)
-
-
 def _quartic_from_pair(M1, M2):
     """Coefficients (in z1^4 ... z2^4) of the z3-resultant of the two conics."""
     def parts(M):
@@ -446,8 +443,9 @@ def _quartic_from_pair(M1, M2):
 
     a1, b1, c1 = parts(M1)
     a2, b2, c2 = parts(M2)
-    t1 = _binary_form_mul(a1 * c2 - a2 * c1, a1 * c2 - a2 * c1)
-    t2 = _binary_form_mul(a1 * b2 - a2 * b1, _binary_form_mul(b1, c2) - _binary_form_mul(b2, c1))
+    # binary forms multiply by convolving their coefficient sequences
+    t1 = np.convolve(a1 * c2 - a2 * c1, a1 * c2 - a2 * c1)
+    t2 = np.convolve(a1 * b2 - a2 * b1, np.convolve(b1, c2) - np.convolve(b2, c1))
     return t1 - t2
 
 
@@ -466,7 +464,7 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
     if check_preconditions:
         if _linear_dependence(M1, M2) is not None or _linear_dependence(M2, M1) is not None:
             raise ValueError("pair is linearly dependent")
-        outcome, _ = gordan_stiemke(M1, M2)
+        outcome, _ = _condition_i(M1, M2)
         if outcome == "psd_combo":
             raise ValueError("a PSD combination exists; zero set is not four lines")
         if _try_common_factor(M1, M2) is not None:
@@ -513,14 +511,10 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
         disc = max(disc, 0.0)
         return [(-b + np.sqrt(disc)) / (2.0 * a), (-b - np.sqrt(disc)) / (2.0 * a)]
 
-    # chart z1 = 1: roots of the quartic in s = z2/z1
-    coeffs = _quartic_from_pair(A1, A2)  # ordered z1^4 ... z2^4
-    # numpy wants highest power of s first; quartic(s) = sum coeffs[k] s^k? build:
-    # form = sum_k coeffs[k] z1^{4-k} z2^k  ->  s-poly coeffs highest-first:
-    spoly = coeffs[::-1]
-    lead_scale = np.max(np.abs(spoly))
-    roots = np.roots(spoly) if lead_scale > 0 else []
-    for r in roots:
+    # chart z1 = 1: the form sum_k quartic[k] z1^(4-k) z2^k is a polynomial
+    # in s = z2/z1 whose highest-power-first coefficients are quartic[::-1];
+    # the frame search above left it nonzero
+    for r in np.roots(quartic[::-1]):
         if abs(np.imag(r)) > 1e-7 * max(1.0, abs(r)):
             continue
         s = float(np.real(r))
@@ -652,7 +646,7 @@ def check_pairwise_sufficient(mset: LmiSet) -> RogVerdict:
             if kappa is not None or _linear_dependence(mats[j], mats[i]) is not None:
                 weights.append(((i, j), "dependent"))
                 continue
-            outcome, payload = gordan_stiemke(mats[i], mats[j])
+            outcome, payload = _condition_i(mats[i], mats[j])
             if outcome != "psd_combo":
                 return RogVerdict(status="UNDECIDED",
                                   diagnostics={"failing_pair": (i, j)})
@@ -721,20 +715,45 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
     return RogVerdict(status="UNDECIDED", diagnostics={"reason": "no cap structure"})
 
 
+def check_set(mset: LmiSet, seed: int = 0) -> RogVerdict:
+    """ROG decision for an LMI set of any size.
+
+    No or one member: ROG (the PSD cone and any slice of it by one
+    homogeneous LMI are rank-one generated).  Two members, of either sense:
+    the complete pair decision ``check_pair``.  Three or more: the cap
+    rule, the common-factor rule and the pairwise rule in that order; the
+    first that applies decides, otherwise the last UNDECIDED is returned.
+    """
+    mats = mset.matrices
+    if len(mats) < 2:
+        return RogVerdict(status="ROG_CERTIFIED", seed=seed,
+                          certificate={"kind": "SingleLmi" if mats else "PsdCone"})
+    if len(mats) == 2:
+        return check_pair(*mats, seed=seed)
+    for rule in (detect_soc_cap, check_common_factor, check_pairwise_sufficient):
+        v = rule(mset)
+        if v.status == "ROG_BY_SUFFICIENT_RULE":
+            return v
+    return v
+
+
 def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
                             gap_tol: float = 1e-3, samples: int = 200000,
                             eps: float = 1e-7, max_iter: int = 50000):
     """Sampled one-sided refutation: compare the slice optimum against the
     best feasible rank-one value for random objectives.  A gap beyond
-    gap_tol is evidence against ROG; no gap never certifies ROG."""
-    from . import oracles
+    gap_tol is evidence against ROG; no gap never certifies ROG.
 
+    Every trial is recorded with its solver status, but only trials whose
+    SDP solved to OPTIMAL count towards max_gap (None when there are none)
+    and flagged: an unconverged or infeasible slice value is no bound.
+    """
     d = mset.dim
     if d > 4:
         raise ValueError("probe limited to dimension <= 4")
     rng = np.random.default_rng(seed)
     mats = mset.expanded()
-    worst = -np.inf
+    gaps = []
     records = []
     for k in range(trials):
         G = rng.standard_normal((d, d))
@@ -746,10 +765,13 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
         v_rank1, _ = oracles.sphere_min_rank_one(mats, C, seed=seed + 1000 + k,
                                                  samples=samples)
         gap = v_rank1 - sol.objective_value
-        worst = max(worst, gap)
-        records.append({"trial": k, "v_sdp": sol.objective_value,
-                        "v_rank1": v_rank1, "gap": gap})
-    return {"max_gap": worst, "flagged": bool(worst > gap_tol),
+        if sol.status == solver.SolveStatus.OPTIMAL:
+            gaps.append(gap)
+        records.append({"trial": k, "status": sol.status.name,
+                        "v_sdp": sol.objective_value, "v_rank1": v_rank1,
+                        "gap": gap})
+    worst = max(gaps, default=None)
+    return {"max_gap": worst, "flagged": worst is not None and bool(worst > gap_tol),
             "records": records, "seed": seed, "trials": trials}
 
 
@@ -761,15 +783,8 @@ def clconv_report(inst, verdict: RogVerdict):
     verdict, a definite block closes the hull (CLCONV_EQUALS_DSDP) and a
     semidefinite one closes it up to closure (CLCONV_EQUALS_CL_DSDP).
     """
-    from . import model
-
     n = inst.n
-    mats = [inst.objective.embed()]
-    for q in inst.inequalities:
-        mats.append(q.embed())
-    for q in inst.equalities:
-        mats.append(q.embed())
-        mats.append(-q.embed())
+    mats = [inst.objective.embed(), *LmiSet.from_instance(inst).expanded()]
     blocks = [M[:n, :n] for M in mats]
     t_star, theta = _max_min_eig_over_simplex(blocks)
     rog_ok = verdict.status in ("ROG_CERTIFIED", "ROG_BY_SUFFICIENT_RULE")
@@ -792,16 +807,9 @@ def _max_min_eig_over_simplex(blocks):
     d = blocks[0].shape[0]
     shift = max(float(np.linalg.norm(A, 2)) for A in blocks) + 1.0
     shifted = [A + shift * np.eye(d) for A in blocks]
-
-    def blk(M, extra):
-        W = np.zeros((d + 1, d + 1))
-        W[:d, :d] = M
-        W[d, d] = extra
-        return W
-
-    cons = [solver.Constraint(blk(A, -1.0), "LE", 0.0) for A in shifted]
-    cons.append(solver.Constraint(blk(np.eye(d), 0.0), "EQ", 1.0))
-    C = blk(np.zeros((d, d)), 1.0)
+    cons = [solver.Constraint(_bordered(A, -1.0), "LE", 0.0) for A in shifted]
+    cons.append(solver.Constraint(_bordered(np.eye(d), 0.0), "EQ", 1.0))
+    C = _bordered(np.zeros((d, d)), 1.0)
     prog = solver.ConicProgram(dim=d + 1, objective_matrix=C, constraints=tuple(cons))
     sol = solver.solve(prog)
     t_star = sol.objective_value - shift
@@ -814,3 +822,63 @@ def _max_min_eig_over_simplex(blocks):
         t_direct = float(np.linalg.eigvalsh(combo)[0])
         t_star = max(t_star, t_direct)
     return t_star, theta
+
+
+# ---------------------------------------------------------------------------
+# Random-pair battery
+# ---------------------------------------------------------------------------
+
+BATTERY_DIMS = (3, 3, 3, 4, 4)  # cycled over the pair index
+BATTERY_EPS = 1e-5
+BATTERY_GAP_TOL = 1e-3
+
+
+def run_battery(pairs: int = 200, seed: int = 3) -> dict:
+    """Decide seeded random pairs and cross-check every verdict.
+
+    Pair k is two symmetric Gaussian matrices of dimension
+    BATTERY_DIMS[k % 5].  Each certificate is re-verified; a failure is
+    listed in verify_failures.  Each pair is probed with two random
+    objectives, and a finite rank-one value more than BATTERY_GAP_TOL above
+    the slice value of a ROG_CERTIFIED pair is an inconsistency, as is a
+    3x3 NOT_ROG_CERTIFIED pair whose rank-two witness cannot be built or
+    does not verify.
+    """
+    rng = np.random.default_rng(seed)
+    counts, rows = {}, []
+    verify_failures, inconsistencies = [], []
+    t0 = time.perf_counter()
+    for k in range(pairs):
+        d = BATTERY_DIMS[k % len(BATTERY_DIMS)]
+        G1 = rng.standard_normal((d, d))
+        G2 = rng.standard_normal((d, d))
+        M1, M2 = 0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T)
+        verdict = check_pair(M1, M2, seed=k, eps=BATTERY_EPS)
+        counts[verdict.status] = counts.get(verdict.status, 0) + 1
+        verified = verify_certificate(verdict, M1, M2)
+        if not verified:
+            verify_failures.append(k)
+        probe = probe_random_objectives(
+            LmiSet((M1, M2), ("LE", "LE")), trials=2, seed=k, samples=2048,
+            gap_tol=BATTERY_GAP_TOL, eps=BATTERY_EPS, max_iter=5000)
+        if verdict.status == "ROG_CERTIFIED":
+            for rec in probe["records"]:
+                if np.isfinite(rec["v_rank1"]) and rec["gap"] > BATTERY_GAP_TOL:
+                    inconsistencies.append(
+                        {"pair": k, "trial": rec["trial"], "gap": rec["gap"]})
+        witness_ok = None
+        if d == 3 and verdict.status == "NOT_ROG_CERTIFIED":
+            try:
+                built = construct_rank2_witness_3d(M1, M2, seed=k)
+                witness_ok, _ = verify_extreme_rank2(built["Z"], M1, M2)
+            except ConstructionFailed:
+                witness_ok = False
+            if not witness_ok:
+                inconsistencies.append({"pair": k, "stage": "witness"})
+        rows.append({"pair": k, "dim": d, "status": verdict.status,
+                     "verified": verified, "max_gap": probe["max_gap"],
+                     "witness_ok": witness_ok})
+    return {"pairs": pairs, "seed": seed, "counts": counts,
+            "verify_failures": verify_failures,
+            "inconsistencies": inconsistencies,
+            "elapsed_s": time.perf_counter() - t0, "rows": rows}

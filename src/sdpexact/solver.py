@@ -14,6 +14,7 @@ dot product.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,15 +78,10 @@ class SdpSolution:
     iterations: int = 0
 
 
-_SVEC_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _svec_idx(d: int):
-    if d not in _SVEC_CACHE:
-        iu = np.triu_indices(d)
-        scale = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-        _SVEC_CACHE[d] = (iu, scale)
-    return _SVEC_CACHE[d]
+    iu = np.triu_indices(d)
+    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
 def svec(M: np.ndarray, d: int) -> np.ndarray:

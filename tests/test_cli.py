@@ -107,6 +107,22 @@ class TestRog:
         assert rc == 0
         assert "max_gap:" in capsys.readouterr().out
 
+    def test_probe_empty_slice_not_flagged(self, capsys):
+        # each infeasible trial runs the solver's whole iteration budget
+        rc = cli.main(["rog", "probe", "diag:1", "diag:2", "--trials", "1"])
+        assert rc == 0
+        assert "flagged: False" in capsys.readouterr().out
+
+    def test_battery(self, capsys, tmp_path):
+        out_json = str(tmp_path / "battery.json")
+        rc = cli.main(["rog", "battery", "--pairs", "3", "--json", out_json])
+        assert rc == 0
+        assert "inconsistencies: 0" in capsys.readouterr().out
+        payload = json.loads(open(out_json).read())
+        assert sum(payload["counts"].values()) == 3
+        assert [row["pair"] for row in payload["rows"]] == [0, 1, 2]
+        assert all(row["verified"] is True for row in payload["rows"])
+
 
 class TestRatio:
     def test_unknown_matrix_kind_is_input_error(self, tmp_path, capsys):

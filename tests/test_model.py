@@ -1,5 +1,7 @@
 """QCQP data model: forms, aggregation, transforms, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +13,12 @@ from conftest import q, make_explicit_instance, random_sym
 class TestQuadraticForm:
     def test_embed_roundtrip(self):
         f = q([[1.0, 0.5], [0.5, 2.0]], [3.0, -1.0], 4.0)
-        g = model.QuadraticForm.from_embedding(f.embed())
-        assert np.array_equal(f.A, g.A)
-        assert np.array_equal(f.b, g.b)
-        assert f.c == g.c
+        M = f.embed()
+        # [[A, b], [b^T, c]]
+        assert np.array_equal(M[:2, :2], f.A)
+        assert np.array_equal(M[:2, 2], f.b)
+        assert np.array_equal(M[2, :2], f.b)
+        assert M[2, 2] == f.c
 
     def test_eval_matches_embedding(self):
         rng = np.random.default_rng(0)
@@ -146,7 +150,7 @@ class TestSerialization:
             (q(random_sym(rng, 2), [0, 0], 0.0),))
         gens = [rng.standard_normal(3) for _ in range(2)]
         text = model.dump_instance(inst, gens)
-        inst2, gens2 = model.load_instance(text)
+        inst2, gens2 = model.instance_from_dict(json.loads(text))
         text2 = model.dump_instance(inst2, gens2)
         assert text == text2
         assert np.array_equal(inst.objective.A, inst2.objective.A)

@@ -305,7 +305,86 @@ class TestSetRules:
         assert v.status == "ROG_BY_SUFFICIENT_RULE"
         assert v.certificate["kind"] == "SocCap"
 
+
+def _soc_cap_set():
+    c = np.array([0.0, 0.0, 1.0])
+    mats = [-sym_outer(c, np.array([np.cos(t), np.sin(t), 1.0]))
+            for t in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2)]
+    return tuple(mats) + (np.diag([1.0, 1.0, -1.0]),)
+
+
+def _factor_set_without_cap():
+    # Sym(e3 k^T) with k^T Sym(e3 k_L^T) k = (k.e3)(k.k_L) > 0 for every
+    # pair of members, so no member caps the others
+    E = np.eye(3)
+    return tuple(sym_outer(E[2], k) for k in
+                 (E[0] + E[2], E[1] + E[2], E[0] + E[1] + E[2]))
+
+
+class TestCheckSet:
+    @pytest.mark.parametrize("mats,status,kind", [
+        ((), "ROG_CERTIFIED", "PsdCone"),
+        ((np.diag([1.0, -1.0]),), "ROG_CERTIFIED", "SingleLmi"),
+        ((M1_3D, M2_3D), "NOT_ROG_CERTIFIED", "PdWitness"),
+        (_soc_cap_set(), "ROG_BY_SUFFICIENT_RULE", "SocCap"),
+        (_factor_set_without_cap(), "ROG_BY_SUFFICIENT_RULE", "CommonFactor"),
+        ((np.diag([1.0, 0.0, -0.5]), np.diag([0.0, 1.0, 1.0]),
+          np.diag([1.0, 1.0, 0.0])), "ROG_BY_SUFFICIENT_RULE", "PairwisePsd"),
+        ((M1_3D, M2_3D, np.eye(3)), "UNDECIDED", None),
+    ], ids=["empty", "one", "pair", "soc_cap", "common_factor", "pairwise",
+            "undecided"])
+    def test_routing(self, mats, status, kind):
+        v = rog.check_set(rog.LmiSet(mats, ("LE",) * len(mats)))
+        assert v.status == status
+        assert v.certificate.get("kind") == kind
+
+    def test_two_equalities_decided_as_pair(self):
+        E = np.eye(3)
+        mats = (sym_outer(E[0], E[2]), np.diag([1.0, -1.0, 0.0]))
+        v = rog.check_set(rog.LmiSet(mats, ("EQ", "EQ")), seed=5)
+        ref = rog.check_pair(*mats, seed=5)
+        assert v.status == ref.status
+        np.testing.assert_equal(v.certificate, ref.certificate)
+        assert rog.verify_certificate(v, *mats)
+
+
+class TestPairwiseWeights:
+    def test_weights_are_normalised_psd_combinations(self):
+        rng = np.random.default_rng(8)
+        sets = [rog.LmiSet((np.diag([1.0, 0.0, -0.5]), np.diag([1.0, 1.0, 0.0]),
+                            np.diag([0.0, 1.0, 1.0])), ("EQ", "LE", "LE"))]
+        sets += [rog.LmiSet(tuple(random_sym(rng, 3) + 1.5 * np.eye(3)
+                                  for _ in range(3)), ("LE",) * 3)
+                 for _ in range(12)]
+        checked = dependent = 0
+        for mset in sets:
+            v = rog.check_pairwise_sufficient(mset)
+            if v.status != "ROG_BY_SUFFICIENT_RULE":
+                continue
+            mats = mset.expanded()
+            for (i, j), alpha in v.certificate["weights"]:
+                if isinstance(alpha, str):
+                    assert alpha == "dependent"
+                    dependent += 1
+                    continue
+                assert float(np.max(np.abs(alpha))) == pytest.approx(1.0, abs=1e-12)
+                scale = max(1.0, np.linalg.norm(mats[i], 2), np.linalg.norm(mats[j], 2))
+                combo = alpha[0] * mats[i] + alpha[1] * mats[j]
+                assert np.linalg.eigvalsh(combo)[0] >= -1e-7 * scale
+                checked += 1
+        assert dependent >= 1 and checked >= 10
+
+
 class TestProbe:
+    def test_empty_slice_not_flagged(self):
+        # {Z >= 0 : Z <= 0, 2Z <= 0} = {0}: no trial SDP is feasible
+        mset = rog.LmiSet((np.diag([1.0]), np.diag([2.0])), ("LE", "LE"))
+        rep = rog.probe_random_objectives(mset, trials=2, samples=256, max_iter=2000)
+        assert all(r["status"] != "OPTIMAL" for r in rep["records"])
+        assert {"v_sdp", "v_rank1", "gap"} <= set(rep["records"][0])
+        assert rep["max_gap"] is None
+        assert rep["flagged"] is False
+
     def test_rog_pair_never_flagged(self):
         # common-factor pair: rank-one values match the slice optimum
         E = np.eye(3)
