@@ -78,7 +78,7 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     Mlist = [linalg.sym(M) for M in Mset]
     C = linalg.sym(C)
     d = C.shape[0]
-    if d > 4 + 1:
+    if d > 5:
         raise ValueError("sphere oracle limited to dimension <= 5")
     eng = scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
     # Sobol balance requires power-of-two sample counts
@@ -102,11 +102,26 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     # Multi-start polish.  The feasible set can be thin (e.g. the kernel of a
     # PSD combination of the constraints), so strict samples alone may miss
     # it entirely; SLSQP from mildly infeasible low-objective candidates
-    # recovers those regions.
-    cons = [{"type": "ineq",
-             "fun": (lambda v, M=M: -float(v @ M @ v) / max(1e-12, v @ v))}
-            for M in Mlist]
-    cons.append({"type": "eq", "fun": lambda v: float(v @ v) - 1.0})
+    # recovers those regions.  Every function comes with its exact gradient;
+    # the constraints -v^T M v / max(1e-12, v^T v) form one vector function
+    # over the stacked members.
+    cons = []
+    if Mlist:
+        Ms = np.stack(Mlist)
+
+        def ineq(v):
+            return -(Ms @ v) @ v / max(1e-12, v @ v)
+
+        def ineq_jac(v):
+            Mv = Ms @ v
+            nn = v @ v
+            if nn <= 1e-12:
+                return -2.0 * Mv / 1e-12
+            return (2.0 / nn**2) * np.outer(Mv @ v, v) - (2.0 / nn) * Mv
+
+        cons.append({"type": "ineq", "fun": ineq, "jac": ineq_jac})
+    cons.append({"type": "eq", "fun": lambda v: float(v @ v) - 1.0,
+                 "jac": lambda v: 2.0 * v})
     loose = viol <= 1e-2 * max(1.0, float(np.max(np.abs(all_vals))))
     order = np.argsort(np.where(loose, all_vals, np.inf))
     starts = [z[j] for j in order[: min(8, int(np.sum(loose)))]]
@@ -116,6 +131,7 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     starts.extend(np.linalg.eigh(C)[1].T)
     for s in starts:
         res = scipy.optimize.minimize(lambda v: float(v @ C @ v), s,
+                                      jac=lambda v: 2.0 * C @ v,
                                       constraints=cons, method="SLSQP",
                                       options={"maxiter": 200, "ftol": 1e-12})
         if not res.success:

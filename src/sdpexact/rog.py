@@ -656,11 +656,14 @@ def check_pairwise_sufficient(mset: LmiSet) -> RogVerdict:
 
 
 def check_common_factor(mset: LmiSet) -> RogVerdict:
-    """All members sharing one factor direction is sufficient for ROG."""
+    """All members sharing one factor direction is sufficient for ROG.
+
+    Needs at least one member (ValueError otherwise); ``check_set`` decides
+    smaller sets itself.
+    """
     mats = mset.expanded()
     if not mats:
-        return RogVerdict(status="ROG_BY_SUFFICIENT_RULE",
-                          certificate={"kind": "CommonFactor", "note": "empty set"})
+        raise ValueError("common-factor rule needs at least one member")
     try:
         splits = [decompose_rank2_indefinite(M)[1:] for M in mats]
     except DecompositionImpossible:
@@ -838,11 +841,12 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
 
     Pair k is two symmetric Gaussian matrices of dimension
     BATTERY_DIMS[k % 5].  Each certificate is re-verified; a failure is
-    listed in verify_failures.  Each pair is probed with two random
-    objectives, and a finite rank-one value more than BATTERY_GAP_TOL above
-    the slice value of a ROG_CERTIFIED pair is an inconsistency, as is a
-    3x3 NOT_ROG_CERTIFIED pair whose rank-two witness cannot be built or
-    does not verify.
+    listed in verify_failures.  Each ROG_CERTIFIED pair is probed with two
+    random objectives, and a finite rank-one value more than BATTERY_GAP_TOL
+    above its slice value is an inconsistency, as is a 3x3 NOT_ROG_CERTIFIED
+    pair whose rank-two witness cannot be built or does not verify.  The
+    probe can only contradict a ROG verdict, so other pairs are not probed
+    and their rows carry max_gap None.
     """
     rng = np.random.default_rng(seed)
     counts, rows = {}, []
@@ -858,10 +862,12 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
         verified = verify_certificate(verdict, M1, M2)
         if not verified:
             verify_failures.append(k)
-        probe = probe_random_objectives(
-            LmiSet((M1, M2), ("LE", "LE")), trials=2, seed=k, samples=2048,
-            gap_tol=BATTERY_GAP_TOL, eps=BATTERY_EPS, max_iter=5000)
+        max_gap = None
         if verdict.status == "ROG_CERTIFIED":
+            probe = probe_random_objectives(
+                LmiSet((M1, M2), ("LE", "LE")), trials=2, seed=k, samples=2048,
+                gap_tol=BATTERY_GAP_TOL, eps=BATTERY_EPS, max_iter=5000)
+            max_gap = probe["max_gap"]
             for rec in probe["records"]:
                 if np.isfinite(rec["v_rank1"]) and rec["gap"] > BATTERY_GAP_TOL:
                     inconsistencies.append(
@@ -876,7 +882,7 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
             if not witness_ok:
                 inconsistencies.append({"pair": k, "stage": "witness"})
         rows.append({"pair": k, "dim": d, "status": verdict.status,
-                     "verified": verified, "max_gap": probe["max_gap"],
+                     "verified": verified, "max_gap": max_gap,
                      "witness_ok": witness_ok})
     return {"pairs": pairs, "seed": seed, "counts": counts,
             "verify_failures": verify_failures,

@@ -9,6 +9,13 @@ and adaptive penalty rebalancing.
 Matrix variables are stored in scaled vector form (off-diagonal entries
 multiplied by sqrt(2)) so that the Frobenius inner product is the ordinary
 dot product.
+
+Each iteration is kept lean for the small (d <= 5) programs this package
+solves, where call overhead rather than arithmetic sets the pace: the
+normal matrix's Cholesky factor is applied with LAPACK ``dpotrs`` directly,
+``smat`` scatters the vector into both triangles through a cached index
+pair, and the cone projection (one ``eigh``, in-place clips) writes its
+result straight into the next iterate's vector.
 """
 
 from __future__ import annotations
@@ -80,26 +87,24 @@ class SdpSolution:
 
 @functools.lru_cache(maxsize=None)
 def _svec_idx(d: int):
+    """Upper-triangle index, its mirror in the lower triangle, svec scale."""
     iu = np.triu_indices(d)
-    return iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    return iu, iu[::-1], np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
 def svec(M: np.ndarray, d: int) -> np.ndarray:
-    iu, scale = _svec_idx(d)
+    iu, _, scale = _svec_idx(d)
     return M[iu] * scale
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    iu, scale = _svec_idx(d)
-    M = np.zeros((d, d))
-    M[iu] = v / scale
-    return M + np.triu(M, 1).T
-
-
-def _project_psd(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(M)
-    w = np.clip(w, 0.0, None)
-    return (V * w) @ V.T
+    iu, il, scale = _svec_idx(d)
+    M = np.empty((d, d))
+    w = v / scale
+    w += 0.0  # no -0.0: bit for bit the triangle sum M + triu(M, 1).T
+    M[il] = w
+    M[iu] = w
+    return M
 
 
 def solve(
@@ -134,19 +139,30 @@ def solve(
     c[:nz] = svec(prog.objective_matrix, d)
 
     if ncon == 0:
-        # No affine rows: the cone projection of -c/rho decides everything.
-        Z = np.zeros((d, d))
-        val = 0.0
+        # No affine rows: min <C, Z> over the PSD cone is 0 at Z = 0 when C
+        # is PSD; otherwise the eigenvector u of lambda_min(C) < 0 gives the
+        # improving ray Z = u u^T, returned as the evidence of unboundedness.
+        spec = linalg.eig_sym(prog.objective_matrix)
+        lmin = float(spec.eigenvalues[0])
+        tol = eps * max(1.0, float(np.max(np.abs(spec.eigenvalues))))
+        if lmin >= -tol:
+            return SdpSolution(
+                Z=np.zeros((d, d)), y=np.zeros(0), objective_value=0.0,
+                primal_residual=0.0, dual_residual=0.0, gap=0.0,
+                status=SolveStatus.OPTIMAL, iterations=0,
+            )
+        u = spec.eigenvectors[:, 0]
         return SdpSolution(
-            Z=Z, y=np.zeros(0), objective_value=val,
-            primal_residual=0.0, dual_residual=0.0, gap=0.0,
-            status=SolveStatus.OPTIMAL, iterations=0,
+            Z=np.outer(u, u), y=np.zeros(0), objective_value=-np.inf,
+            primal_residual=0.0, dual_residual=-lmin, gap=np.inf,
+            status=SolveStatus.UNBOUNDED_LIKELY, iterations=0,
         )
 
     gram = A @ A.T
     # Tiny ridge keeps redundant rows (duplicated constraints) solvable.
     gram += 1e-12 * max(1.0, np.trace(gram) / ncon) * np.eye(ncon)
-    chol = scipy.linalg.cho_factor(gram)
+    chol, _ = scipy.linalg.cho_factor(gram)  # upper factor, as potrs expects
+    potrs = scipy.linalg.lapack.dpotrs
 
     scale_b = max(1.0, float(np.linalg.norm(rhs)))
     scale_c = max(1.0, float(np.linalg.norm(c)))
@@ -157,17 +173,21 @@ def solve(
     u = np.zeros(nvar)
     mu = np.zeros(ncon)
 
+    iu, _, scale = _svec_idx(d)
+
     def cone_proj(t):
+        w, V = np.linalg.eigh(smat(t[:nz], d))
+        np.clip(w, 0.0, None, out=w)
         out = np.empty_like(t)
-        out[:nz] = svec(_project_psd(smat(t[:nz], d)), d)
-        out[nz:] = np.clip(t[nz:], 0.0, None)
+        np.multiply(((V * w) @ V.T)[iu], scale, out=out[:nz])
+        np.clip(t[nz:], 0.0, None, out=out[nz:])
         return out
 
     pri = dua = np.inf
     it = 0
     for it in range(1, max_iter + 1):
         w = v - u - c / rho
-        mu = scipy.linalg.cho_solve(chol, rhs - A @ w)
+        mu, _ = potrs(chol, rhs - A @ w, overwrite_b=True)
         x = w + A.T @ mu
         x_r = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * v
         v_prev = v

@@ -122,6 +122,9 @@ class TestRog:
         assert sum(payload["counts"].values()) == 3
         assert [row["pair"] for row in payload["rows"]] == [0, 1, 2]
         assert all(row["verified"] is True for row in payload["rows"])
+        # only ROG_CERTIFIED pairs are probed
+        assert all(row["max_gap"] is None for row in payload["rows"]
+                   if row["status"] != "ROG_CERTIFIED")
 
 
 class TestRatio:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sdpexact import model, oracles
-from conftest import q, make_explicit_instance
+from conftest import q, make_explicit_instance, random_sym
 
 
 @st.composite
@@ -127,6 +128,46 @@ class TestSphere:
         a = oracles.sphere_min_rank_one([], C, samples=4096, seed=5)
         b = oracles.sphere_min_rank_one([], C, samples=4096, seed=5)
         assert a[0] == b[0]
+
+
+def _central_jacobian(f, v, h):
+    cols = [(np.atleast_1d(f(v + h * e)) - np.atleast_1d(f(v - h * e))) / (2.0 * h)
+            for e in np.eye(v.size)]
+    return np.column_stack(cols)
+
+
+class TestSphereDerivatives:
+    def test_gradients_match_central_differences(self, monkeypatch):
+        calls = []
+
+        def capture(fun, x0, jac=None, constraints=(), **kwargs):
+            calls.append((fun, jac, constraints))
+            return scipy.optimize.OptimizeResult(success=False)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", capture)
+        rng = np.random.default_rng(4)
+        d = 4
+        mats = [random_sym(rng, d) for _ in range(3)]
+        oracles.sphere_min_rank_one(mats, random_sym(rng, d), samples=256)
+        assert calls and all(c[2] is calls[0][2] for c in calls)
+        fun, jac, cons = calls[0]
+        assert sorted(c["type"] for c in cons) == ["eq", "ineq"]
+        pairs = [(fun, jac)] + [(c["fun"], c["jac"]) for c in cons]
+        ineq = next(c["fun"] for c in cons if c["type"] == "ineq")
+        points = [rng.standard_normal(d) for _ in range(5)]
+        points.append(1e-8 * rng.standard_normal(d))  # inside the 1e-12 guard
+        assert points[-1] @ points[-1] < 1e-12
+        for v in points:
+            want = [-(v @ M @ v) / max(1e-12, v @ v) for M in mats]
+            np.testing.assert_allclose(ineq(v), want, rtol=1e-12)
+            h = 1e-6 * np.linalg.norm(v)
+            for f, g in pairs:
+                # central differences are exact on quadratics up to the
+                # rounding of f, which the step then amplifies
+                fmax = max(1.0, float(np.max(np.abs(f(v)))))
+                np.testing.assert_allclose(
+                    np.atleast_2d(g(v)), _central_jacobian(f, v, h),
+                    rtol=1e-6, atol=1e-14 * fmax / h)
 
 
 class TestMembership:

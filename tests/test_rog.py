@@ -338,6 +338,10 @@ class TestCheckSet:
         assert v.status == status
         assert v.certificate.get("kind") == kind
 
+    def test_common_factor_rejects_empty_set(self):
+        with pytest.raises(ValueError):
+            rog.check_common_factor(rog.LmiSet((), ()))
+
     def test_two_equalities_decided_as_pair(self):
         E = np.eye(3)
         mats = (sym_outer(E[0], E[2]), np.diag([1.0, -1.0, 0.0]))

@@ -27,6 +27,21 @@ class TestSvec:
                 1.0, np.linalg.norm(A) * np.linalg.norm(B))
 
 
+    def test_smat_matches_triangle_sum(self):
+        rng = np.random.default_rng(5)
+        for d in range(1, 6):
+            nz = d * (d + 1) // 2
+            for _ in range(20):
+                v = rng.standard_normal(nz)
+                v[rng.random(nz) < 0.3] = -0.0
+                M = solver.smat(v, d)
+                iu = np.triu_indices(d)
+                U = np.zeros((d, d))
+                U[iu] = v / np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+                assert M.tobytes() == (U + np.triu(U, 1).T).tobytes()
+                assert M.tobytes() == M.T.tobytes()
+
+
 class TestKnownOptima:
     def test_min_trace_with_pinned_corner(self):
         prog = solver.ConicProgram(
@@ -65,6 +80,16 @@ class TestKnownOptima:
         sol = solver.solve(prog)
         assert sol.status == solver.SolveStatus.OPTIMAL
         assert sol.objective_value == 0.0
+
+    def test_no_constraints_indefinite_is_unbounded(self):
+        C = np.diag([1.0, -2.0])
+        prog = solver.ConicProgram(dim=2, objective_matrix=C, constraints=())
+        sol = solver.solve(prog)
+        assert sol.status == solver.SolveStatus.UNBOUNDED_LIKELY
+        assert sol.objective_value == -np.inf
+        # the returned Z is an improving PSD ray
+        assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
+        assert float(np.sum(C * sol.Z)) < 0.0
 
     def test_infeasible_detected(self):
         prog = solver.ConicProgram(
