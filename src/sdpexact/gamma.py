@@ -10,7 +10,7 @@ caller must supply a generator list and the analysis is relative to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +39,10 @@ class HPolyCone:
         rows = np.asarray(self.rows, dtype=float).reshape(-1, self.ambient)
         object.__setattr__(self, "rows", rows)
 
-    def contains(self, x, tol: float = RAY_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(x)))
-        return bool(np.all(self.rows @ x >= -tol * scale))
-
 
 @dataclass(frozen=True)
 class FaceDescriptor:
     face_id: int
-    active_rows: frozenset
     generator_indices: tuple
     classification: str  # "DEFINITE" | "SEMIDEFINITE"
     witness: np.ndarray | None  # point of the face with PD aggregate
@@ -165,6 +159,8 @@ def dd_extreme_rays(H: HPolyCone, tol: float = RAY_TOL) -> list:
 
 
 def verify_generator(inst: model.QcqpInstance, ray, tol: float = STRICT_TOL) -> bool:
+    """ray lies in the cone: signs hold and no eigenvalue of its aggregate is
+    below -tol times the spectrum scale."""
     ray = np.asarray(ray, dtype=float).reshape(-1)
     if ray.shape[0] != inst.m + 1:
         return False
@@ -172,13 +168,8 @@ def verify_generator(inst: model.QcqpInstance, ray, tol: float = STRICT_TOL) -> 
         return False
     if np.any(ray[1 : 1 + inst.m_i] < -tol):
         return False
-    agg = model.aggregate_with_obj(inst, ray[0], ray[1:])
-    status = linalg.psd_status(agg.A, tol=tol)
-    return status in (
-        linalg.PsdStatus.POSITIVE_DEFINITE,
-        linalg.PsdStatus.PSD_SINGULAR,
-        linalg.PsdStatus.ZERO,
-    )
+    lmin, scale = _min_eig_and_scale(_aggregate_A(inst, ray))
+    return lmin >= -tol * scale
 
 
 def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
@@ -186,14 +177,18 @@ def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
     return model.aggregate_with_obj(inst, ray[0], ray[1:]).A
 
 
+def _min_eig_and_scale(A):
+    """lambda_min(A) and the spectrum scale max(1, max |lambda|)."""
+    w = linalg.eig_sym(A).eigenvalues
+    return float(w[0]), max(1.0, float(np.max(np.abs(w), initial=0.0)))
+
+
 def _classify(inst, gens_on_face, tol=STRICT_TOL):
     """DEFINITE, with the generator mean as witness, when its aggregate is PD;
     the aggregates are PSD, so the mean is PD iff some conic combination is."""
     mix = np.mean(gens_on_face, axis=0)
-    A = _aggregate_A(inst, mix)
-    spec = linalg.eig_sym(A)
-    scale = max(1.0, float(np.max(np.abs(spec.eigenvalues), initial=0.0)))
-    if float(spec.eigenvalues[0]) > tol * scale:
+    lmin, scale = _min_eig_and_scale(_aggregate_A(inst, mix))
+    if lmin > tol * scale:
         return "DEFINITE", mix
     return "SEMIDEFINITE", None
 
@@ -287,17 +282,9 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
         classification, witness = _classify(inst, face_gens)
         vf = compute_VF(inst, face_gens) if classification == "SEMIDEFINITE" else np.zeros((inst.n, 0))
         vertices, rays_v = face_slice_vrep(face_gens)
-        active = frozenset()
-        if rows is not None and len(rows) > 0:
-            common = None
-            for g in face_gens:
-                a = _active_set(np.asarray(rows), g, RAY_TOL)
-                common = a if common is None else (common & a)
-            active = common or frozenset()
         faces.append(
             FaceDescriptor(
                 face_id=fid,
-                active_rows=active,
                 generator_indices=tuple(sorted(sup)),
                 classification=classification,
                 witness=witness,

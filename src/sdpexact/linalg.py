@@ -8,7 +8,6 @@ resulting spectrum relative to its largest magnitude.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,17 +15,7 @@ import numpy as np
 # Default relative tolerances.  Solver accuracy is ~1e-7, so classification
 # thresholds must not be tighter than that.
 SYM_TOL = 1e-12
-PSD_TOL = 1e-7
 RANK_TOL = 1e-7
-
-
-class PsdStatus(enum.Enum):
-    POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
-    PSD_SINGULAR = "PSD_SINGULAR"
-    INDEFINITE = "INDEFINITE"
-    NSD_SINGULAR = "NSD_SINGULAR"
-    NEGATIVE_DEFINITE = "NEGATIVE_DEFINITE"
-    ZERO = "ZERO"
 
 
 def sym(entries) -> np.ndarray:
@@ -60,30 +49,6 @@ class Spectrum:
 def eig_sym(S) -> Spectrum:
     """Eigendecomposition of a symmetric matrix (ValueError if it is not one)."""
     return Spectrum(*np.linalg.eigh(sym(S)))
-
-
-def psd_status(S, tol: float = PSD_TOL) -> PsdStatus:
-    """Classify a symmetric matrix by eigenvalue signs at a relative threshold."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = sym(S)
-    w = eig_sym(s).eigenvalues
-    spectral = float(np.max(np.abs(w))) if w.size else 0.0
-    if spectral <= tol:
-        return PsdStatus.ZERO
-    cut = tol * max(1.0, spectral)
-    n_pos = int(np.sum(w > cut))
-    n_neg = int(np.sum(w < -cut))
-    n_zero = w.size - n_pos - n_neg
-    if n_neg == 0 and n_zero == 0:
-        return PsdStatus.POSITIVE_DEFINITE
-    if n_neg == 0:
-        return PsdStatus.PSD_SINGULAR
-    if n_pos == 0 and n_zero == 0:
-        return PsdStatus.NEGATIVE_DEFINITE
-    if n_pos == 0:
-        return PsdStatus.NSD_SINGULAR
-    return PsdStatus.INDEFINITE
 
 
 def rank_eps(S, tol: float = RANK_TOL) -> int:

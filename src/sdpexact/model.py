@@ -8,7 +8,6 @@ inequality (<= 0) and equality (= 0) constraint forms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -236,7 +235,3 @@ def instance_from_dict(d: dict):
     if gens is not None:
         gens = [np.asarray([float(v) for v in g]) for g in gens]
     return inst, gens
-
-
-def dump_instance(inst: QcqpInstance, gamma_generators=None) -> str:
-    return json.dumps(instance_to_dict(inst, gamma_generators), indent=2)

@@ -114,18 +114,29 @@ def decompose_rank2_indefinite(M):
     return 1.0, vp + vm, vp - vm
 
 
-def _linear_dependence(M1, M2, tol=1e-9):
-    """kappa with M2 ~ kappa*M1, or None."""
+def _dependence(M1, M2, tol=1e-9):
+    """Weights alpha, max|alpha| = 1, with alpha1 M1 + alpha2 M2 ~ 0, or None.
+
+    [0, -1] for M2 ~ 0, [1, 0] for M1 ~ 0, else [kappa, -1] / max(1, |kappa|)
+    for M2 ~ kappa M1.  The normalised residual is the smaller matrix's
+    distance from the line of the larger, in either argument order.
+    """
     n1 = float(np.linalg.norm(M1))
     n2 = float(np.linalg.norm(M2))
     if n2 <= tol * max(1.0, n1):
-        return 0.0
+        return np.array([0.0, -1.0])
     if n1 <= tol * max(1.0, n2):
-        return None  # M1 ~ 0, M2 not: dependence the other way; caller swaps
+        return np.array([1.0, 0.0])
     kappa = float(np.sum(M1 * M2)) / (n1 * n1)
-    if np.linalg.norm(M2 - kappa * M1) <= tol * max(n1, n2):
-        return kappa
+    alpha = np.array([kappa, -1.0]) / max(1.0, abs(kappa))
+    if np.linalg.norm(alpha[0] * M1 + alpha[1] * M2) <= tol * max(n1, n2):
+        return alpha
     return None
+
+
+def _pair_scale(M1, M2) -> float:
+    """max(1, ||M1||_2, ||M2||_2): the scale of every pair tolerance."""
+    return max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
 
 
 def _bordered(M, extra):
@@ -171,8 +182,8 @@ def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
                 return "pd_witness", Z
         # dual recovery: C + lam_1 B_1 + lam_2 B_2 + lam_3 I_blk PSD implies
         # lam_1 M1 + lam_2 M2 >= -lam_3 I with lam_3 ~ -tau* ~ 0
-        alpha = _verify_alpha(M1, M2, np.array(sol.y[:2]))
-        if alpha is not None:
+        alpha = _normalised(sol.y[:2])
+        if alpha is not None and _psd_combination(M1, M2, alpha):
             return "psd_combo", alpha
     return "undecided", {"tau": tau, "status": sol.status.name}
 
@@ -196,41 +207,71 @@ def _condition_i(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
 
 
 def _polish_pd_witness(M1, M2, Z):
-    """Remove the span{M1, M2} component of Z, then verify it stays PD."""
+    """Remove the span{M1, M2} component of Z; the result if a PD witness."""
     Z = 0.5 * (Z + Z.T)
-    G = np.array([
-        [float(np.sum(M1 * M1)), float(np.sum(M1 * M2))],
-        [float(np.sum(M2 * M1)), float(np.sum(M2 * M2))],
-    ])
-    rhs = np.array([float(np.sum(M1 * Z)), float(np.sum(M2 * Z))])
+    G = np.array([[np.sum(A * B) for B in (M1, M2)] for A in (M1, M2)])
+    rhs = np.array([np.sum(M * Z) for M in (M1, M2)])
     try:
         coef = np.linalg.solve(G, rhs)
     except np.linalg.LinAlgError:
         coef, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     Zc = Z - coef[0] * M1 - coef[1] * M2
     Zc = 0.5 * (Zc + Zc.T)
-    spec = linalg.eig_sym(Zc)
-    scale = max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
-    if spec.eigenvalues[0] > 1e-7 and all(
-        abs(float(np.sum(M * Zc))) <= 1e-7 * scale * max(1.0, np.linalg.norm(Zc))
-        for M in (M1, M2)
-    ):
-        return Zc
-    return None
+    return Zc if _is_pd_witness(M1, M2, Zc) else None
 
 
-def _verify_alpha(M1, M2, alpha, tol=1e-7):
+def _normalised(alpha):
+    """alpha / max|alpha|, or None when alpha is numerically zero."""
     alpha = np.asarray(alpha, dtype=float)
     nrm = float(np.max(np.abs(alpha)))
-    if nrm <= 1e-9:
-        return None
-    alpha = alpha / nrm
-    combo = alpha[0] * M1 + alpha[1] * M2
-    scale = max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
-    w = linalg.eig_sym(combo).eigenvalues
-    if w[0] >= -tol * scale:
-        return alpha
-    return None
+    return alpha / nrm if nrm > 1e-9 else None
+
+
+# One predicate per fact a pair certificate can claim.  The decision path
+# applies each before it emits a certificate and ``verify_certificate``
+# re-applies the same one to the input matrices, so a decided pair verifies.
+
+
+def _psd_combination(M1, M2, alpha) -> bool:
+    """max|alpha| = 1 (a tiny alpha passes any pair) and alpha1 M1 + alpha2 M2
+    PSD relative to the pair scale, not to the combination, which may cancel."""
+    alpha = np.asarray(alpha, dtype=float)
+    if abs(float(np.max(np.abs(alpha))) - 1.0) > 1e-6:
+        return False
+    w = linalg.eig_sym(alpha[0] * M1 + alpha[1] * M2).eigenvalues
+    return bool(w[0] >= -1e-7 * _pair_scale(M1, M2))
+
+
+def _is_pd_witness(M1, M2, Z) -> bool:
+    """Z is positive definite and orthogonal to M1 and M2 (condition (i) fails)."""
+    Z = linalg.sym(Z)
+    if linalg.eig_sym(Z).eigenvalues[0] <= 1e-7:
+        return False
+    tol = 1e-6 * _pair_scale(M1, M2) * max(1.0, np.linalg.norm(Z))
+    return all(abs(float(np.sum(M * Z))) <= tol for M in (M1, M2))
+
+
+def _is_sym_product(M, a, b) -> bool:
+    """M = Sym(a b^T) within 1e-7 relative (Frobenius)."""
+    r = np.linalg.norm(M - 0.5 * (np.outer(a, b) + np.outer(b, a)))
+    return bool(r <= 1e-7 * max(1.0, np.linalg.norm(M)))
+
+
+def _refutes_common_factor(M1, M2, cert) -> bool:
+    """A PdWitness certificate's evidence that condition (ii) fails: a
+    combination of rank >= 3, else splittings with no shared direction, else
+    a recomputed joint range dimension other than 3."""
+    ref = cert.get("rank_refutation")
+    if ref is not None:
+        al = np.asarray(ref["alpha"], dtype=float)
+        return linalg.rank_eps(al[0] * M1 + al[1] * M2) >= 3
+    df = cert.get("distinct_factors")
+    if df is not None:
+        a1, b1, a2, b2 = (np.asarray(df[k], dtype=float) for k in ("a1", "b1", "a2", "b2"))
+        if not (_is_sym_product(M1, a1, b1) and _is_sym_product(M2, a2, b2)):
+            return False
+        return not any(_same_direction(u, v) for u in (a1, b1) for v in (a2, b2))
+    return _joint_range_dim(M1, M2) != 3
 
 
 def _lmin(M1, M2, th):
@@ -245,7 +286,7 @@ def _lmin(M1, M2, th):
 
 def _angular_scan(M1, M2, grid: int = 4000):
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    scale = max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
+    scale = _pair_scale(M1, M2)
 
     def lmin(th):
         return float(_lmin(M1, M2, th))
@@ -272,7 +313,9 @@ def _angular_scan(M1, M2, grid: int = 4000):
             fe = lmin(e)
     th = 0.5 * (a + b)
     if lmin(th) >= -1e-9 * scale:
-        return _verify_alpha(M1, M2, np.array([np.cos(th), np.sin(th)]), tol=1e-7)
+        alpha = _normalised([np.cos(th), np.sin(th)])
+        if _psd_combination(M1, M2, alpha):
+            return alpha
     return None
 
 
@@ -281,28 +324,29 @@ def _joint_range_dim(M1, M2) -> int:
     return int(np.linalg.matrix_rank(stacked, tol=1e-9 * max(1.0, np.linalg.norm(stacked, 2))))
 
 
-def _try_common_factor(M1, M2):
-    """Common-direction search over the rank-2 splittings of both matrices."""
+def _common_factor(mats):
+    """(c, cofactors): unit c with M_j = Sym(k_j c^T) for every member, or None.
+
+    Candidates for c are the first member's splitting factors whose
+    direction every other member's splitting shares.
+    """
     try:
-        _, a1, b1 = decompose_rank2_indefinite(M1)
-        _, a2, b2 = decompose_rank2_indefinite(M2)
+        splits = [decompose_rank2_indefinite(M)[1:] for M in mats]
     except DecompositionImpossible:
         return None
-    for c1, o1 in ((a1, b1), (b1, a1)):
-        for c2, o2 in ((a2, b2), (b2, a2)):
-            if _same_direction(c1, c2):
-                c = _unit(c1)
-                # rescale the co-factors so M_i = Sym(a c^T) exactly
-                a = o1 * float(np.linalg.norm(c1))
-                sign2 = 1.0 if float(c2 @ c1) > 0 else -1.0
-                b = o2 * float(np.linalg.norm(c2)) * sign2
-                r1 = np.linalg.norm(M1 - 0.5 * (np.outer(a, c) + np.outer(c, a)))
-                r2 = np.linalg.norm(M2 - 0.5 * (np.outer(b, c) + np.outer(c, b)))
-                if r1 <= 1e-7 * max(1.0, np.linalg.norm(M1)) and r2 <= 1e-7 * max(
-                    1.0, np.linalg.norm(M2)
-                ):
-                    return {"a": a, "b": b, "c": c,
-                            "residuals": [float(r1), float(r2)]}
+    for cand in splits[0]:
+        if not all(_same_direction(cand, a) or _same_direction(cand, b)
+                   for a, b in splits[1:]):
+            continue
+        c = _unit(cand)
+        cofactors = []
+        for a, b in splits:
+            shared, other = (a, b) if _same_direction(c, a) else (b, a)
+            # rescale the co-factor so that M_j = Sym(k_j c^T) exactly
+            sgn = 1.0 if float(shared @ c) > 0 else -1.0
+            cofactors.append(other * float(np.linalg.norm(shared)) * sgn)
+        if all(_is_sym_product(M, k, c) for M, k in zip(mats, cofactors)):
+            return c, cofactors
     return None
 
 
@@ -325,21 +369,13 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
         raise ValueError("dimension mismatch")
 
     # (a) linear dependence: a single LMI is always ROG
-    kappa = _linear_dependence(M1, M2)
-    if kappa is not None:
-        alpha = _verify_alpha(M1, M2, np.array([kappa, -1.0]))
-        if alpha is None:
-            alpha = np.array([1.0, 0.0]) if kappa == 0.0 else np.array([kappa, -1.0]) / max(1.0, abs(kappa))
+    alpha = _dependence(M1, M2)
+    if alpha is not None:
+        # the combination is ~0, so it passes _psd_combination
         return RogVerdict(
             status="ROG_CERTIFIED", seed=seed,
             certificate={"kind": "AggregationWeights", "alpha": alpha,
                          "note": "linearly dependent pair"},
-        )
-    if _linear_dependence(M2, M1) is not None:
-        return RogVerdict(
-            status="ROG_CERTIFIED", seed=seed,
-            certificate={"kind": "AggregationWeights", "alpha": np.array([1.0, 0.0]),
-                         "note": "first matrix numerically zero"},
         )
 
     # (b) condition (i): some nonzero combination PSD
@@ -355,11 +391,12 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
 
     span_dim = _joint_range_dim(M1, M2)
     # (c) condition (ii): shared factor across rank-2 splittings
-    common = _try_common_factor(M1, M2)
+    common = _common_factor((M1, M2))
     if common is not None and span_dim == 3:
+        c, (a, b) = common
         return RogVerdict(
             status="ROG_CERTIFIED", seed=seed,
-            certificate={"kind": "CommonFactor", **common},
+            certificate={"kind": "CommonFactor", "a": a, "b": b, "c": c},
         )
 
     # (d) neither condition: not ROG
@@ -377,54 +414,31 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
             }
         except DecompositionImpossible as exc:
             cert["distinct_factors_note"] = str(exc)
+    if not _refutes_common_factor(M1, M2, cert):
+        # the tolerances disagree on condition (ii): no certificate to give
+        return RogVerdict(status="UNDECIDED", seed=seed,
+                          diagnostics={"reason": "condition (ii) not refuted"})
     return RogVerdict(status="NOT_ROG_CERTIFIED", seed=seed, certificate=cert)
 
 
-def _is_sym_product(M, a, b) -> bool:
-    """M = Sym(a b^T) within 1e-7 relative (Frobenius)."""
-    r = np.linalg.norm(M - 0.5 * (np.outer(a, b) + np.outer(b, a)))
-    return bool(r <= 1e-7 * max(1.0, np.linalg.norm(M)))
-
-
 def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
-    """Independent re-verification of a pair verdict's certificate."""
+    """Re-verify a pair verdict's certificate from M1 and M2 alone.
+
+    Every fact the certificate claims is recomputed with the predicate the
+    decision path applied before emitting it; what the certificate reports
+    about itself (notes, span_dim) is ignored.
+    """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
-    scale = max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
     cert = verdict.certificate
     kind = cert.get("kind")
     if verdict.status == "ROG_CERTIFIED" and kind == "AggregationWeights":
-        alpha = np.asarray(cert["alpha"], dtype=float)
-        # check_pair emits max|alpha| = 1; a tiny alpha would pass any pair
-        if abs(float(np.max(np.abs(alpha))) - 1.0) > 1e-6:
-            return False
-        combo = alpha[0] * M1 + alpha[1] * M2
-        w = linalg.eig_sym(combo).eigenvalues
-        return bool(w[0] >= -1e-7 * max(1.0, np.linalg.norm(combo, 2), 1.0))
+        return _psd_combination(M1, M2, cert["alpha"])
     if verdict.status == "ROG_CERTIFIED" and kind == "CommonFactor":
         a, b, c = (np.asarray(cert[k], dtype=float) for k in ("a", "b", "c"))
         return _is_sym_product(M1, a, c) and _is_sym_product(M2, b, c)
     if verdict.status == "NOT_ROG_CERTIFIED" and kind == "PdWitness":
-        Z = linalg.sym(cert["Z"])
-        if linalg.eig_sym(Z).eigenvalues[0] <= 1e-7:
-            return False
-        if any(abs(float(np.sum(M * Z))) > 1e-6 * scale * max(1.0, np.linalg.norm(Z))
-               for M in (M1, M2)):
-            return False
-        ref = cert.get("rank_refutation")
-        if ref is not None:
-            al = np.asarray(ref["alpha"], dtype=float)
-            return linalg.rank_eps(al[0] * M1 + al[1] * M2) >= 3
-        df = cert.get("distinct_factors")
-        if df is not None:
-            # the factors are the certificate's claim: check they factor M1, M2
-            a1, b1, a2, b2 = (np.asarray(df[k], dtype=float) for k in ("a1", "b1", "a2", "b2"))
-            if not (_is_sym_product(M1, a1, b1) and _is_sym_product(M2, a2, b2)):
-                return False
-            return not any(_same_direction(u, v) for u in (a1, b1) for v in (a2, b2))
-        # span dim != 3: condition (i) alone decides; recomputed, since the
-        # reported span_dim is the certificate's own claim
-        return _joint_range_dim(M1, M2) != 3
+        return _is_pd_witness(M1, M2, cert["Z"]) and _refutes_common_factor(M1, M2, cert)
     return False
 
 
@@ -462,12 +476,12 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
     if M1.shape[0] != 3:
         raise ValueError("dimension must be 3")
     if check_preconditions:
-        if _linear_dependence(M1, M2) is not None or _linear_dependence(M2, M1) is not None:
+        if _dependence(M1, M2) is not None:
             raise ValueError("pair is linearly dependent")
         outcome, _ = _condition_i(M1, M2)
         if outcome == "psd_combo":
             raise ValueError("a PSD combination exists; zero set is not four lines")
-        if _try_common_factor(M1, M2) is not None:
+        if _common_factor((M1, M2)) is not None:
             raise ValueError("pair shares a common factor; zero set contains a plane")
 
     rng = np.random.default_rng(seed)
@@ -615,8 +629,7 @@ def verify_extreme_rank2(Z, M1, M2):
     Z = linalg.sym(Z)
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
-    scale = max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2)) * max(
-        1.0, float(np.linalg.norm(Z, 2)))
+    scale = _pair_scale(M1, M2) * max(1.0, float(np.linalg.norm(Z, 2)))
     if linalg.rank_eps(Z) != 2:
         return False, 0.0
     for M in (M1, M2):
@@ -642,8 +655,7 @@ def check_pairwise_sufficient(mset: LmiSet) -> RogVerdict:
     weights = []
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            kappa = _linear_dependence(mats[i], mats[j])
-            if kappa is not None or _linear_dependence(mats[j], mats[i]) is not None:
+            if _dependence(mats[i], mats[j]) is not None:
                 weights.append(((i, j), "dependent"))
                 continue
             outcome, payload = _condition_i(mats[i], mats[j])
@@ -664,25 +676,11 @@ def check_common_factor(mset: LmiSet) -> RogVerdict:
     mats = mset.expanded()
     if not mats:
         raise ValueError("common-factor rule needs at least one member")
-    try:
-        splits = [decompose_rank2_indefinite(M)[1:] for M in mats]
-    except DecompositionImpossible:
+    found = _common_factor(mats)
+    if found is None:
         return RogVerdict(status="UNDECIDED",
-                          diagnostics={"reason": "a member has rank > 2"})
-    candidates = list(splits[0])
-    for a, b in splits[1:]:
-        candidates = [c for c in candidates
-                      if _same_direction(c, a) or _same_direction(c, b)]
-        if not candidates:
-            return RogVerdict(status="UNDECIDED",
-                              diagnostics={"reason": "no shared factor direction"})
-    c = _unit(candidates[0])
-    cofactors = []
-    for (a, b), M in zip(splits, mats):
-        other = b if _same_direction(c, a) else a
-        shared = a if _same_direction(c, a) else b
-        sgn = 1.0 if float(shared @ c) > 0 else -1.0
-        cofactors.append(other * float(np.linalg.norm(shared)) * sgn)
+                          diagnostics={"reason": "no common factor"})
+    c, cofactors = found
     return RogVerdict(status="ROG_BY_SUFFICIENT_RULE",
                       certificate={"kind": "CommonFactor", "c": c,
                                    "cofactors": cofactors})
@@ -761,9 +759,9 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
     for k in range(trials):
         G = rng.standard_normal((d, d))
         C = 0.5 * (G + G.T)
-        cons = tuple(solver.Constraint(M, "LE", 0.0) for M in mats)
-        prog = solver.ConicProgram(dim=d, objective_matrix=C, constraints=cons,
-                                   trace_normalization=1.0)
+        cons = (*(solver.Constraint(M, "LE", 0.0) for M in mats),
+                solver.Constraint(np.eye(d), "EQ", 1.0))
+        prog = solver.ConicProgram(dim=d, objective_matrix=C, constraints=cons)
         sol = solver.solve(prog, eps=eps, max_iter=max_iter)
         v_rank1, _ = oracles.sphere_min_rank_one(mats, C, seed=seed + 1000 + k,
                                                  samples=samples)
@@ -794,6 +792,9 @@ def clconv_report(inst, verdict: RogVerdict):
     if not rog_ok:
         return {"consequence": "NO_CONSEQUENCE", "t": t_star,
                 "reason": "no rank-one-generated verdict"}
+    if t_star is None:
+        return {"consequence": "NO_CONSEQUENCE", "t": None,
+                "reason": "no nonzero simplex weights"}
     if t_star > 1e-7:
         return {"consequence": "CLCONV_EQUALS_DSDP", "t": t_star, "theta": theta}
     if t_star > -1e-7:
@@ -802,10 +803,12 @@ def clconv_report(inst, verdict: RogVerdict):
 
 
 def _max_min_eig_over_simplex(blocks):
-    """max over simplex weights of lambda_min(sum theta_j A_j).
+    """(t, theta): simplex weights and t = lambda_min(sum theta_j A_j).
 
-    Minimax dual: min over unit-trace PSD Z of max_j <A_j, Z>, solved with a
-    shifted slack block so the scalar stays nonnegative.
+    theta is the clipped, normalised dual of the minimax program min over
+    unit-trace PSD Z of max_j <A_j, Z> (shifted so the scalar stays
+    nonnegative); t is computed from theta, not read off the solver.
+    Weights summing to 1e-12 or less are no combination: (None, None).
     """
     d = blocks[0].shape[0]
     shift = max(float(np.linalg.norm(A, 2)) for A in blocks) + 1.0
@@ -814,17 +817,13 @@ def _max_min_eig_over_simplex(blocks):
     cons.append(solver.Constraint(_bordered(np.eye(d), 0.0), "EQ", 1.0))
     C = _bordered(np.zeros((d, d)), 1.0)
     prog = solver.ConicProgram(dim=d + 1, objective_matrix=C, constraints=tuple(cons))
-    sol = solver.solve(prog)
-    t_star = sol.objective_value - shift
-    theta = np.clip(sol.y[: len(blocks)], 0.0, None)
+    theta = np.clip(solver.solve(prog).y[: len(blocks)], 0.0, None)
     tot = float(np.sum(theta))
-    theta = theta / tot if tot > 1e-12 else theta
-    # polish: the dual weights maximize the smallest eigenvalue; verify
+    if tot <= 1e-12:
+        return None, None
+    theta = theta / tot
     combo = sum(th * A for th, A in zip(theta, blocks))
-    if len(blocks) > 0 and tot > 1e-12:
-        t_direct = float(np.linalg.eigvalsh(combo)[0])
-        t_star = max(t_star, t_direct)
-    return t_star, theta
+    return float(np.linalg.eigvalsh(combo)[0]), theta
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -61,7 +61,6 @@ class ConicProgram:
     dim: int
     objective_matrix: np.ndarray
     constraints: tuple
-    trace_normalization: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "objective_matrix", linalg.sym(self.objective_matrix))
@@ -116,9 +115,7 @@ def solve(
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = prog.dim
-    cons = list(prog.constraints)
-    if prog.trace_normalization is not None:
-        cons.append(Constraint(np.eye(d), "EQ", prog.trace_normalization))
+    cons = prog.constraints
 
     nz = d * (d + 1) // 2
     le_idx = [k for k, con in enumerate(cons) if con.sense == "LE"]

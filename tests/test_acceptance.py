@@ -315,10 +315,11 @@ class TestCriterion10:
                     A = random_sym(rng, d)
                     cons.append(solver.Constraint(A, "EQ",
                                                   float(np.sum(A * Z0))))
+                cons.append(solver.Constraint(np.eye(d), "EQ",
+                                              float(np.trace(Z0))))
                 C = random_sym(rng, d)
                 prog = solver.ConicProgram(
-                    dim=d, objective_matrix=C, constraints=tuple(cons),
-                    trace_normalization=float(np.trace(Z0)))
+                    dim=d, objective_matrix=C, constraints=tuple(cons))
                 sol = solver.solve(prog, eps=1e-7, max_iter=100000)
                 assert sol.status == solver.SolveStatus.OPTIMAL, \
                     f"instance {k}: {sol.status}"

@@ -12,7 +12,7 @@ from conftest import make_explicit_instance
 @pytest.fixture
 def instance_file(tmp_path):
     path = tmp_path / "explicit.json"
-    path.write_text(model.dump_instance(make_explicit_instance()))
+    path.write_text(json.dumps(model.instance_to_dict(make_explicit_instance()), indent=2))
     return str(path)
 
 
@@ -89,6 +89,18 @@ class TestRog:
         payload = json.loads(open(out_json).read())
         assert payload["verdict"]["status"] == "NOT_ROG_CERTIFIED"
         assert payload["verified"] is True
+
+    @pytest.mark.parametrize("pair", [
+        ("diag:10000,-10000,0", "diag:-9999,10001,-0.000001"),
+        ("diag:1000000,-2000000", "dense:3000000,0.0001;0.0001,-6000000"),
+    ], ids=["near_cancelling_combination", "dependent_large_scale"])
+    def test_pair_large_scale_verifies(self, pair, capsys):
+        # the PSD combination nearly cancels; its eigenvalues are tiny only
+        # next to the pair scale
+        assert cli.main(["rog", "pair", *pair]) == 0
+        out = capsys.readouterr().out
+        assert "status: ROG_CERTIFIED" in out
+        assert "verified: True" in out
 
     def test_pair_needs_two_matrices(self, capsys):
         assert cli.main(["rog", "pair", "diag:1,-1"]) == 2

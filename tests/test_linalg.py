@@ -78,28 +78,6 @@ class TestEig:
         assert np.linalg.norm((V * w) @ V.T - S) <= 1e-12
 
 
-class TestPsdStatus:
-    @pytest.mark.parametrize("mat,expected", [
-        (np.diag([1.0, 2.0]), linalg.PsdStatus.POSITIVE_DEFINITE),
-        (np.diag([1.0, 0.0]), linalg.PsdStatus.PSD_SINGULAR),
-        (np.diag([1.0, -1.0]), linalg.PsdStatus.INDEFINITE),
-        (np.diag([-1.0, 0.0]), linalg.PsdStatus.NSD_SINGULAR),
-        (np.diag([-1.0, -2.0]), linalg.PsdStatus.NEGATIVE_DEFINITE),
-        (np.zeros((3, 3)), linalg.PsdStatus.ZERO),
-    ])
-    def test_classification(self, mat, expected):
-        assert linalg.psd_status(mat) == expected
-
-    def test_relative_threshold(self):
-        # a 1e-9 perturbation on a unit-scale PD matrix stays PD
-        assert linalg.psd_status(np.diag([1.0, 1e-9])) == linalg.PsdStatus.PSD_SINGULAR
-        assert linalg.psd_status(np.diag([1.0, 1e-3])) == linalg.PsdStatus.POSITIVE_DEFINITE
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            linalg.psd_status(np.eye(2), tol=0.0)
-
-
 class TestRankKernel:
     def test_rank_plus_kernel_equals_dim(self):
         rng = np.random.default_rng(23)

@@ -149,9 +149,9 @@ class TestSerialization:
             (q(np.diag(rng.standard_normal(2)), rng.standard_normal(2), -1.0),),
             (q(random_sym(rng, 2), [0, 0], 0.0),))
         gens = [rng.standard_normal(3) for _ in range(2)]
-        text = model.dump_instance(inst, gens)
+        text = json.dumps(model.instance_to_dict(inst, gens), indent=2)
         inst2, gens2 = model.instance_from_dict(json.loads(text))
-        text2 = model.dump_instance(inst2, gens2)
+        text2 = json.dumps(model.instance_to_dict(inst2, gens2), indent=2)
         assert text == text2
         assert np.array_equal(inst.objective.A, inst2.objective.A)
         assert np.array_equal(inst.inequalities[0].b, inst2.inequalities[0].b)

@@ -107,6 +107,17 @@ class TestCheckPair:
         assert v.status == "ROG_CERTIFIED"
         assert rog.verify_certificate(v, A, 3.0 * A)
 
+    def test_near_dependent_pair_either_order(self):
+        # M1 lies 1e-7 off the line of M2 = 1e4 A: dependent relative to the
+        # larger matrix, whichever comes first, and never "M1 ~ 0"
+        A = np.diag([1.0, -1.0, 0.0])
+        M1, M2 = A + 1e-7 * sym_outer(np.eye(3)[0], np.eye(3)[2]), 1e4 * A
+        for pair in ((M1, M2), (M2, M1)):
+            v = rog.check_pair(*pair)
+            assert v.status == "ROG_CERTIFIED"
+            assert "note" in v.certificate
+            assert rog.verify_certificate(v, *pair)
+
     def test_zero_matrix_pair_rog(self):
         A = np.diag([1.0, -2.0])
         Z = np.zeros((2, 2))
@@ -153,6 +164,28 @@ class TestCheckPair:
                                               "a2": E[2], "b2": np.ones(3)}})
         assert not rog.verify_certificate(forged, A, B)
 
+    def test_forged_unit_alpha_rejected(self):
+        # alpha1 diag(1,-1,0) + alpha2 diag(0,1,-1) = diag(a1, a2 - a1, -a2) is
+        # PSD only for alpha = 0, so no normalised alpha may verify
+        for th in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+            alpha = np.array([np.cos(th), np.sin(th)])
+            forged = rog.RogVerdict(
+                status="ROG_CERTIFIED",
+                certificate={"kind": "AggregationWeights",
+                             "alpha": alpha / np.max(np.abs(alpha))})
+            assert not rog.verify_certificate(forged, M1_3D, M2_3D)
+
+    @pytest.mark.parametrize("M1,M2", [
+        (np.diag([1e4, -1e4, 0.0]), np.diag([-9999.0, 10001.0, -1e-6])),
+        (np.diag([1e6, -2e6]), np.array([[3e6, 1e-4], [1e-4, -6e6]])),
+    ], ids=["near_cancelling_combination", "dependent_large_scale"])
+    def test_cancelling_combination_verifies(self, M1, M2):
+        # the combination's own norm is ~1, the pair scale 1e4 or 6e6
+        v = rog.check_pair(M1, M2)
+        assert v.status == "ROG_CERTIFIED"
+        assert v.certificate["kind"] == "AggregationWeights"
+        assert rog.verify_certificate(v, M1, M2)
+
     def test_honest_distinct_factors_verify(self):
         A, B = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
         v = rog.check_pair(A, B)
@@ -191,6 +224,38 @@ class TestCertificateProperty:
     def test_check_pair_certificate_verifies(self, pair):
         M1, M2 = (m.astype(float) for m in pair)
         assert rog.verify_certificate(rog.check_pair(M1, M2), M1, M2)
+
+
+def _scaling_pairs():
+    """Random, near-dependent and common-factor pairs, 8 of each."""
+    rng = np.random.default_rng(12)
+    E = np.eye(3)
+    pairs = []
+    for k in range(8):
+        d = 3 + k % 2
+        pairs.append((random_sym(rng, d), random_sym(rng, d)))
+        A = random_sym(rng, d)
+        pairs.append((A, 3.0 * A + 1e-11 * np.linalg.norm(A)
+                      * sym_outer(np.eye(d)[0], np.eye(d)[1])))
+        c = rng.standard_normal(3)
+        pairs.append((sym_outer(rng.standard_normal(3), c),
+                      sym_outer(rng.standard_normal(3), c)))
+    return pairs
+
+
+class TestScaling:
+    def test_decided_pairs_verify_at_every_scale(self):
+        # verdicts may differ between scales; a decided one must verify.  A
+        # short solver budget keeps the tiny-scale SDP fallbacks fast
+        decided = 0
+        for k, (A, B) in enumerate(_scaling_pairs()):
+            for s in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+                v = rog.check_pair(s * A, s * B, seed=k, eps=1e-5, max_iter=2000)
+                if v.status == "UNDECIDED":
+                    continue
+                decided += 1
+                assert rog.verify_certificate(v, s * A, s * B), (k, s, v.status)
+        assert decided >= 150
 
 
 class TestAngularScan:
@@ -294,6 +359,16 @@ class TestSetRules:
         v = rog.check_common_factor(rog.LmiSet(mats, ("LE",) * 4))
         assert v.status == "ROG_BY_SUFFICIENT_RULE"
         assert v.certificate["kind"] == "CommonFactor"
+
+    def test_common_factor_rule_checks_residuals(self):
+        # the third factor c' = c + 1e-5 e1 passes the 1e-8 angle test on
+        # |cos| but leaves a 1e-5 relative residual
+        E = np.eye(3)
+        c = E[2]
+        mats = (sym_outer(E[0], c), sym_outer(E[1], c),
+                sym_outer(E[0] + E[1], c + 1e-5 * E[0]))
+        v = rog.check_common_factor(rog.LmiSet(mats, ("LE",) * 3))
+        assert v.status != "ROG_BY_SUFFICIENT_RULE"
 
     def test_soc_cap_rule(self):
         thetas = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2]

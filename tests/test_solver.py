@@ -56,8 +56,9 @@ class TestKnownOptima:
         for _ in range(20):
             d = int(rng.integers(2, 6))
             C = random_sym(rng, d)
-            prog = solver.ConicProgram(dim=d, objective_matrix=C, constraints=(),
-                                       trace_normalization=1.0)
+            prog = solver.ConicProgram(
+                dim=d, objective_matrix=C,
+                constraints=(solver.Constraint(np.eye(d), "EQ", 1.0),))
             sol = solver.solve(prog)
             lo = float(np.linalg.eigvalsh(C)[0])
             assert sol.status == solver.SolveStatus.OPTIMAL
@@ -67,8 +68,8 @@ class TestKnownOptima:
         # min Z11 - Z22 with tr Z = 1 and Z22 <= 0.3: optimum 1 - 2*0.3 = 0.4
         prog = solver.ConicProgram(
             dim=2, objective_matrix=np.diag([1.0, -1.0]),
-            constraints=(solver.Constraint(np.diag([0.0, 1.0]), "LE", 0.3),),
-            trace_normalization=1.0)
+            constraints=(solver.Constraint(np.diag([0.0, 1.0]), "LE", 0.3),
+                         solver.Constraint(np.eye(2), "EQ", 1.0)))
         sol = solver.solve(prog)
         assert sol.status == solver.SolveStatus.OPTIMAL
         assert abs(sol.objective_value - 0.4) <= 1e-5
@@ -112,10 +113,10 @@ class TestRandomStrictlyFeasible:
             Z0 = B @ B.T / (d + 2) + 0.1 * np.eye(d)  # strictly feasible point
             mats = [random_sym(rng, d) for _ in range(k)]
             cons = [solver.Constraint(M, "EQ", float(np.sum(M * Z0))) for M in mats]
+            cons.append(solver.Constraint(np.eye(d), "EQ", float(np.trace(Z0))))
             prog = solver.ConicProgram(
                 dim=d, objective_matrix=random_sym(rng, d),
-                constraints=tuple(cons),
-                trace_normalization=float(np.trace(Z0)))
+                constraints=tuple(cons))
             sol = solver.solve(prog)
             assert sol.status == solver.SolveStatus.OPTIMAL, f"trial {trial}"
             assert sol.primal_residual <= 1e-6
