@@ -14,6 +14,8 @@ import scipy.stats.qmc
 
 from . import linalg, solver
 
+SPHERE_SLACK = 1e-6  # a unit z is feasible when every z^T M z is at most this
+
 
 @dataclass(frozen=True)
 class CompareReport:
@@ -74,7 +76,8 @@ def grid_opt(inst, box, resolution: float = 0.01):
 
 
 def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
-    """Approximate min of z^T C z over unit z with z^T M z <= 1e-6 for all M."""
+    """Approximate min of z^T C z over unit z with z^T M z <= SPHERE_SLACK
+    for all M."""
     Mlist = [linalg.sym(M) for M in Mset]
     C = linalg.sym(C)
     d = C.shape[0]
@@ -93,7 +96,7 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
 
     best_val = np.inf
     best_vec = None
-    strict = viol <= 1e-6
+    strict = viol <= SPHERE_SLACK
     if np.any(strict):
         k = int(np.argmin(np.where(strict, all_vals, np.inf)))
         best_val = float(all_vals[k])
@@ -140,7 +143,7 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
         if nrm < 1e-9:
             continue
         v = res.x / nrm
-        if all(float(v @ M @ v) <= 1e-6 for M in Mlist):
+        if all(float(v @ M @ v) <= SPHERE_SLACK for M in Mlist):
             cand = float(v @ C @ v)
             if cand < best_val:
                 best_val = cand

@@ -8,6 +8,7 @@ sufficient rules and sampled refutation evidence are attempted.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -135,8 +136,9 @@ def _dependence(M1, M2, tol=1e-9):
 
 
 def _pair_scale(M1, M2) -> float:
-    """max(1, ||M1||_2, ||M2||_2): the scale of every pair tolerance."""
-    return max(1.0, np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))
+    """max(||M1||_2, ||M2||_2), 1 for a zero pair: the scale of every pair
+    tolerance, so each one is relative at every input scale."""
+    return float(max(np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))) or 1.0
 
 
 def _bordered(M, extra):
@@ -738,6 +740,36 @@ def check_set(mset: LmiSet, seed: int = 0) -> RogVerdict:
     return v
 
 
+def _empty_slice_weights(mats):
+    """theta >= 0 with lambda_min(sum theta_i M_i) > slack * sum theta_i, or
+    None, for the sphere oracle's feasibility slack.
+
+    Such a combination leaves the probe's slice {Z PSD, tr Z = 1,
+    <M_i, Z> <= 0} empty and no unit z with every z^T M_i z <= slack.  Each
+    member alone is tried, then each pair at the best of 1000 angles in the
+    quadrant [0, pi/2] (one stacked ``_lmin``); a candidate counts only once
+    ``eigvalsh`` of the explicit combination confirms it.
+    """
+    slack = oracles.SPHERE_SLACK
+    m = len(mats)
+    phis = np.linspace(0.0, 0.5 * np.pi, 1000)
+    quad = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+
+    def candidates():
+        yield from np.eye(m)
+        for i, j in itertools.combinations(range(m), 2):
+            margin = _lmin(mats[i], mats[j], phis) - slack * quad.sum(axis=1)
+            theta = np.zeros(m)
+            theta[[i, j]] = quad[int(np.argmax(margin))]
+            yield theta
+
+    for theta in candidates():
+        combo = sum(t * M for t, M in zip(theta, mats))
+        if np.linalg.eigvalsh(combo)[0] > slack * float(np.sum(theta)):
+            return theta
+    return None
+
+
 def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
                             gap_tol: float = 1e-3, samples: int = 200000,
                             eps: float = 1e-7, max_iter: int = 50000):
@@ -747,16 +779,24 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
 
     Every trial is recorded with its solver status, but only trials whose
     SDP solved to OPTIMAL count towards max_gap (None when there are none)
-    and flagged: an unconverged or infeasible slice value is no bound.
+    and flagged: an unconverged or infeasible slice value is no bound.  A
+    slice that a nonnegative definite combination empties (returned as
+    empty_slice_theta) gets no solve: each trial is recorded as EMPTY_SLICE
+    with both values +inf and gap NaN.
     """
     d = mset.dim
     if d > 4:
         raise ValueError("probe limited to dimension <= 4")
     rng = np.random.default_rng(seed)
     mats = mset.expanded()
+    theta = _empty_slice_weights(mats)
     gaps = []
     records = []
     for k in range(trials):
+        if theta is not None:
+            records.append({"trial": k, "status": "EMPTY_SLICE", "v_sdp": np.inf,
+                            "v_rank1": np.inf, "gap": np.nan})
+            continue
         G = rng.standard_normal((d, d))
         C = 0.5 * (G + G.T)
         cons = (*(solver.Constraint(M, "LE", 0.0) for M in mats),
@@ -773,7 +813,8 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
                         "gap": gap})
     worst = max(gaps, default=None)
     return {"max_gap": worst, "flagged": worst is not None and bool(worst > gap_tol),
-            "records": records, "seed": seed, "trials": trials}
+            "records": records, "seed": seed, "trials": trials,
+            "empty_slice_theta": theta}
 
 
 def clconv_report(inst, verdict: RogVerdict):

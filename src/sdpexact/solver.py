@@ -8,14 +8,22 @@ and adaptive penalty rebalancing.
 
 Matrix variables are stored in scaled vector form (off-diagonal entries
 multiplied by sqrt(2)) so that the Frobenius inner product is the ordinary
-dot product.
+dot product.  Each affine row and its right-hand side are divided by the
+row norm before the normal matrix is factorized, so the factorization, its
+tiny ridge and the primal residual of an EQ row mean the same at every
+scale of its matrix and right-hand side (an LE row's slack keeps the
+coefficient 1); the row multipliers are un-scaled on exit.
 
 Each iteration is kept lean for the small (d <= 5) programs this package
-solves, where call overhead rather than arithmetic sets the pace: the
-normal matrix's Cholesky factor is applied with LAPACK ``dpotrs`` directly,
-``smat`` scatters the vector into both triangles through a cached index
-pair, and the cone projection (one ``eigh``, in-place clips) writes its
-result straight into the next iterate's vector.
+solves, where call overhead rather than arithmetic sets the pace.  The
+affine step x = P w + q, with P = I - A^T (A A^T)^{-1} A, is linear in the
+iterate pair (v, u), so the projection, the over-relaxation and the cone
+step's input fold into one matrix-vector product t = K [v; u] + k0, with K
+built once per solve and k0 once per penalty change.  The cone step is one
+LAPACK ``dsyevd`` call with in-place clipping, and u' = t - v'.  The affine
+multipliers are back-solved (LAPACK ``dpotrs``) only on the convergence
+check iterations, every 25th and the last, which are the only iterations
+that read them.
 """
 
 from __future__ import annotations
@@ -155,43 +163,52 @@ def solve(
             status=SolveStatus.UNBOUNDED_LIKELY, iterations=0,
         )
 
-    gram = A @ A.T
+    # Unit-norm rows; an all-zero EQ row keeps its (zero) scale.
+    row_norm = np.linalg.norm(A, axis=1)
+    row_norm[row_norm == 0.0] = 1.0
+    A /= row_norm[:, None]
+    rhs /= row_norm
+
     # Tiny ridge keeps redundant rows (duplicated constraints) solvable.
-    gram += 1e-12 * max(1.0, np.trace(gram) / ncon) * np.eye(ncon)
+    gram = A @ A.T + 1e-12 * np.eye(ncon)
     chol, _ = scipy.linalg.cho_factor(gram)  # upper factor, as potrs expects
     potrs = scipy.linalg.lapack.dpotrs
+    eig = scipy.linalg.lapack.dsyevd
 
     scale_b = max(1.0, float(np.linalg.norm(rhs)))
     scale_c = max(1.0, float(np.linalg.norm(c)))
 
+    # t = a x + (1 - a) v + u with x = P (v - u - c / rho) + q
+    a = OVER_RELAXATION
+    GA = scipy.linalg.cho_solve((chol, False), A)
+    P = np.eye(nvar) - A.T @ GA
+    q = GA.T @ rhs
+    Pc = P @ c
+    K = np.hstack([a * P + (1.0 - a) * np.eye(nvar), np.eye(nvar) - a * P])
+
     rho = 1.0
-    x = np.zeros(nvar)
-    v = np.zeros(nvar)
-    u = np.zeros(nvar)
+    k0 = a * (q - Pc / rho)
+    vu = np.zeros(2 * nvar)  # [v; u]
+    v, u = vu[:nvar], vu[nvar:]
     mu = np.zeros(ncon)
 
     iu, _, scale = _svec_idx(d)
 
-    def cone_proj(t):
-        w, V = np.linalg.eigh(smat(t[:nz], d))
-        np.clip(w, 0.0, None, out=w)
-        out = np.empty_like(t)
-        np.multiply(((V * w) @ V.T)[iu], scale, out=out[:nz])
-        np.clip(t[nz:], 0.0, None, out=out[nz:])
-        return out
-
     pri = dua = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        w = v - u - c / rho
-        mu, _ = potrs(chol, rhs - A @ w, overwrite_b=True)
-        x = w + A.T @ mu
-        x_r = OVER_RELAXATION * x + (1.0 - OVER_RELAXATION) * v
-        v_prev = v
-        v = cone_proj(x_r + u)
-        u = u + x_r - v
+        check = it % 25 == 0 or it == max_iter
+        if check:
+            mu, _ = potrs(chol, rhs - A @ (v - u - c / rho), overwrite_b=True)
+            v_prev = v.copy()
+        t = K @ vu + k0
+        w, V, _ = eig(smat(t[:nz], d), lower=1)
+        np.maximum(w, 0.0, out=w)
+        np.multiply(((V * w) @ V.T)[iu], scale, out=v[:nz])
+        np.maximum(t[nz:], 0.0, out=v[nz:])
+        np.subtract(t, v, out=u)
 
-        if it % 25 == 0 or it == max_iter:
+        if check:
             pri = float(np.linalg.norm(A @ v - rhs)) / scale_b
             dua = rho * float(np.linalg.norm(v - v_prev)) / scale_c
             gap_now = abs(float(c @ v) - float(rhs @ (rho * mu))) / max(
@@ -206,14 +223,15 @@ def solve(
             elif dua > PENALTY_RATIO * pri and np.isfinite(dua):
                 rho /= 2.0
                 u *= 2.0
+            k0 = a * (q - Pc / rho)
 
-    y_eq = rho * mu  # multipliers of the affine rows (max b^T y convention)
+    y_eq = rho * mu / row_norm  # multipliers of the given rows (max b^T y)
     # Reported per-constraint multipliers follow the aggregation convention
     # C + sum(lambda_k M_k) PSD, i.e. lambda = -y; LE multipliers come out >= 0.
     lam = -y_eq
     Z = smat(v[:nz], d)
     obj = float(np.sum(svec(prog.objective_matrix, d) * v[:nz]))
-    dual_obj = float(rhs @ y_eq)
+    dual_obj = float(rhs @ (rho * mu))
     gap = abs(obj - dual_obj) / max(1.0, abs(obj), abs(dual_obj))
 
     if pri <= eps and dua <= eps:

@@ -120,7 +120,7 @@ class TestRog:
         assert "max_gap:" in capsys.readouterr().out
 
     def test_probe_empty_slice_not_flagged(self, capsys):
-        # each infeasible trial runs the solver's whole iteration budget
+        # a PD member empties the slice: every trial is EMPTY_SLICE, unsolved
         rc = cli.main(["rog", "probe", "diag:1", "diag:2", "--trials", "1"])
         assert rc == 0
         assert "flagged: False" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdpexact import linalg, rog
+from sdpexact import linalg, rog, solver
 from conftest import (make_perspective_instance, make_separation_instance,
                       random_sym)
 
@@ -243,19 +243,62 @@ def _scaling_pairs():
     return pairs
 
 
+def _record_solves(monkeypatch):
+    """Wrap solver.solve so that every solution it returns is recorded."""
+    sols = []
+    solve = solver.solve
+
+    def recorded(*args, **kw):
+        sols.append(solve(*args, **kw))
+        return sols[-1]
+
+    monkeypatch.setattr(solver, "solve", recorded)
+    return sols
+
+
 class TestScaling:
     def test_decided_pairs_verify_at_every_scale(self):
-        # verdicts may differ between scales; a decided one must verify.  A
-        # short solver budget keeps the tiny-scale SDP fallbacks fast
+        # verdicts may differ between scales; a decided one must verify
         decided = 0
         for k, (A, B) in enumerate(_scaling_pairs()):
             for s in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
-                v = rog.check_pair(s * A, s * B, seed=k, eps=1e-5, max_iter=2000)
+                v = rog.check_pair(s * A, s * B, seed=k, eps=1e-5)
                 if v.status == "UNDECIDED":
                     continue
                 decided += 1
                 assert rog.verify_certificate(v, s * A, s * B), (k, s, v.status)
         assert decided >= 150
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_gordan_stiemke_solves_as_at_unit_scale(self, s, monkeypatch):
+        # the SDP fallback of pairs 0, 3 and 9 converges in as many
+        # iterations at every scale and gives the unit-scale verdict
+        sols = _record_solves(monkeypatch)
+        pairs = _scaling_pairs()
+        for k in (0, 3, 9):
+            A, B = pairs[k]
+            out = {}
+            for scale in (1.0, s):
+                sols.clear()
+                status = rog.check_pair(scale * A, scale * B, seed=k, eps=1e-5).status
+                assert [sol.status for sol in sols] == [solver.SolveStatus.OPTIMAL], k
+                out[scale] = (status, sols[0].iterations)
+            assert out[s] == out[1.0] and out[1.0][1] <= 500, (k, out)
+
+    def test_tiny_pair_indefinite_combination_rejected(self):
+        # pair 3 at 1e-6: the angular scan's best combination has lambda_min
+        # about -1% of the pair norm, so it is no PSD combination
+        A, B = _scaling_pairs()[3]
+        M1, M2 = 1e-6 * A, 1e-6 * B
+        th = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
+        t = th[int(np.argmax(rog._lmin(M1, M2, th)))]
+        alpha = rog._normalised([np.cos(t), np.sin(t)])
+        lmin = np.linalg.eigvalsh(alpha[0] * M1 + alpha[1] * M2)[0]
+        assert -2e-2 < lmin / rog._pair_scale(M1, M2) < -5e-3
+        forged = rog.RogVerdict(status="ROG_CERTIFIED",
+                                certificate={"kind": "AggregationWeights", "alpha": alpha})
+        assert not rog.verify_certificate(forged, M1, M2)
+        assert rog.check_pair(M1, M2, seed=3, eps=1e-5).status == "NOT_ROG_CERTIFIED"
 
 
 class TestAngularScan:
@@ -455,14 +498,38 @@ class TestPairwiseWeights:
 
 
 class TestProbe:
-    def test_empty_slice_not_flagged(self):
-        # {Z >= 0 : Z <= 0, 2Z <= 0} = {0}: no trial SDP is feasible
+    def test_empty_slice_not_flagged(self, monkeypatch):
+        # {Z >= 0 : Z <= 0, 2Z <= 0} = {0}: the PD member empties the slice,
+        # so no trial is solved and none is a gap
+        sols = _record_solves(monkeypatch)
         mset = rog.LmiSet((np.diag([1.0]), np.diag([2.0])), ("LE", "LE"))
         rep = rog.probe_random_objectives(mset, trials=2, samples=256, max_iter=2000)
-        assert all(r["status"] != "OPTIMAL" for r in rep["records"])
-        assert {"v_sdp", "v_rank1", "gap"} <= set(rep["records"][0])
+        assert sols == []
+        assert [r["trial"] for r in rep["records"]] == [0, 1]
+        for r in rep["records"]:
+            assert {"trial", "status", "v_sdp", "v_rank1", "gap"} <= set(r)
+            assert r["status"] == "EMPTY_SLICE" and r["v_rank1"] == np.inf
         assert rep["max_gap"] is None
         assert rep["flagged"] is False
+        theta = rep["empty_slice_theta"]
+        combo = theta[0] * np.diag([1.0]) + theta[1] * np.diag([2.0])
+        assert min(theta) >= 0.0 and np.linalg.eigvalsh(combo)[0] > 0.0
+
+    def test_empty_slice_needs_a_pair(self):
+        # neither member is definite, but (M1 + M2) / 2 = diag(1, 1) is
+        M1, M2 = np.diag([3.0, -1.0]), np.diag([-1.0, 3.0])
+        theta = rog._empty_slice_weights([M1, M2])
+        assert theta is not None and theta[0] > 0.0 and theta[1] > 0.0
+        assert np.linalg.eigvalsh(theta[0] * M1 + theta[1] * M2)[0] > 1e-6 * sum(theta)
+
+    def test_nonempty_slice_solves_each_trial(self, monkeypatch):
+        sols = _record_solves(monkeypatch)
+        mset = rog.LmiSet((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+                          ("LE", "LE"))
+        rep = rog.probe_random_objectives(mset, trials=3, samples=256, max_iter=2000)
+        assert len(sols) == 3
+        assert rep["empty_slice_theta"] is None
+        assert all(r["status"] != "EMPTY_SLICE" for r in rep["records"])
 
     def test_rog_pair_never_flagged(self):
         # common-factor pair: rank-one values match the slice optimum

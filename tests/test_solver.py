@@ -126,6 +126,62 @@ class TestRandomStrictlyFeasible:
             assert w[0] >= -1e-6 * max(1.0, w[-1])
 
 
+def _criterion10_program(k, le_rows=False):
+    """Criterion 10's random strictly feasible SDP k; with le_rows, every
+    other random row becomes an LE row, slack at Z0 for k % 3 != 0."""
+    rng = np.random.default_rng(500 + k)
+    d = 2 + k % 5
+    B = rng.standard_normal((d, d))
+    Z0 = B @ B.T / (d + 2) + 0.1 * np.eye(d)
+    cons = []
+    for j in range(d):
+        A = random_sym(rng, d)
+        sense = "LE" if le_rows and j % 2 else "EQ"
+        slack = 0.1 if sense == "LE" and k % 3 else 0.0
+        cons.append(solver.Constraint(A, sense, float(np.sum(A * Z0)) + slack))
+    cons.append(solver.Constraint(np.eye(d), "EQ", float(np.trace(Z0))))
+    return solver.ConicProgram(dim=d, objective_matrix=random_sym(rng, d),
+                               constraints=tuple(cons))
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize("le_rows", [False, True])
+    def test_multipliers_are_dual_feasible(self, le_rows):
+        # C + sum y_k M_k PSD and LE multipliers nonnegative, both to eps
+        # relative to their own scale
+        eps = 1e-7
+        for k in range(0, 100, 3):
+            prog = _criterion10_program(k, le_rows)
+            sol = solver.solve(prog, eps=eps, max_iter=100000)
+            assert sol.status == solver.SolveStatus.OPTIMAL, k
+            C = prog.objective_matrix
+            S = C + sum(y * con.matrix for y, con in zip(sol.y, prog.constraints))
+            assert np.linalg.eigvalsh(S)[0] >= -eps * max(1.0, np.linalg.norm(C, 2)), k
+            y_le = [y for y, con in zip(sol.y, prog.constraints) if con.sense == "LE"]
+            assert min(y_le, default=0.0) >= -eps * max(1.0, np.max(np.abs(sol.y))), k
+
+
+class TestRowEquilibration:
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_scaled_rows_solve_as_at_unit_scale(self, s):
+        # s M_k, s b_k describe the same feasible set; unit-norm EQ rows
+        # make the iteration, and so the iteration count, scale-free (an LE
+        # row's slack coefficient stays 1, so LE rows are not)
+        for k in range(0, 100, 7):
+            prog = _criterion10_program(k)
+            scaled = solver.ConicProgram(
+                dim=prog.dim, objective_matrix=prog.objective_matrix,
+                constraints=tuple(solver.Constraint(s * con.matrix, con.sense, s * con.rhs)
+                                  for con in prog.constraints))
+            ref = solver.solve(prog)
+            sol = solver.solve(scaled)
+            assert sol.status == ref.status == solver.SolveStatus.OPTIMAL, k
+            assert sol.iterations == ref.iterations, k
+            assert np.max(np.abs(sol.Z - ref.Z)) <= 1e-6, k
+            # multipliers come back in the units of the given rows
+            assert np.allclose(s * sol.y, ref.y, rtol=1e-6, atol=1e-6), k
+
+
 class TestRelaxation:
     def test_trs_value(self):
         inst = model.QcqpInstance(
