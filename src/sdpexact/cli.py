@@ -281,18 +281,22 @@ def _cmd_examples(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--json", metavar="PATH",
+    """Each leaf command accepts only the flags it reads: --json on every one
+    but ``examples list``, --seed on the seeded ``rog`` commands and on
+    ``examples run``."""
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", metavar="PATH",
                         help="write a machine report to PATH")
-    ap = argparse.ArgumentParser(prog="sdpexact", parents=[common])
+    seeded = argparse.ArgumentParser(add_help=False, parents=[report])
+    seeded.add_argument("--seed", type=int, default=0)
+    ap = argparse.ArgumentParser(prog="sdpexact")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("solve", help="solve the lifted relaxation", parents=[common])
+    p = sub.add_parser("solve", help="solve the lifted relaxation", parents=[report])
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("check", help="run an exactness condition", parents=[common])
+    p = sub.add_parser("check", help="run an exactness condition", parents=[report])
     p.add_argument("which", choices=["obj-strong", "obj-weak", "ch", "burer-ye",
                                      "qmp", "ch-point"])
     p.add_argument("instance")
@@ -300,32 +304,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, help="epigraph value for ch-point")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("rog", help="rank-one-generated analysis", parents=[common])
+    p = sub.add_parser("rog", help="rank-one-generated analysis")
     rsub = p.add_subparsers(dest="rog_cmd", required=True)
     for name in ("pair", "witness3d", "probe"):
-        rp = rsub.add_parser(name, parents=[common])
+        rp = rsub.add_parser(name, parents=[seeded])
         rp.add_argument("matrices", nargs="+", help="diag:... or dense:... literals")
         if name == "probe":
             rp.add_argument("--trials", type=int, default=10)
-    rp = rsub.add_parser("battery", parents=[common],
+    rp = rsub.add_parser("battery", parents=[seeded],
                          help="seeded random-pair battery, every verdict re-checked")
     rp.add_argument("--pairs", type=int, default=200)
     p.set_defaults(fn=_cmd_rog)
 
-    p = sub.add_parser("ratio", help="ratio-of-quadratics minimization", parents=[common])
+    p = sub.add_parser("ratio", help="ratio-of-quadratics minimization", parents=[report])
     p.add_argument("instance")
     p.set_defaults(fn=_cmd_ratio)
 
-    p = sub.add_parser("oracle", help="brute-force cross-checks", parents=[common])
+    p = sub.add_parser("oracle", help="brute-force cross-checks")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
-    op = osub.add_parser("compare", parents=[common])
+    op = osub.add_parser("compare", parents=[report])
     op.add_argument("instance")
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("examples", help="built-in gallery", parents=[common])
+    p = sub.add_parser("examples", help="built-in gallery")
     esub = p.add_subparsers(dest="examples_cmd", required=True)
-    esub.add_parser("list", parents=[common])
-    ep = esub.add_parser("run", parents=[common])
+    esub.add_parser("list")
+    ep = esub.add_parser("run", parents=[seeded])
     ep.add_argument("names", nargs="*", metavar="name")
     ep.add_argument("--all", action="store_true")
     p.set_defaults(fn=_cmd_examples)

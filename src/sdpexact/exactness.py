@@ -16,8 +16,7 @@ import scipy.optimize
 
 from . import gamma as gamma_mod
 from . import model, solver
-
-STRICT_TOL = 1e-7
+from .gamma import STRICT_TOL
 
 
 @dataclass
@@ -46,18 +45,16 @@ def _nullspace(A: np.ndarray) -> np.ndarray:
     return Vt[rank:].T
 
 
-def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, tol: float,
-               decide) -> ExactnessReport:
+def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> ExactnessReport:
     """Bookkeeping shared by the face-based checks.
 
     Non-semidefinite faces are SKIPPED and faces with an empty slice PASS.
-    Every other face is handed to decide(B, verts, rays, tol), which sees the
+    Every other face is handed to decide(B, verts, rays), which sees the
     V(F) basis B and the slice linear terms projected onto it (B^T v per
     vertex, B^T r per ray) and returns (passed, vector): the vector is the
     face's witness when it passes and its violating multiplier when it fails.
     """
-    rep = ExactnessReport(condition=condition, verdict="HOLDS",
-                          provenance=gd.provenance, threshold=tol)
+    rep = ExactnessReport(condition=condition, verdict="HOLDS", provenance=gd.provenance)
     if gd.assumption1_witness is None:
         rep.verdict = "NOT_APPLICABLE"
         rep.details["reason"] = "no positive definite aggregate combination"
@@ -74,7 +71,7 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, tol: float,
         verts = [B.T @ (inst.objective.b + model.aggregate_constraints(inst, v).b)
                  for v in face.slice_vertices]
         rays = [B.T @ model.aggregate_constraints(inst, r).b for r in face.slice_rays]
-        passed, vec = decide(B, verts, rays, tol)
+        passed, vec = decide(B, verts, rays)
         if passed:
             rec.witness = vec
         else:
@@ -85,7 +82,7 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, tol: float,
     return rep
 
 
-def _strong_face(B, verts, rays, tol):
+def _strong_face(B, verts, rays):
     k = B.shape[1]
     nv, nr = len(verts), len(rays)
     # variables: lambda (nv), mu (nr), s+ (k), s- (k)
@@ -103,22 +100,22 @@ def _strong_face(B, verts, rays, tol):
     b_eq[k] = 1.0
     res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq,
                                  bounds=[(0, None)] * n_var, method="highs")
-    if res.status == 0 and res.fun <= tol:
+    if res.status == 0 and res.fun <= STRICT_TOL:
         return False, res.x[:nv + nr]
     return True, None
 
 
-def check_obj_strong(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> ExactnessReport:
+def check_obj_strong(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     """Zero excluded from the projected slice image on every semidefinite face.
 
     Per face: phase-1 LP searching for a convex combination of slice vertices
     plus a conic combination of slice rays whose linear term projects to zero
-    on V(F); the face passes iff the minimal slack stays above tol.
+    on V(F); the face passes iff the minimal slack stays above STRICT_TOL.
     """
-    return _face_walk("obj_strong", inst, gd, tol, _strong_face)
+    return _face_walk("obj_strong", inst, gd, _strong_face)
 
 
-def _weak_face(B, verts, rays, tol):
+def _weak_face(B, verts, rays):
     k = B.shape[1]
     rows = np.array(verts + rays)
     for j in range(k):
@@ -133,42 +130,41 @@ def _weak_face(B, verts, rays, tol):
     return False, None
 
 
-def check_obj_weak(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> ExactnessReport:
+def check_obj_weak(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     """Existence, per semidefinite face, of a nonzero direction in V(F) making
     every slice linear term nonpositive.
 
     Solved as 2*dim(V(F)) LPs pinning one V(F)-coordinate to +/-1 with the
     rest boxed in [-1, 1]; the face passes iff any LP is feasible.
     """
-    return _face_walk("obj_weak", inst, gd, tol, _weak_face)
+    return _face_walk("obj_weak", inst, gd, _weak_face)
 
 
-def _ch_face(B, verts, rays, tol):
+def _ch_face(B, verts, rays):
     k = B.shape[1]
     rows = [np.concatenate([v, [-1.0]]) for v in verts]
     rows += [np.concatenate([r, [0.0]]) for r in rays]
     null = _nullspace(np.array(rows))
     for col in range(null.shape[1]):
-        if np.linalg.norm(null[:k, col]) > tol:
+        if np.linalg.norm(null[:k, col]) > STRICT_TOL:
             return True, B @ null[:k, col]
     return False, None
 
 
-def check_ch_polyhedral(inst, gd: gamma_mod.GammaData, tol: float = STRICT_TOL) -> ExactnessReport:
+def check_ch_polyhedral(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     """Existence, per semidefinite face, of nonzero (v, r) with every slice
     vertex linear term hitting r exactly and every slice ray term vanishing.
 
     A homogeneous linear system over (V(F)-coordinates, r); the face passes
     iff the nullspace contains an element with nonzero v-part.
     """
-    return _face_walk("ch", inst, gd, tol, _ch_face)
+    return _face_walk("ch", inst, gd, _ch_face)
 
 
-def check_burer_ye_diag(inst, tol: float = STRICT_TOL) -> ExactnessReport:
+def check_burer_ye_diag(inst) -> ExactnessReport:
     """Diagonal sufficient condition: no (1, gamma) in the cone may zero both
     the j-th aggregated diagonal entry and the j-th aggregated linear term."""
-    rep = ExactnessReport(condition="burer_ye", verdict="HOLDS", threshold=tol,
-                          provenance="DIAGONAL_AUTO")
+    rep = ExactnessReport(condition="burer_ye", verdict="HOLDS", provenance="DIAGONAL_AUTO")
     if not model.is_diagonal_instance(inst):
         rep.verdict = "NOT_APPLICABLE"
         rep.details["reason"] = "instance is not diagonal"
@@ -186,9 +182,9 @@ def check_burer_ye_diag(inst, tol: float = STRICT_TOL) -> ExactnessReport:
         # no multipliers: the condition is violated at coordinate j exactly
         # when both the diagonal entry and the linear term already vanish and
         # (1, ()) lies in the cone
-        if np.all(d_obj >= -tol):
+        if np.all(d_obj >= -STRICT_TOL):
             for j in range(inst.n):
-                if abs(d_obj[j]) <= tol and abs(b_obj[j]) <= tol:
+                if abs(d_obj[j]) <= STRICT_TOL and abs(b_obj[j]) <= STRICT_TOL:
                     rep.verdict = "FAILS"
                     rep.details[f"coordinate_{j}"] = []
         return rep
@@ -207,9 +203,9 @@ def check_burer_ye_diag(inst, tol: float = STRICT_TOL) -> ExactnessReport:
     return rep
 
 
-def detect_qem(inst, tol: float = 1e-9) -> int:
+def detect_qem(inst) -> int:
     """Largest divisor k of n with every quadratic matrix of the form
-    kron(I_k, core) for a shared-size core block."""
+    kron(I_k, core) for a shared-size core block, to 1e-9 relative."""
     n = inst.n
     mats = [inst.objective.A] + [q.A for q in inst.constraints]
 
@@ -218,7 +214,7 @@ def detect_qem(inst, tol: float = 1e-9) -> int:
         for A in mats:
             core = A[:s, :s]
             pattern = np.kron(np.eye(k), core)
-            if np.max(np.abs(A - pattern), initial=0.0) > tol * max(1.0, np.max(np.abs(A))):
+            if np.max(np.abs(A - pattern), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(A))):
                 return False
         return True
 
@@ -228,11 +224,11 @@ def detect_qem(inst, tol: float = 1e-9) -> int:
     return 1
 
 
-def check_qmp_bounds(inst, gamma_polyhedral: bool, tol: float = 1e-9) -> ExactnessReport:
+def check_qmp_bounds(inst, gamma_polyhedral: bool) -> ExactnessReport:
     """Symmetry-based exactness bounds from the repeated-block structure."""
-    k = detect_qem(inst, tol)
+    k = detect_qem(inst)
     m = inst.m
-    nb = sum(1 for q in inst.constraints if np.linalg.norm(q.b) > tol)
+    nb = sum(1 for q in inst.constraints if np.linalg.norm(q.b) > 1e-9)
     rep = ExactnessReport(condition="qmp", verdict="NOT_APPLICABLE")
     rep.details["k"] = k
     rep.details["m"] = m
@@ -255,20 +251,19 @@ def check_qmp_bounds(inst, gamma_polyhedral: bool, tol: float = 1e-9) -> Exactne
     return rep
 
 
-def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat,
-                               tol: float = STRICT_TOL):
+def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     """Pointwise decomposition condition at a relaxation point (x_hat, t_hat).
 
     Identifies the cone face exposed by the aggregated constraint values at
-    the point (activity threshold tol) and searches the nullspace of the
+    the point (activity threshold STRICT_TOL) and searches the nullspace of the
     induced linear system for a nonzero direction (x', t').
     Returns (verdict, witness): verdict in {"IN_D", "PASS", "FAIL"}.
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     t_hat = float(t_hat)
-    if not solver.dsdp_membership(inst, x_hat, t_hat, tol=1e-5):
+    if not solver.dsdp_membership(inst, x_hat, t_hat):
         raise ValueError("(x, t) is not a relaxation point")
-    if model.epigraph_member(inst, x_hat, t_hat, tol=1e-7):
+    if model.epigraph_member(inst, x_hat, t_hat):
         return "IN_D", None
     # aggregated value per generator: g_obj*(q_obj(x)-t) + sum g_i q_i(x)
     obj_gap = model.eval_form(inst.objective, x_hat) - t_hat
@@ -277,7 +272,7 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat,
     for g in gd.generators:
         val = g[0] * obj_gap + float(g[1:] @ con_vals)
         scale = max(1.0, float(np.linalg.norm(g)))
-        if val >= -tol * scale:
+        if val >= -STRICT_TOL * scale:
             tight.append(g)
     if not tight:
         return "IN_D", None
@@ -299,13 +294,14 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat,
     null = _nullspace(np.array(rows))
     for col in range(null.shape[1]):
         vec = null[:, col]
-        if np.linalg.norm(vec) > tol:
+        if np.linalg.norm(vec) > STRICT_TOL:
             return "PASS", (B @ vec[:k], float(vec[k]))
     return "FAIL", None
 
 
-def exactness_summary(inst, supplied_generators=None, with_oracle: bool = True) -> dict:
-    """Run the full per-instance pipeline and bundle every report."""
+def exactness_summary(inst, supplied_generators=None) -> dict:
+    """Run the full per-instance pipeline and bundle every report; instances
+    with n <= 3 also get the grid oracle's comparison."""
     out = {"n": inst.n, "m": inst.m}
     diagonal = model.is_diagonal_instance(inst)
     out["diagonal"] = diagonal
@@ -329,9 +325,8 @@ def exactness_summary(inst, supplied_generators=None, with_oracle: bool = True) 
     val, Z, sol = solver.solve_opt_sdp(inst)
     out["opt_sdp"] = val
     out["sdp_status"] = sol.status.name
-    if with_oracle and inst.n <= 3:
+    if inst.n <= 3:
         from . import oracles
 
-        cmp_rep = oracles.compare_opt(inst)
-        out["oracle"] = cmp_rep
+        out["oracle"] = oracles.compare_opt(inst)
     return out

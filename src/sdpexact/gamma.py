@@ -80,13 +80,13 @@ def build_gamma_hrep_diag(inst: model.QcqpInstance) -> HPolyCone:
     return HPolyCone(ambient=m + 1, rows=np.array(rows))
 
 
-def _active_set(rows: np.ndarray, r: np.ndarray, tol: float) -> frozenset:
+def _active_set(rows: np.ndarray, r: np.ndarray) -> frozenset:
     vals = rows @ r
     scale = max(1.0, float(np.linalg.norm(r)))
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(vals) <= tol * scale))
+    return frozenset(int(i) for i in np.flatnonzero(np.abs(vals) <= RAY_TOL * scale))
 
 
-def dd_extreme_rays(H: HPolyCone, tol: float = RAY_TOL) -> list:
+def dd_extreme_rays(H: HPolyCone) -> list:
     """Extreme rays of a pointed H-cone by incremental double description."""
     dim = H.ambient
     if dim > 12:
@@ -112,14 +112,14 @@ def dd_extreme_rays(H: HPolyCone, tol: float = RAY_TOL) -> list:
     for i in remaining:
         a = rows[i]
         vals = [float(a @ r) / max(1.0, float(np.linalg.norm(r))) for r in rays]
-        pos = [k for k, v in enumerate(vals) if v > tol]
-        neg = [k for k, v in enumerate(vals) if v < -tol]
-        zero = [k for k, v in enumerate(vals) if -tol <= v <= tol]
+        pos = [k for k, v in enumerate(vals) if v > RAY_TOL]
+        neg = [k for k, v in enumerate(vals) if v < -RAY_TOL]
+        zero = [k for k, v in enumerate(vals) if -RAY_TOL <= v <= RAY_TOL]
         if not neg:
             processed.append(i)
             continue
         proc_rows = rows[processed]
-        act = [_active_set(proc_rows, r, tol) for r in rays]
+        act = [_active_set(proc_rows, r) for r in rays]
         new_rays = [rays[k] for k in pos + zero]
         for kp in pos:
             for kn in neg:
@@ -132,7 +132,7 @@ def dd_extreme_rays(H: HPolyCone, tol: float = RAY_TOL) -> list:
                         continue  # not adjacent
                 r_new = float(a @ rays[kp]) * rays[kn] - float(a @ rays[kn]) * rays[kp]
                 nrm = float(np.max(np.abs(r_new)))
-                if nrm > tol:
+                if nrm > RAY_TOL:
                     new_rays.append(r_new / nrm)
         rays = new_rays
         processed.append(i)
@@ -141,10 +141,10 @@ def dd_extreme_rays(H: HPolyCone, tol: float = RAY_TOL) -> list:
     out = []
     for r in rays:
         nrm = float(np.max(np.abs(r)))
-        if nrm <= tol:
+        if nrm <= RAY_TOL:
             continue
         r = r / nrm
-        act = _active_set(rows, r, tol)
+        act = _active_set(rows, r)
         if act:
             sub = rows[sorted(act)]
             if np.linalg.matrix_rank(sub, tol=1e-10) < dim - 1:
@@ -158,18 +158,18 @@ def dd_extreme_rays(H: HPolyCone, tol: float = RAY_TOL) -> list:
     return out
 
 
-def verify_generator(inst: model.QcqpInstance, ray, tol: float = STRICT_TOL) -> bool:
+def verify_generator(inst: model.QcqpInstance, ray) -> bool:
     """ray lies in the cone: signs hold and no eigenvalue of its aggregate is
-    below -tol times the spectrum scale."""
+    below -STRICT_TOL times the spectrum scale."""
     ray = np.asarray(ray, dtype=float).reshape(-1)
     if ray.shape[0] != inst.m + 1:
         return False
-    if ray[0] < -tol:
+    if ray[0] < -STRICT_TOL:
         return False
-    if np.any(ray[1 : 1 + inst.m_i] < -tol):
+    if np.any(ray[1 : 1 + inst.m_i] < -STRICT_TOL):
         return False
     lmin, scale = _min_eig_and_scale(_aggregate_A(inst, ray))
-    return lmin >= -tol * scale
+    return lmin >= -STRICT_TOL * scale
 
 
 def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
@@ -183,41 +183,42 @@ def _min_eig_and_scale(A):
     return float(w[0]), max(1.0, float(np.max(np.abs(w), initial=0.0)))
 
 
-def _classify(inst, gens_on_face, tol=STRICT_TOL):
+def _classify(inst, gens_on_face):
     """DEFINITE, with the generator mean as witness, when its aggregate is PD;
     the aggregates are PSD, so the mean is PD iff some conic combination is."""
     mix = np.mean(gens_on_face, axis=0)
     lmin, scale = _min_eig_and_scale(_aggregate_A(inst, mix))
-    if lmin > tol * scale:
+    if lmin > STRICT_TOL * scale:
         return "DEFINITE", mix
     return "SEMIDEFINITE", None
 
 
-def compute_VF(inst: model.QcqpInstance, gens_on_face, tol: float = STRICT_TOL) -> np.ndarray:
+def compute_VF(inst: model.QcqpInstance, gens_on_face) -> np.ndarray:
     """Shared zero eigenspace of the face's aggregated matrices.
 
-    Each aggregate is PSD, so the shared kernel equals the kernel of the sum.
+    Each aggregate is PSD, so the shared kernel equals the kernel of the sum
+    (``linalg.kernel_basis``).
     """
     total = np.zeros((inst.n, inst.n))
     for g in gens_on_face:
         total += _aggregate_A(inst, g)
-    return linalg.kernel_basis(total, tol=tol)
+    return linalg.kernel_basis(total)
 
 
-def face_slice_vrep(gens_on_face, tol: float = RAY_TOL):
+def face_slice_vrep(gens_on_face):
     """Split face generators into unit-gamma_obj vertices and recession rays."""
     vertices = []
     rays = []
     for g in gens_on_face:
         g = np.asarray(g, dtype=float)
-        if g[0] > tol:
+        if g[0] > RAY_TOL:
             vertices.append(g[1:] / g[0])
         else:
             rays.append(g[1:])
     return vertices, rays
 
 
-def _face_lattice_from_rows(rows: np.ndarray, gens, tol: float = RAY_TOL):
+def _face_lattice_from_rows(rows: np.ndarray, gens):
     """All distinct generator supports obtained by tightening H-rows.
 
     Breadth-first over row intersections starting from the full support;
@@ -225,7 +226,7 @@ def _face_lattice_from_rows(rows: np.ndarray, gens, tol: float = RAY_TOL):
     is dropped.
     """
     n_rows = rows.shape[0]
-    gen_active = [_active_set(rows, g, tol) for g in gens]
+    gen_active = [_active_set(rows, g) for g in gens]
     full = frozenset(range(len(gens)))
     seen = {}
     queue = [full]

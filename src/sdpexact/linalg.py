@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default relative tolerances.  Solver accuracy is ~1e-7, so classification
+# Relative tolerances.  Solver accuracy is ~1e-7, so classification
 # thresholds must not be tighter than that.
 SYM_TOL = 1e-12
 RANK_TOL = 1e-7
@@ -51,29 +51,25 @@ def eig_sym(S) -> Spectrum:
     return Spectrum(*np.linalg.eigh(sym(S)))
 
 
-def rank_eps(S, tol: float = RANK_TOL) -> int:
-    """Numerical rank: eigenvalues with |lambda| > tol * max(1, ||S||_2)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def rank_eps(S) -> int:
+    """Numerical rank: eigenvalues with |lambda| > RANK_TOL * ||S||_2."""
     w = eig_sym(S).eigenvalues
-    spectral = float(np.max(np.abs(w))) if w.size else 0.0
-    cut = tol * max(1.0, spectral)
-    return int(np.sum(np.abs(w) > cut))
+    return int(np.sum(np.abs(w) > rank_cut(w)))
 
 
-def kernel_basis(S, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical kernel of S.
-
-    Returns a (dim, k) array; k may be zero.
+def kernel_basis(S) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical kernel of S: eigenvectors
+    with |lambda| <= RANK_TOL * ||S||_2.  Returns a (dim, k) array; k may be
+    zero, and the kernel of an exact zero matrix is the whole space.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     spec = eig_sym(S)
-    w = spec.eigenvalues
-    spectral = float(np.max(np.abs(w))) if w.size else 0.0
-    cut = tol * max(1.0, spectral)
-    mask = np.abs(w) <= cut
-    return spec.eigenvectors[:, mask]
+    return spec.eigenvectors[:, np.abs(spec.eigenvalues) <= rank_cut(spec.eigenvalues)]
+
+
+def rank_cut(w) -> float:
+    """The rank cut for the spectrum w: RANK_TOL * max |w|, relative at every
+    scale, so an exact zero matrix has rank 0."""
+    return RANK_TOL * float(np.max(np.abs(w)))
 
 
 def binary_quadratic_resultant(q1, q2) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 
-FEAS_TOL = 1e-8
+FEAS_TOL = 1e-7  # absolute slack on every constraint value
 
 
 @dataclass(frozen=True)
@@ -120,20 +120,18 @@ def homogenize(inst: QcqpInstance):
     return mats, inst.objective.embed()
 
 
-def is_feasible(inst: QcqpInstance, x, tol: float = FEAS_TOL) -> bool:
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def is_feasible(inst: QcqpInstance, x) -> bool:
     for q in inst.inequalities:
-        if eval_form(q, x) > tol:
+        if eval_form(q, x) > FEAS_TOL:
             return False
     for q in inst.equalities:
-        if abs(eval_form(q, x)) > tol:
+        if abs(eval_form(q, x)) > FEAS_TOL:
             return False
     return True
 
 
-def epigraph_member(inst: QcqpInstance, x, t, tol: float = FEAS_TOL) -> bool:
-    return is_feasible(inst, x, tol) and eval_form(inst.objective, x) <= float(t) + tol
+def epigraph_member(inst: QcqpInstance, x, t) -> bool:
+    return is_feasible(inst, x) and eval_form(inst.objective, x) <= float(t) + FEAS_TOL
 
 
 def congruence_transform(inst: QcqpInstance, P) -> QcqpInstance:
@@ -155,10 +153,10 @@ def congruence_transform(inst: QcqpInstance, P) -> QcqpInstance:
     )
 
 
-def is_diagonal_instance(inst: QcqpInstance, tol: float = 1e-12) -> bool:
+def is_diagonal_instance(inst: QcqpInstance) -> bool:
     for q in (inst.objective, *inst.constraints):
         off = q.A - np.diag(np.diag(q.A))
-        if np.max(np.abs(off), initial=0.0) > tol:
+        if np.max(np.abs(off), initial=0.0) > 1e-12:
             return False
     return True
 

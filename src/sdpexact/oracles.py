@@ -61,13 +61,12 @@ def _scan(inst, box, resolution: float, extra=None):
     return pts, ok, ev(inst.objective)
 
 
-def grid_opt(inst, box, resolution: float = 0.01):
-    """Exhaustive scan of a box; returns (approx min, argmin or None)."""
+def grid_opt(inst, box):
+    """Exhaustive scan of a box at resolution 0.01; returns (approx min,
+    argmin or None)."""
     if inst.n > 3:
         raise ValueError("grid oracle limited to n <= 3")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    pts, ok, vals = _scan(inst, box, resolution)
+    pts, ok, vals = _scan(inst, box, 0.01)
     if not np.any(ok):
         return np.inf, None
     vals = vals[ok]
@@ -153,22 +152,22 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     return best_val, best_vec
 
 
-def conv_membership_sample(inst, x, t, n_samples: int = 2000, seed: int = 0,
-                           box=None, tol: float = 1e-2):
+def conv_membership_sample(inst, x, t, n_samples: int = 2000):
     """One-sided sampled membership of (x, t) in the convex epigraph hull.
 
-    Collects feasible sample points (x_k, q_obj(x_k)), then solves an LP for
-    the smallest sup-norm deviation of (x, t) from their convex hull plus
-    the vertical recession direction.  Returns "LIKELY_IN" or "NOT_SHOWN".
+    Collects feasible sample points (x_k, q_obj(x_k)) from the box
+    [-r, r]^n, r = max(2, 2 ||x||): a grid plus n_samples uniform points
+    (seed 0).  Then solves an LP for the smallest sup-norm deviation of
+    (x, t) from their convex hull plus the vertical recession direction.
+    Returns "LIKELY_IN" when it is at most 1e-2, else "NOT_SHOWN".
     """
     if inst.n > 3:
         raise ValueError("membership oracle limited to n <= 3")
     x = np.asarray(x, dtype=float).reshape(-1)
     t = float(t)
-    if box is None:
-        r = max(2.0, 2.0 * float(np.linalg.norm(x)))
-        box = [(-r, r)] * inst.n
-    rng = np.random.default_rng(seed)
+    r = max(2.0, 2.0 * float(np.linalg.norm(x)))
+    box = [(-r, r)] * inst.n
+    rng = np.random.default_rng(0)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     # structured grid plus random fill
@@ -206,16 +205,15 @@ def conv_membership_sample(inst, x, t, n_samples: int = 2000, seed: int = 0,
     res_lp = scipy.optimize.linprog(
         c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), A_eq=A_eq, b_eq=[1.0],
         bounds=[(0, None)] * (N + 1) + [(0, None)], method="highs")
-    if res_lp.status == 0 and res_lp.fun <= tol:
+    if res_lp.status == 0 and res_lp.fun <= 1e-2:
         return "LIKELY_IN"
     return "NOT_SHOWN"
 
 
-def compare_opt(inst, box=None, resolution: float = 0.01) -> CompareReport:
-    """Grid value vs relaxation value with an exactness flag."""
-    if box is None:
-        box = [(-2.0, 2.0)] * inst.n
-    opt_grid, arg = grid_opt(inst, box, resolution)
+def compare_opt(inst) -> CompareReport:
+    """Grid value over the box [-2, 2]^n vs relaxation value, with an
+    exactness flag."""
+    opt_grid, arg = grid_opt(inst, [(-2.0, 2.0)] * inst.n)
     opt_sdp, _, _ = solver.solve_opt_sdp(inst)
     if np.isinf(opt_grid):
         gap = np.inf

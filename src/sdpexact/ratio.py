@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg, rog, solver
 
@@ -34,39 +33,27 @@ class RatioProblem:
         return self.M_obj.shape[0]
 
 
-def _dual_certificate(p: RatioProblem, tol: float = 1e-7, bound: float = 1e6):
-    """Search for theta >= 0, lambda with M_obj + sum theta_j M_j + lambda B PSD."""
-    mats = list(p.mset.expanded())
-    k = len(mats)
+def _dual_certificate(p: RatioProblem, sol: solver.SdpSolution) -> dict:
+    """The solve's own multipliers as the bounded dual certificate.
 
-    def neg_lmin(v):
-        M = p.M_obj + v[k] * p.B
-        for th, Mj in zip(v[:k], mats):
-            M = M + th * Mj
-        return -float(np.linalg.eigvalsh(M)[0])
-
-    x0 = np.zeros(k + 1)
-    if neg_lmin(x0) <= tol:
-        return {"found": True, "theta": np.zeros(k), "lam": 0.0,
-                "lambda_min": -neg_lmin(x0)}
-    bounds = [(0.0, bound)] * k + [(-bound, bound)]
-    best = None
-    for start in ([np.zeros(k + 1)] +
-                  [np.concatenate([np.ones(k), [s]]) for s in (-1.0, 1.0)]):
-        res = scipy.optimize.minimize(neg_lmin, start, bounds=bounds,
-                                      method="Nelder-Mead",
-                                      options={"maxiter": 2000, "xatol": 1e-10,
-                                               "fatol": 1e-12})
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is not None and best.fun <= tol:
-        return {"found": True, "theta": best.x[:k], "lam": float(best.x[k]),
-                "lambda_min": -float(best.fun)}
-    return {"found": False, "lambda_min": (-float(best.fun)) if best is not None else None}
+    theta = sol.y[:k] (one per LMI, LE ones >= 0) and lam = sol.y[k] (the
+    normalization row); the hypothesis holds when M_obj + sum theta_j M_j
+    + lam B is PSD to within 1e-7.
+    """
+    k = len(p.mset.matrices)
+    theta, lam = sol.y[:k], float(sol.y[k])
+    M = p.M_obj + lam * p.B
+    for th, Mj in zip(theta, p.mset.matrices):
+        M = M + th * Mj
+    lmin = float(np.linalg.eigvalsh(M)[0])
+    if lmin >= -1e-7:
+        return {"found": True, "theta": theta, "lam": lam, "lambda_min": lmin}
+    return {"found": False, "lambda_min": lmin}
 
 
-def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000) -> dict:
-    """Solve the normalized SDP and report the hypothesis checks.
+def solve_ratio(p: RatioProblem) -> dict:
+    """Solve the normalized SDP (eps 1e-8, at most 400,000 iterations) and
+    report the hypothesis checks.
 
     Returns {value, z, Z, hypotheses, claim} where claim is EXACT when the
     rank-one recovery and both checkable hypotheses succeed, else
@@ -77,11 +64,11 @@ def solve_ratio(p: RatioProblem, eps: float = 1e-8, max_iter: int = 400000) -> d
     cons.append(solver.Constraint(p.B, "EQ", 1.0))
     prog = solver.ConicProgram(dim=p.dim, objective_matrix=p.M_obj,
                                constraints=tuple(cons))
-    sol = solver.solve(prog, eps=eps, max_iter=max_iter)
+    sol = solver.solve(prog, eps=1e-8, max_iter=400000)
     rv = rog.check_set(p.mset)
     hyp = {
         "rog": {"status": rv.status, "certificate": rv.certificate},
-        "dual": _dual_certificate(p),
+        "dual": _dual_certificate(p, sol),
     }
     out = {"value": sol.objective_value, "Z": sol.Z, "solution": sol,
            "hypotheses": hyp, "z": None, "sigma_ratio": None,
@@ -126,14 +113,14 @@ def build_rtls(data_rows, rhs, radius: float) -> RatioProblem:
     return RatioProblem(M_obj=M_obj, B=B, mset=mset)
 
 
-def rtls_grid_value(data_rows, rhs, radius: float, resolution: float = 0.01) -> float:
-    """Brute-force ratio value over the ball (dimension <= 2)."""
+def rtls_grid_value(data_rows, rhs, radius: float) -> float:
+    """Brute-force ratio value over the ball (dimension <= 2, grid step 0.01)."""
     A = np.asarray(data_rows, dtype=float)
     b = np.asarray(rhs, dtype=float).reshape(-1)
     q = A.shape[1]
     if q > 2:
         raise ValueError("grid limited to 2 variables")
-    axes = [np.arange(-radius, radius + resolution / 2, resolution) for _ in range(q)]
+    axes = [np.arange(-radius, radius + 0.005, 0.01) for _ in range(q)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
     pts = pts[np.sum(pts**2, axis=1) <= radius**2 + 1e-12]

@@ -90,18 +90,16 @@ def decompose_rank2_indefinite(M):
     Returns (eta, a, b) with eta = 1 and M = Sym(a b^T); raises
     DecompositionImpossible for rank > 2 or a definite rank-2 matrix.
     """
-    M = linalg.sym(M)
-    r = linalg.rank_eps(M)
+    spec = linalg.eig_sym(M)
+    w, V = spec.eigenvalues, spec.eigenvectors
+    cut = linalg.rank_cut(w)
+    pos = [k for k in range(len(w)) if w[k] > cut]
+    neg = [k for k in range(len(w)) if w[k] < -cut]
+    r = len(pos) + len(neg)
     if r > 2:
         raise DecompositionImpossible("rank exceeds 2")
     if r == 0:
         raise DecompositionImpossible("zero matrix")
-    spec = linalg.eig_sym(M)
-    w, V = spec.eigenvalues, spec.eigenvectors
-    scale = float(np.max(np.abs(w)))
-    cut = linalg.RANK_TOL * max(1.0, scale)
-    pos = [k for k in range(len(w)) if w[k] > cut]
-    neg = [k for k in range(len(w)) if w[k] < -cut]
     if r == 1:
         if pos:
             a = np.sqrt(w[pos[0]]) * V[:, pos[0]]
@@ -115,7 +113,7 @@ def decompose_rank2_indefinite(M):
     return 1.0, vp + vm, vp - vm
 
 
-def _dependence(M1, M2, tol=1e-9):
+def _dependence(M1, M2):
     """Weights alpha, max|alpha| = 1, with alpha1 M1 + alpha2 M2 ~ 0, or None.
 
     [0, -1] for M2 ~ 0, [1, 0] for M1 ~ 0, else [kappa, -1] / max(1, |kappa|)
@@ -124,13 +122,13 @@ def _dependence(M1, M2, tol=1e-9):
     """
     n1 = float(np.linalg.norm(M1))
     n2 = float(np.linalg.norm(M2))
-    if n2 <= tol * max(1.0, n1):
+    if n2 <= 1e-9 * max(1.0, n1):
         return np.array([0.0, -1.0])
-    if n1 <= tol * max(1.0, n2):
+    if n1 <= 1e-9 * max(1.0, n2):
         return np.array([1.0, 0.0])
     kappa = float(np.sum(M1 * M2)) / (n1 * n1)
     alpha = np.array([kappa, -1.0]) / max(1.0, abs(kappa))
-    if np.linalg.norm(alpha[0] * M1 + alpha[1] * M2) <= tol * max(n1, n2):
+    if np.linalg.norm(alpha[0] * M1 + alpha[1] * M2) <= 1e-9 * max(n1, n2):
         return alpha
     return None
 
@@ -150,7 +148,7 @@ def _bordered(M, extra):
     return W
 
 
-def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
+def gordan_stiemke(M1, M2, eps: float = 1e-7):
     """Decide whether some nonzero combination of M1, M2 is PSD.
 
     Returns one of
@@ -163,7 +161,8 @@ def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
     <M_i, Y> + tau tr(M_i) = 0, tr Y + tau d = 1}; a positive optimum yields
     the definite witness Z = Y + tau I, while at optimum ~0 the equality
     multipliers aggregate the M_i into a PSD combination.  A pair the first
-    solve leaves open gets one solve with ten times the iteration budget.
+    solve leaves open (20,000 iterations) gets one solve with ten times
+    that budget.
     """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
@@ -175,7 +174,7 @@ def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
         solver.Constraint(_bordered(np.eye(d), float(d)), "EQ", 1.0),
     )
     prog = solver.ConicProgram(dim=d + 1, objective_matrix=C, constraints=cons)
-    for budget in (max_iter, 10 * max_iter):
+    for budget in (20000, 200000):
         sol = solver.solve(prog, eps=eps, max_iter=budget)
         tau = float(sol.Z[d, d])
         if tau > PD_WITNESS_TOL:
@@ -190,7 +189,7 @@ def gordan_stiemke(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
     return "undecided", {"tau": tau, "status": sol.status.name}
 
 
-def _condition_i(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
+def _condition_i(M1, M2, eps: float = 1e-7):
     """Condition (i) for a linearly independent symmetric pair.
 
     The one decision behind ``check_pair``, the pairwise family rule and
@@ -205,7 +204,7 @@ def _condition_i(M1, M2, eps: float = 1e-7, max_iter: int = 20000):
     Z = _polish_pd_witness(M1, M2, np.eye(M1.shape[0]))
     if Z is not None:
         return "pd_witness", Z
-    return gordan_stiemke(M1, M2, eps=eps, max_iter=max_iter)
+    return gordan_stiemke(M1, M2, eps=eps)
 
 
 def _polish_pd_witness(M1, M2, Z):
@@ -286,16 +285,16 @@ def _lmin(M1, M2, th):
     return np.linalg.eigvalsh(np.cos(th) * M1 + np.sin(th) * M2)[..., 0]
 
 
-def _angular_scan(M1, M2, grid: int = 4000):
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+def _angular_scan(M1, M2):
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
     scale = _pair_scale(M1, M2)
 
     def lmin(th):
         return float(_lmin(M1, M2, th))
 
     k = int(np.argmax(_lmin(M1, M2, thetas)))
-    a = thetas[k] - 2.0 * np.pi / grid
-    b = thetas[k] + 2.0 * np.pi / grid
+    a = thetas[k] - 2.0 * np.pi / 4000
+    b = thetas[k] + 2.0 * np.pi / 4000
     # golden-section refinement of the (concave near max) profile, one new
     # evaluation per step.  The bracket lies inside (-pi, 2pi), where no ulp
     # exceeds spacing(2pi), so every step shrinks it; from the 4000-point
@@ -352,9 +351,9 @@ def _common_factor(mats):
     return None
 
 
-def _rank_refutation(M1, M2, seed: int = 0, draws: int = 100):
+def _rank_refutation(M1, M2, seed: int):
     rng = np.random.default_rng(seed)
-    for _ in range(draws):
+    for _ in range(100):
         al = rng.standard_normal(2)
         combo = al[0] * M1 + al[1] * M2
         if linalg.rank_eps(combo) >= 3:
@@ -362,8 +361,7 @@ def _rank_refutation(M1, M2, seed: int = 0, draws: int = 100):
     return None
 
 
-def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
-               max_iter: int = 20000) -> RogVerdict:
+def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     """Complete two-LMI ROG decision with a machine-checkable certificate."""
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
@@ -381,7 +379,7 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7,
         )
 
     # (b) condition (i): some nonzero combination PSD
-    outcome, payload = _condition_i(M1, M2, eps=eps, max_iter=max_iter)
+    outcome, payload = _condition_i(M1, M2, eps=eps)
     if outcome == "psd_combo":
         return RogVerdict(
             status="ROG_CERTIFIED", seed=seed,
@@ -551,9 +549,9 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
     return directions
 
 
-def _polish_null_direction(A1, A2, z, iters: int = 20):
+def _polish_null_direction(A1, A2, z):
     z = z.astype(float).copy()
-    for _ in range(iters):
+    for _ in range(20):
         f = np.array([float(z @ A1 @ z), float(z @ A2 @ z)])
         if np.max(np.abs(f)) < 1e-14 * max(1.0, float(z @ z)):
             break
@@ -600,12 +598,13 @@ def construct_rank2_witness_3d(M1, M2, seed: int = 0):
     raise ConstructionFailed("witness construction budget exhausted")
 
 
-def _dines_match(M1, M2, target, rng, starts: int = 40, iters: int = 100):
-    """Solve (u^T M1 u, u^T M2 u) = target by damped least-squares Newton."""
+def _dines_match(M1, M2, target, rng):
+    """Solve (u^T M1 u, u^T M2 u) = target by damped least-squares Newton:
+    40 random starts of up to 100 steps each."""
     scale = max(1.0, float(np.linalg.norm(target)))
-    for _ in range(starts):
+    for _ in range(40):
         u = rng.standard_normal(3)
-        for _ in range(iters):
+        for _ in range(100):
             f = np.array([float(u @ M1 @ u), float(u @ M2 @ u)]) - target
             if float(np.linalg.norm(f)) <= 1e-10 * scale:
                 return u
@@ -770,12 +769,15 @@ def _empty_slice_weights(mats):
     return None
 
 
+PROBE_GAP_TOL = 1e-3
+
+
 def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
-                            gap_tol: float = 1e-3, samples: int = 200000,
-                            eps: float = 1e-7, max_iter: int = 50000):
+                            samples: int = 200000, eps: float = 1e-7,
+                            max_iter: int = 50000):
     """Sampled one-sided refutation: compare the slice optimum against the
     best feasible rank-one value for random objectives.  A gap beyond
-    gap_tol is evidence against ROG; no gap never certifies ROG.
+    PROBE_GAP_TOL is evidence against ROG; no gap never certifies ROG.
 
     Every trial is recorded with its solver status, but only trials whose
     SDP solved to OPTIMAL count towards max_gap (None when there are none)
@@ -812,7 +814,7 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
                         "v_sdp": sol.objective_value, "v_rank1": v_rank1,
                         "gap": gap})
     worst = max(gaps, default=None)
-    return {"max_gap": worst, "flagged": worst is not None and bool(worst > gap_tol),
+    return {"max_gap": worst, "flagged": worst is not None and bool(worst > PROBE_GAP_TOL),
             "records": records, "seed": seed, "trials": trials,
             "empty_slice_theta": theta}
 
@@ -873,7 +875,6 @@ def _max_min_eig_over_simplex(blocks):
 
 BATTERY_DIMS = (3, 3, 3, 4, 4)  # cycled over the pair index
 BATTERY_EPS = 1e-5
-BATTERY_GAP_TOL = 1e-3
 
 
 def run_battery(pairs: int = 200, seed: int = 3) -> dict:
@@ -882,7 +883,7 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
     Pair k is two symmetric Gaussian matrices of dimension
     BATTERY_DIMS[k % 5].  Each certificate is re-verified; a failure is
     listed in verify_failures.  Each ROG_CERTIFIED pair is probed with two
-    random objectives, and a finite rank-one value more than BATTERY_GAP_TOL
+    random objectives, and a finite rank-one value more than PROBE_GAP_TOL
     above its slice value is an inconsistency, as is a 3x3 NOT_ROG_CERTIFIED
     pair whose rank-two witness cannot be built or does not verify.  The
     probe can only contradict a ROG verdict, so other pairs are not probed
@@ -906,10 +907,10 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
         if verdict.status == "ROG_CERTIFIED":
             probe = probe_random_objectives(
                 LmiSet((M1, M2), ("LE", "LE")), trials=2, seed=k, samples=2048,
-                gap_tol=BATTERY_GAP_TOL, eps=BATTERY_EPS, max_iter=5000)
+                eps=BATTERY_EPS, max_iter=5000)
             max_gap = probe["max_gap"]
             for rec in probe["records"]:
-                if np.isfinite(rec["v_rank1"]) and rec["gap"] > BATTERY_GAP_TOL:
+                if np.isfinite(rec["v_rank1"]) and rec["gap"] > PROBE_GAP_TOL:
                     inconsistencies.append(
                         {"pair": k, "trial": rec["trial"], "gap": rec["gap"]})
         witness_ok = None

@@ -37,8 +37,6 @@ import scipy.linalg
 
 from . import linalg
 
-DEFAULT_EPS = 1e-7
-DEFAULT_MAX_ITER = 50000
 OVER_RELAXATION = 1.6
 PENALTY_CHECK_EVERY = 100
 PENALTY_RATIO = 10.0
@@ -114,11 +112,7 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
     return M
 
 
-def solve(
-    prog: ConicProgram,
-    eps: float = DEFAULT_EPS,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SdpSolution:
+def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSolution:
     """Solve min <C,Z> s.t. constraints, Z PSD."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -273,17 +267,18 @@ def relaxation_program(inst) -> ConicProgram:
     return ConicProgram(dim=n + 1, objective_matrix=M_obj, constraints=tuple(cons))
 
 
-def solve_opt_sdp(inst, eps: float = DEFAULT_EPS, max_iter: int = DEFAULT_MAX_ITER):
+def solve_opt_sdp(inst):
     """Optimal value of the lifted relaxation; returns (value, Z, solution)."""
-    sol = solve(relaxation_program(inst), eps=eps, max_iter=max_iter)
+    sol = solve(relaxation_program(inst))
     return sol.objective_value, sol.Z, sol
 
 
-def dsdp_membership(inst, x, t, tol: float = 1e-6, max_iter: int = DEFAULT_MAX_ITER) -> bool:
+def dsdp_membership(inst, x, t) -> bool:
     """Whether (x, t) belongs to the projected feasible region of the relaxation.
 
     Solves a feasibility program with the last row/column of Z pinned to
-    (x, 1) and the objective row relaxed to <M_obj, Z> <= t.
+    (x, 1) and the objective row relaxed to <M_obj, Z> <= t, to accuracy
+    1e-6; the point belongs when the primal residual is at most 1e-5.
     """
     from . import model
 
@@ -302,7 +297,7 @@ def dsdp_membership(inst, x, t, tol: float = 1e-6, max_iter: int = DEFAULT_MAX_I
     cons.append(Constraint(corner, "EQ", 1.0))
     # Bounded surrogate objective: minimize tr Z to keep iterates tame.
     prog = ConicProgram(dim=n + 1, objective_matrix=np.eye(n + 1), constraints=tuple(cons))
-    sol = solve(prog, eps=max(tol / 10, 1e-9), max_iter=max_iter)
+    sol = solve(prog, eps=1e-6)
     if sol.status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
-        return sol.primal_residual <= tol
+        return sol.primal_residual <= 1e-5
     return False

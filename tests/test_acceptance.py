@@ -288,7 +288,7 @@ class TestCriterion09:
                 A = rng.standard_normal((4, 2))
                 b = rng.standard_normal(4)
                 p = ratio.build_rtls(A, b, radius=1.0)
-                out = ratio.solve_ratio(p, eps=1e-8, max_iter=200000)
+                out = ratio.solve_ratio(p)
                 assert out["sigma_ratio"] is not None
                 assert out["sigma_ratio"] <= 1e-5, \
                     f"seed {seed}: sigma ratio {out['sigma_ratio']}"

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, output, JSON reports."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from sdpexact import cli, gallery, model
+from sdpexact import cli, gallery, model, rog
 from conftest import make_explicit_instance
 
 
@@ -216,3 +217,60 @@ class TestOracleAndExamples:
 
     def test_examples_run_needs_name(self, capsys):
         assert cli.main(["examples", "run"]) == 2
+
+
+def _leaf_flags(parser, path=()):
+    """{command path: sorted option flags} over the leaf commands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): sorted(a.option_strings[0] for a in parser._actions
+                                       if a.option_strings and a.dest != "help")}
+    out = {}
+    for name, sp in subs[0].choices.items():
+        out.update(_leaf_flags(sp, path + (name,)))
+    return out
+
+
+class TestFlags:
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        seeded = ["--json", "--seed"]
+        assert _leaf_flags(cli.build_parser()) == {
+            "solve": ["--json"],
+            "check": ["--json", "--t", "--x"],
+            "rog pair": seeded,
+            "rog witness3d": seeded,
+            "rog probe": ["--json", "--seed", "--trials"],
+            "rog battery": ["--json", "--pairs", "--seed"],
+            "ratio": ["--json"],
+            "oracle compare": ["--json"],
+            "examples list": [],
+            "examples run": ["--all", "--json", "--seed"],
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "5", "rog", "pair", "diag:1", "diag:2"],
+        ["rog", "--seed", "5", "pair", "diag:1", "diag:2"],
+        ["solve", "--seed", "1", "instance.json"],
+        ["examples", "list", "--json", "x"],
+    ], ids=["top_level_seed", "rog_seed", "solve_seed", "examples_list_json"])
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rog", "pair", "--seed", "5", "diag:1,-1", "dense:0,1;1,0"],
+        ["examples", "run", "--seed", "5", "rog_pair_not"],
+    ], ids=["rog_pair", "examples_run"])
+    def test_seed_reaches_check_pair(self, argv, monkeypatch, capsys):
+        seeds = []
+        check_pair = rog.check_pair
+
+        def capture(M1, M2, seed=0, **kw):
+            seeds.append(seed)
+            return check_pair(M1, M2, seed=seed, **kw)
+
+        monkeypatch.setattr(rog, "check_pair", capture)
+        assert cli.main(argv) == 0
+        assert seeds == [5]

@@ -211,7 +211,7 @@ class TestSummary:
 
     def test_not_applicable_bundle(self):
         inst = model.QcqpInstance(2, q(np.diag([1.0, -1.0]), [0, 0], 0))
-        out = exactness.exactness_summary(inst, with_oracle=False)
+        out = exactness.exactness_summary(inst)
         assert out["strong"].verdict == "NOT_APPLICABLE"
         assert out["weak"].verdict == "NOT_APPLICABLE"
         assert out["ch"].verdict == "NOT_APPLICABLE"

@@ -93,6 +93,20 @@ class TestRankKernel:
                 assert np.linalg.norm(S @ K) <= 1e-6 * max(1.0, np.linalg.norm(S))
                 assert np.linalg.norm(K.T @ K - np.eye(d - r)) <= 1e-10
 
+    def test_rank_and_kernel_are_scale_free(self):
+        # the cut is relative to ||S||_2 alone, so scaling never moves it
+        # (at 1e-6 the eigenvalues below are all under 1e-7 but the largest),
+        # and an exact zero matrix has rank 0 and the whole space as kernel
+        Q, _ = np.linalg.qr(np.random.default_rng(29).standard_normal((4, 4)))
+        for w, r in (([3.0, 0, 0, 0], 1), ([3.0, -0.05, 0, 0], 2),
+                     ([3.0, -0.05, 0.01, 0], 3)):
+            S = (Q * w) @ Q.T
+            for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                assert linalg.rank_eps(s * S) == r, (r, s)
+                assert linalg.kernel_basis(s * S).shape == (4, 4 - r), (r, s)
+        assert linalg.rank_eps(np.zeros((3, 3))) == 0
+        assert linalg.kernel_basis(np.zeros((3, 3))).shape == (3, 3)
+
 class TestResultant:
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
     def test_shared_root_gives_zero(self, r, a, b):

@@ -25,6 +25,10 @@ class TestRayleigh:
         out = ratio.solve_ratio(p)
         lo = float(np.linalg.eigvalsh(C)[0])
         assert abs(out["value"] - lo) <= 1e-5 * max(1.0, abs(lo))
+        # C is indefinite: the certificate is the solve's multiplier -lo
+        dual = out["hypotheses"]["dual"]
+        assert lo < 0 and dual["found"] and out["claim"] == "EXACT"
+        assert abs(dual["lam"] + lo) <= 1e-5 * max(1.0, abs(lo))
 
 
 class TestRtls:

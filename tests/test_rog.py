@@ -285,6 +285,18 @@ class TestScaling:
                 out[scale] = (status, sols[0].iterations)
             assert out[s] == out[1.0] and out[1.0][1] <= 500, (k, out)
 
+    def test_tiny_common_factor_pair_certified(self):
+        # pair 14 at 1e-6: two rank-2 products Sym(a c^T), Sym(b c^T) whose
+        # smaller eigenvalues sit below 1e-7 in absolute terms; the rank cut
+        # relative to the spectral norm keeps both rank 2, so the shared
+        # factor c is found
+        A, B = _scaling_pairs()[14]
+        M1, M2 = 1e-6 * A, 1e-6 * B
+        assert [linalg.rank_eps(M) for M in (M1, M2)] == [2, 2]
+        v = rog.check_pair(M1, M2, seed=14, eps=1e-5)
+        assert (v.status, v.certificate["kind"]) == ("ROG_CERTIFIED", "CommonFactor")
+        assert rog.verify_certificate(v, M1, M2)
+
     def test_tiny_pair_indefinite_combination_rejected(self):
         # pair 3 at 1e-6: the angular scan's best combination has lambda_min
         # about -1% of the pair norm, so it is no PSD combination
