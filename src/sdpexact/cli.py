@@ -232,7 +232,7 @@ def _cmd_oracle(args) -> int:
     inst, _ = _load_instance(args.instance)
     if inst.n > 3:
         raise InputError("oracle compare limited to n <= 3")
-    rep = oracles.compare_opt(inst)
+    rep = oracles.compare_opt(inst, solver.solve_opt_sdp(inst)[0])
     _report_line("opt_grid", rep.opt_grid)
     _report_line("opt_sdp", rep.opt_sdp)
     _report_line("gap", rep.gap)

@@ -328,5 +328,5 @@ def exactness_summary(inst, supplied_generators=None) -> dict:
     if inst.n <= 3:
         from . import oracles
 
-        out["oracle"] = oracles.compare_opt(inst)
+        out["oracle"] = oracles.compare_opt(inst, val)
     return out

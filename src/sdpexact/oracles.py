@@ -12,7 +12,7 @@ import numpy as np
 import scipy.optimize
 import scipy.stats.qmc
 
-from . import linalg, solver
+from . import linalg
 
 SPHERE_SLACK = 1e-6  # a unit z is feasible when every z^T M z is at most this
 
@@ -36,42 +36,67 @@ def _feasibility_slack(inst, resolution: float) -> float:
         (np.linalg.norm(q.b) for q in inst.constraints), default=0.0))
 
 
-def _scan(inst, box, resolution: float, extra=None):
-    """Evaluate the instance on the box grid at `resolution`, plus `extra` rows.
+def _axes(box, resolution: float):
+    return [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in box]
 
-    Returns (points, feasibility mask, objective values); every form is
-    evaluated as x^T A x + 2 b^T x + c over all points at once, and the
-    feasibility band is _feasibility_slack at the grid resolution.
+
+def _form_values(q, xs):
+    """x^T A x + 2 b^T x + c on coordinate arrays xs that broadcast together,
+    as c + sum_i (A_ii x_i + 2 b_i) x_i + sum_{i<j} 2 A_ij x_i x_j; zero
+    cross terms are skipped."""
+    v = q.c
+    for i, xi in enumerate(xs):
+        v = v + (q.A[i, i] * xi + 2.0 * q.b[i]) * xi
+        for j in range(i + 1, len(xs)):
+            if q.A[i, j]:
+                v = v + (2.0 * q.A[i, j] * xi) * xs[j]
+    return v
+
+
+def _scan(inst, xs, slack: float):
+    """Feasibility mask and objective values on the coordinate arrays xs.
+
+    xs holds one array per variable, either an open mesh (np.ix_) or the
+    columns of a point matrix; both results have their broadcast shape.  A
+    point is feasible when every inequality form is at most `slack` and
+    every equality form is within `slack` of zero; callers pass
+    _feasibility_slack at their grid resolution.
     """
-    axes = [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    if extra is not None:
-        pts = np.vstack([pts, extra])
-    slack = _feasibility_slack(inst, resolution)
-
-    def ev(q):
-        return np.einsum("ki,ij,kj->k", pts, q.A, pts) + 2.0 * pts @ q.b + q.c
-
-    ok = np.ones(pts.shape[0], dtype=bool)
+    vals = _form_values(inst.objective, xs)
+    ok = np.ones(np.shape(vals), dtype=bool)
     for q in inst.inequalities:
-        ok &= ev(q) <= slack
+        ok &= _form_values(q, xs) <= slack
     for q in inst.equalities:
-        ok &= np.abs(ev(q)) <= slack
-    return pts, ok, ev(inst.objective)
+        ok &= np.abs(_form_values(q, xs)) <= slack
+    return ok, vals
+
+
+_SLAB_POINTS = 1 << 18  # grid points evaluated at once: 2 MiB per float array
 
 
 def grid_opt(inst, box):
     """Exhaustive scan of a box at resolution 0.01; returns (approx min,
-    argmin or None)."""
+    argmin or None), the argmin being the first minimiser in C order.
+
+    The grid is an open mesh, never stored as points, evaluated in slabs of
+    at most _SLAB_POINTS points along the first axis, so memory stays
+    bounded: [-2, 2]^2 (401^2 points) is one slab, [-2, 2]^3 is 401.
+    """
     if inst.n > 3:
         raise ValueError("grid oracle limited to n <= 3")
-    pts, ok, vals = _scan(inst, box, 0.01)
-    if not np.any(ok):
-        return np.inf, None
-    vals = vals[ok]
-    k = int(np.argmin(vals))
-    return float(vals[k]), pts[ok][k]
+    axes = _axes(box, 0.01)
+    slack = _feasibility_slack(inst, 0.01)
+    rows = max(1, _SLAB_POINTS // int(np.prod([a.size for a in axes[1:]])))
+    best, arg = np.inf, None
+    for lo in range(0, axes[0].size, rows):
+        slab = [axes[0][lo:lo + rows], *axes[1:]]
+        ok, vals = _scan(inst, np.ix_(*slab), slack)
+        vals = np.where(ok, vals, np.inf)
+        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[idx] < best:  # strict, so ties keep the earlier slab's point
+            best = float(vals[idx])
+            arg = np.array([a[i] for a, i in zip(slab, idx)])
+    return best, arg
 
 
 def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
@@ -173,7 +198,9 @@ def conv_membership_sample(inst, x, t, n_samples: int = 2000):
     # structured grid plus random fill
     res = max((hi - lo).max() / 40.0, 1e-3)
     fill = lo + (hi - lo) * rng.random((n_samples, inst.n))
-    pts, ok, vals = _scan(inst, box, res, extra=fill)
+    grids = np.meshgrid(*_axes(box, res), indexing="ij")
+    pts = np.vstack([np.stack([g.reshape(-1) for g in grids], axis=1), fill])
+    ok, vals = _scan(inst, pts.T, _feasibility_slack(inst, res))
     if not np.any(ok):
         return "NOT_SHOWN"
     P = np.column_stack([pts[ok], vals[ok]])  # (N, n+1)
@@ -210,11 +237,10 @@ def conv_membership_sample(inst, x, t, n_samples: int = 2000):
     return "NOT_SHOWN"
 
 
-def compare_opt(inst) -> CompareReport:
-    """Grid value over the box [-2, 2]^n vs relaxation value, with an
-    exactness flag."""
+def compare_opt(inst, opt_sdp: float) -> CompareReport:
+    """Grid value over the box [-2, 2]^n vs the relaxation value opt_sdp
+    (from solver.solve_opt_sdp), with an exactness flag."""
     opt_grid, arg = grid_opt(inst, [(-2.0, 2.0)] * inst.n)
-    opt_sdp, _, _ = solver.solve_opt_sdp(inst)
     if np.isinf(opt_grid):
         gap = np.inf
         flag = False

@@ -192,7 +192,7 @@ class TestCriterion05:
             gd = gamma.build_gamma_data(inst)
             assert exactness.check_ch_polyhedral(inst, gd).verdict == "HOLDS"
 
-            rep = oracles.compare_opt(inst)
+            rep = oracles.compare_opt(inst, solver.solve_opt_sdp(inst)[0])
             assert abs(rep.gap) <= 1e-2
 
 
@@ -207,7 +207,7 @@ class TestCriterion06:
                 gd = gamma.build_gamma_data(inst)
                 assert gd.assumption1_witness is not None
                 assert exactness.check_ch_polyhedral(inst, gd).verdict == "HOLDS"
-                rep = oracles.compare_opt(inst)
+                rep = oracles.compare_opt(inst, solver.solve_opt_sdp(inst)[0])
                 assert rep.exactness_flag, f"seed {seed}: gap {rep.gap}"
 
                 rng = np.random.default_rng(10_000 + seed)
@@ -330,7 +330,8 @@ class TestCriterion10:
                 ent = gallery.load(name)
                 if ent["kind"] != "qcqp" or ent["instance"].n > 3:
                     continue
-                rep = oracles.compare_opt(ent["instance"])
+                inst = ent["instance"]
+                rep = oracles.compare_opt(inst, solver.solve_opt_sdp(inst)[0])
                 scale = 1e-2 * max(1.0, abs(rep.opt_grid)
                                    if np.isfinite(rep.opt_grid) else 1.0)
                 assert rep.opt_grid >= rep.opt_sdp - scale, \

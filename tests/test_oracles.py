@@ -1,12 +1,15 @@
 """Brute-force oracles: grid scan, sphere sampling, hull membership."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdpexact import model, oracles
+from sdpexact import model, oracles, solver
 from conftest import q, make_explicit_instance, random_sym
 
 
@@ -37,15 +40,22 @@ class TestScan:
     @given(scan_cases())
     def test_mask_matches_per_point_eval_form(self, case):
         inst, box, res, extra = case
-        pts, ok, vals = oracles._scan(inst, box, res, extra=extra)
         slack = oracles._feasibility_slack(inst, res)
-        want = [all(model.eval_form(g, p) <= slack for g in inst.inequalities)
-                and all(abs(model.eval_form(g, p)) <= slack for g in inst.equalities)
-                for p in pts]
-        assert ok.tolist() == want
-        assert len(extra) == 0 or np.array_equal(pts[-len(extra):], extra)
-        assert np.allclose(vals, [model.eval_form(inst.objective, p) for p in pts],
-                           rtol=0.0, atol=1e-12)
+        axes = oracles._axes(box, res)
+        mesh = np.array(list(itertools.product(*axes)))  # C order
+        # an open mesh, and the columns of a point matrix
+        for xs, pts in ((np.ix_(*axes), mesh), (extra.T, extra)):
+            ok, vals = oracles._scan(inst, xs, slack)
+            assert ok.shape == vals.shape == np.broadcast_shapes(
+                *(np.shape(x) for x in xs))
+            want = [all(model.eval_form(g, p) <= slack for g in inst.inequalities)
+                    and all(abs(model.eval_form(g, p)) <= slack
+                            for g in inst.equalities)
+                    for p in pts]
+            assert ok.reshape(-1).tolist() == want
+            assert np.allclose(vals.reshape(-1),
+                               [model.eval_form(inst.objective, p) for p in pts],
+                               rtol=0.0, atol=1e-12)
 
 
 class TestGrid:
@@ -84,6 +94,47 @@ class TestGrid:
         inst = model.QcqpInstance(4, q(np.eye(4), np.zeros(4), 0))
         with pytest.raises(ValueError):
             oracles.grid_opt(inst, [(-1, 1)] * 4)
+
+    @pytest.mark.parametrize("slab_points", [None, 500])
+    def test_ties_go_to_first_point_in_c_order(self, monkeypatch, slab_points):
+        # the objective is x1 alone, so every feasible x0 ties at the least
+        # feasible x1; x0 >= -0.115 (with the 0.01 band) puts the first tie
+        # at x0 = -0.11, and 500-point slabs spread the ties over 17 slabs
+        if slab_points:
+            monkeypatch.setattr(oracles, "_SLAB_POINTS", slab_points)
+        zero = np.zeros((2, 2))
+        inst = model.QcqpInstance(
+            2, q(zero, [0.0, 0.5], 0.0),
+            (q(zero, [-0.5, 0.0], -0.105), q(zero, [0.0, -0.5], -0.305)))
+        box = [(-0.5, 0.5)] * 2
+        val, arg = oracles.grid_opt(inst, box)
+        slack = oracles._feasibility_slack(inst, 0.01)
+        best, first = np.inf, None
+        for p in itertools.product(*oracles._axes(box, 0.01)):
+            if all(model.eval_form(g, p) <= slack for g in inst.inequalities):
+                v = model.eval_form(inst.objective, p)
+                if v < best:
+                    best, first = v, np.array(p)
+        assert np.isclose(first[0], -0.11) and np.isclose(first[1], -0.31)
+        assert val == best
+        assert np.array_equal(arg, first)
+
+    def test_three_variables_in_bounded_memory(self):
+        # the 401^3 grid of [-2, 2]^3 as a point matrix alone is 1.5 GB
+        inst = model.QcqpInstance(
+            3, q(np.diag([1.0, -2.0, 0.5]), [0.3, 0.0, -0.2], 0.0),
+            (q(np.eye(3), [0, 0, 0], -1.0),))
+        tracemalloc.start()
+        try:
+            val, arg = oracles.grid_opt(inst, [(-2.0, 2.0)] * 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert model.eval_form(inst.objective, arg) == pytest.approx(val, abs=1e-12)
+        assert arg @ arg <= 1.0 + oracles._feasibility_slack(inst, 0.01)
+        opt_sdp = solver.solve_opt_sdp(inst)[0]
+        assert abs(val - opt_sdp) <= 1e-2 * max(1.0, abs(val))
 
 
 class TestSphere:
@@ -186,7 +237,8 @@ class TestMembership:
 
 class TestCompare:
     def test_explicit_instance_flagged_exact(self):
-        rep = oracles.compare_opt(make_explicit_instance())
+        inst = make_explicit_instance()
+        rep = oracles.compare_opt(inst, solver.solve_opt_sdp(inst)[0])
         assert rep.exactness_flag
         assert abs(rep.opt_grid - 2.0) <= 1e-2
         assert abs(rep.opt_sdp - 2.0) <= 1e-4
@@ -197,5 +249,5 @@ class TestCompare:
         inst = model.QcqpInstance(
             2, q(np.diag([1.0, -1.0]), [0.0, 0.5], 0),
             (q(np.eye(2), [0, 0], -1.0),))
-        rep = oracles.compare_opt(inst)
+        rep = oracles.compare_opt(inst, solver.solve_opt_sdp(inst)[0])
         assert rep.opt_grid >= rep.opt_sdp - 1e-2 * max(1.0, abs(rep.opt_grid))
