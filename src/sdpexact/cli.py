@@ -182,15 +182,16 @@ def _cmd_rog(args) -> int:
     if sub == "witness3d":
         if len(mats) != 2 or mats[0].shape[0] != 3:
             raise InputError("rog witness3d needs two 3x3 matrices")
-        try:
-            wit = rog.construct_rank2_witness_3d(mats[0], mats[1], seed=args.seed)
-        except (rog.ConstructionFailed, ValueError) as exc:
-            print(f"construction failed: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
+        # a dependent pair, a PSD combination or a common factor is an input error
+        lines = rog.null_set_lines_3d(mats[0], mats[1], seed=args.seed)
+        wit = rog.construct_rank2_witness_3d(mats[0], mats[1], seed=args.seed)
+        _report_line("zero_lines", len(lines))
+        for z in lines:
+            print(f"  {[float(v) for v in z]}")
         _report_line("w", [float(v) for v in wit["w"]])
         _report_line("u", [float(v) for v in wit["u"]])
         _report_line("resultant", wit["resultant"])
-        _write_json(args.json, wit)
+        _write_json(args.json, {**wit, "zero_lines": lines})
         return EXIT_OK
     if sub == "probe":
         mset = rog.LmiSet(tuple(mats), ("LE",) * len(mats))

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.optimize
 import scipy.stats.qmc
 
-from . import linalg
+from . import linalg, model
 
 SPHERE_SLACK = 1e-6  # a unit z is feasible when every z^T M z is at most this
 
@@ -51,6 +51,11 @@ def _form_values(q, xs):
             if q.A[i, j]:
                 v = v + (2.0 * q.A[i, j] * xi) * xs[j]
     return v
+
+
+def homogeneous_values(M, xs):
+    """z^T M z on coordinate arrays xs: the form with A = M, b = 0, c = 0."""
+    return _form_values(model.QuadraticForm(M, np.zeros(len(xs)), 0.0), xs)
 
 
 def _scan(inst, xs, slack: float):
@@ -115,8 +120,8 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     z = z[nrm > 1e-9] / nrm[nrm > 1e-9][:, None]
     viol = np.zeros(z.shape[0])
     for M in Mlist:
-        viol = np.maximum(viol, np.einsum("ki,ij,kj->k", z, M, z))
-    all_vals = np.einsum("ki,ij,kj->k", z, C, z)
+        viol = np.maximum(viol, homogeneous_values(M, z.T))
+    all_vals = homogeneous_values(C, z.T)
 
     best_val = np.inf
     best_vec = None

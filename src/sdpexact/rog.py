@@ -463,39 +463,37 @@ def _quartic_from_pair(M1, M2):
     return t1 - t2
 
 
-def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
+def null_set_lines_3d(M1, M2, seed: int = 0):
     """Unit directions spanning the common zero lines of two 3x3 forms.
 
     Eliminates z3 via the resultant of the two conics (a degree-4 binary
     form in (z1, z2)), with seeded random rotations restoring genericity
     when leading coefficients vanish.  At most four lines exist when the
-    pair admits neither a PSD combination nor a common factor.
+    pair admits neither a PSD combination nor a common factor; a dependent
+    pair or one admitting either raises ValueError.
     """
-    M1 = linalg.sym(M1)
-    M2 = linalg.sym(M2)
-    if M1.shape[0] != 3:
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
+    if M1.shape != (3, 3) or M2.shape != (3, 3):
         raise ValueError("dimension must be 3")
-    if check_preconditions:
-        if _dependence(M1, M2) is not None:
-            raise ValueError("pair is linearly dependent")
-        outcome, _ = _condition_i(M1, M2)
-        if outcome == "psd_combo":
-            raise ValueError("a PSD combination exists; zero set is not four lines")
-        if _common_factor((M1, M2)) is not None:
-            raise ValueError("pair shares a common factor; zero set contains a plane")
+    if _dependence(M1, M2) is not None:
+        raise ValueError("pair is linearly dependent")
+    outcome, _ = _condition_i(M1, M2)
+    if outcome == "psd_combo":
+        raise ValueError("a PSD combination exists; zero set is not four lines")
+    if _common_factor((M1, M2)) is not None:
+        raise ValueError("pair shares a common factor; zero set contains a plane")
 
     rng = np.random.default_rng(seed)
-    scale = max(np.linalg.norm(M1), np.linalg.norm(M2), 1.0)
+    scale = max(np.linalg.norm(M1), np.linalg.norm(M2))
     R = np.eye(3)
     for attempt in range(6):
         A1 = R @ M1 @ R.T
         A2 = R @ M2 @ R.T
         if min(abs(A1[2, 2]), abs(A2[2, 2])) > 1e-6 * scale:
             quartic = _quartic_from_pair(A1, A2)
-            if np.max(np.abs(quartic)) > 1e-10 * scale**2:
+            if np.max(np.abs(quartic)) > 1e-10 * scale**4:
                 break
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        R = q
+        R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     else:
         raise ConstructionFailed("could not reach a generic frame")
 
@@ -506,9 +504,7 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
         if nrm < 1e-9:
             return
         z = R.T @ (zp / nrm)
-        v1 = abs(float(z @ M1 @ z))
-        v2 = abs(float(z @ M2 @ z))
-        if max(v1, v2) > 1e-8 * scale:
+        if max(abs(float(z @ M @ z)) for M in (M1, M2)) > 1e-8 * scale:
             return
         for d0 in directions:
             if _same_direction(z, d0, tol=1e-7):
@@ -536,8 +532,7 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
             zp = np.array([1.0, s, z3])
             if abs(zp @ A2 @ zp) <= 1e-6 * scale * float(zp @ zp):
                 # polish with a couple of Newton steps on (Q1, Q2)
-                zp = _polish_null_direction(A1, A2, zp)
-                add(zp)
+                add(_polish_null_direction(A1, A2, zp, scale))
     # chart z1 = 0: binary forms in (z2, z3)
     q1 = (A1[1, 1], 2.0 * A1[1, 2], A1[2, 2])
     q2 = (A2[1, 1], 2.0 * A2[1, 2], A2[2, 2])
@@ -545,15 +540,14 @@ def null_set_lines_3d(M1, M2, seed: int = 0, check_preconditions: bool = True):
         for z3 in z3_roots(A1, 0.0, 1.0):
             zp = np.array([0.0, 1.0, z3])
             if abs(zp @ A2 @ zp) <= 1e-6 * scale * float(zp @ zp):
-                add(_polish_null_direction(A1, A2, zp))
+                add(_polish_null_direction(A1, A2, zp, scale))
     return directions
 
 
-def _polish_null_direction(A1, A2, z):
-    z = z.astype(float).copy()
+def _polish_null_direction(A1, A2, z, scale):
     for _ in range(20):
         f = np.array([float(z @ A1 @ z), float(z @ A2 @ z)])
-        if np.max(np.abs(f)) < 1e-14 * max(1.0, float(z @ z)):
+        if np.max(np.abs(f)) < 1e-14 * scale * float(z @ z):
             break
         J = np.vstack([2.0 * (A1 @ z), 2.0 * (A2 @ z)])
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
@@ -564,30 +558,17 @@ def _polish_null_direction(A1, A2, z):
 def construct_rank2_witness_3d(M1, M2, seed: int = 0):
     """Rank-two extreme-ray witness for a 3x3 pair failing both conditions.
 
-    Picks a seeded direction w off the zero-line pair planes, then matches
-    u with (u^T M_i u) = -(w^T M_i w) by damped Newton (the joint range of
-    two quadratic forms is convex, so a solution exists), and returns
-    Z = w w^T + u u^T after extreme-ray verification.
+    Draws seeded unit directions w, matches each in closed form with a u
+    such that (u^T M_i u) = -(w^T M_i w) (``_match``), and returns the first
+    Z = w w^T + u u^T that ``verify_extreme_rank2`` accepts.  The joint
+    range of two quadratic forms is convex (Dines), so such u exist, and a
+    verified rank-two extreme ray refutes ROG however it was found.
     """
-    M1 = linalg.sym(M1)
-    M2 = linalg.sym(M2)
-    lines = null_set_lines_3d(M1, M2, seed=seed, check_preconditions=False)
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
     rng = np.random.default_rng(seed)
-    normals = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            nrm = np.cross(lines[i], lines[j])
-            if np.linalg.norm(nrm) > 1e-9:
-                normals.append(_unit(nrm))
-
-    scale = max(np.linalg.norm(M1), np.linalg.norm(M2), 1.0)
     for attempt in range(200):
         w = _unit(rng.standard_normal(3))
-        # reject w inside any plane spanned by a pair of zero lines
-        if any(abs(float(w @ nrm)) < 1e-3 for nrm in normals):
-            continue
-        target = -np.array([float(w @ M1 @ w), float(w @ M2 @ w)])
-        u = _dines_match(M1, M2, target, rng)
+        u = _match(M1, M2, -np.array([float(w @ M1 @ w), float(w @ M2 @ w)]))
         if u is None:
             continue
         Z = np.outer(w, w) + np.outer(u, u)
@@ -598,51 +579,63 @@ def construct_rank2_witness_3d(M1, M2, seed: int = 0):
     raise ConstructionFailed("witness construction budget exhausted")
 
 
-def _dines_match(M1, M2, target, rng):
-    """Solve (u^T M1 u, u^T M2 u) = target by damped least-squares Newton:
-    40 random starts of up to 100 steps each."""
-    scale = max(1.0, float(np.linalg.norm(target)))
-    for _ in range(40):
-        u = rng.standard_normal(3)
-        for _ in range(100):
-            f = np.array([float(u @ M1 @ u), float(u @ M2 @ u)]) - target
-            if float(np.linalg.norm(f)) <= 1e-10 * scale:
-                return u
-            J = np.vstack([2.0 * (M1 @ u), 2.0 * (M2 @ u)])
-            step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-            nstep = float(np.linalg.norm(step))
-            if nstep > 2.0 * max(1.0, float(np.linalg.norm(u))):
-                step *= 2.0 * max(1.0, float(np.linalg.norm(u))) / nstep
-            u = u + step
-        f = np.array([float(u @ M1 @ u), float(u @ M2 @ u)]) - target
-        if float(np.linalg.norm(f)) <= 1e-10 * scale:
-            return u
-    return None
+def _match(M1, M2, target):
+    """A u with (u^T M1 u, u^T M2 u) = target = (a, b), or None.
+
+    Such u are zeros of N = b M1 - a M2 (or of -N, taken when it has more
+    positive eigenvalues), and so are cos(t) v_p + sin(t) v_q + v_n over 64
+    angles t: v_p, v_q its first and last positive eigenvectors, v_n each
+    negative one, each divided by sqrt|eigenvalue|.  For a 3x3 N of
+    signature (2, 1) these sample the whole zero cone.  The one on which the
+    larger-|target| form has the target's sign by the widest margin per
+    unit length is scaled onto the target; None when there is none.
+    """
+    a, b = target
+    spec = linalg.eig_sym(b * M1 - a * M2)
+    lam, V = spec.eigenvalues, spec.eigenvectors
+    cut = linalg.rank_cut(lam)
+    if np.sum(lam > cut) < np.sum(lam < -cut):
+        lam = -lam
+    pos = V[:, lam > cut] / np.sqrt(lam[lam > cut])
+    neg = V[:, lam < -cut] / np.sqrt(-lam[lam < -cut])
+    if neg.shape[1] == 0:
+        return None
+    # one positive eigenpair leaves the two zeros +-v_p / sqrt(l_p) + v_n / sqrt(-l_n)
+    th = np.linspace(0.0, 2.0 * np.pi, 64 if pos.shape[1] > 1 else 2, endpoint=False)
+    ring = np.outer(pos[:, 0], np.cos(th)) + np.outer(pos[:, -1], np.sin(th))
+    X = np.hstack([ring + neg[:, [j]] for j in range(neg.shape[1])])
+    k = int(np.argmax(np.abs(target)))
+    vals = oracles.homogeneous_values((M1, M2)[k], X) * np.sign(target[k])
+    j = int(np.argmax(vals / np.sum(X * X, axis=0)))
+    if vals[j] <= 0.0:
+        return None
+    return X[:, j] * np.sqrt(abs(target[k]) / vals[j])
 
 
 def verify_extreme_rank2(Z, M1, M2):
     """Certify that Z spans a rank-two extreme ray of the two-LME slice.
 
-    Checks rank 2, both inner products ~0, and a nonzero resultant of the
-    two forms restricted to range(Z) (no rank-one feasible direction inside
-    the range).  Returns (bool, resultant value).
+    Checks that Z is PSD of rank 2, that |<M_i, Z>| <= 1e-7 ||M_i||_2 ||Z||_2,
+    and that |resultant| of the two forms restricted to range(Z) (no rank-one
+    feasible direction inside the range) exceeds RESULTANT_TOL ||M1||_2^2
+    ||M2||_2^2: scaling Z or an M_i leaves the slice and the answer alone.
+    Returns (bool, resultant value).
     """
     Z = linalg.sym(Z)
-    M1 = linalg.sym(M1)
-    M2 = linalg.sym(M2)
-    scale = _pair_scale(M1, M2) * max(1.0, float(np.linalg.norm(Z, 2)))
-    if linalg.rank_eps(Z) != 2:
-        return False, 0.0
-    for M in (M1, M2):
-        if abs(float(np.sum(M * Z))) > 1e-7 * scale:
-            return False, 0.0
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
     spec = linalg.eig_sym(Z)
-    p = spec.eigenvectors[:, -1]
-    q = spec.eigenvectors[:, -2]
+    lam = spec.eigenvalues
+    cut = linalg.rank_cut(lam)
+    if lam[-2] <= cut or np.any(np.abs(lam[:-2]) > cut):
+        return False, 0.0
+    n1, n2 = (float(np.linalg.norm(M, 2)) for M in (M1, M2))
+    if any(abs(float(np.sum(M * Z))) > 1e-7 * n * lam[-1] for M, n in ((M1, n1), (M2, n2))):
+        return False, 0.0
+    p, q = spec.eigenvectors[:, -1], spec.eigenvectors[:, -2]
     q1 = (float(p @ M1 @ p), 2.0 * float(p @ M1 @ q), float(q @ M1 @ q))
     q2 = (float(p @ M2 @ p), 2.0 * float(p @ M2 @ q), float(q @ M2 @ q))
     res = linalg.binary_quadratic_resultant(q1, q2)
-    return abs(res) > RESULTANT_TOL, res
+    return abs(res) > RESULTANT_TOL * n1**2 * n2**2, res
 
 
 # ---------------------------------------------------------------------------

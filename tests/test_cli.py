@@ -106,10 +106,26 @@ class TestRog:
     def test_pair_needs_two_matrices(self, capsys):
         assert cli.main(["rog", "pair", "diag:1,-1"]) == 2
 
-    def test_witness3d(self, capsys):
-        rc = cli.main(["rog", "witness3d", "diag:1,-1,0", "diag:0,1,-1"])
+    def test_witness3d(self, capsys, tmp_path):
+        out_json = str(tmp_path / "witness.json")
+        rc = cli.main(["rog", "witness3d", "diag:1,-1,0", "diag:0,1,-1",
+                       "--json", out_json])
         assert rc == 0
-        assert "resultant:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "resultant:" in out
+        assert "zero_lines: 4" in out
+        lines = np.array(json.loads(open(out_json).read())["zero_lines"])
+        assert np.allclose(np.abs(lines), 1.0 / np.sqrt(3.0))
+
+    def test_witness3d_tiny_pair(self, capsys):
+        rc = cli.main(["rog", "witness3d", "diag:0.001,-0.001,0", "diag:0,0.001,-0.001"])
+        assert rc == 0
+        assert "zero_lines: 4" in capsys.readouterr().out
+
+    def test_witness3d_rog_pair_is_input_error(self, capsys):
+        # a PSD combination exists: no zero lines and no witness to report
+        assert cli.main(["rog", "witness3d", "diag:1,1,-1", "diag:0,0,1"]) == 2
+        assert "PSD combination" in capsys.readouterr().err
 
     def test_witness3d_rejects_wrong_size(self, capsys):
         assert cli.main(["rog", "witness3d", "diag:1,-1", "diag:0,1"]) == 2

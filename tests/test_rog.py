@@ -339,15 +339,26 @@ class TestAngularScan:
         assert rog._angular_scan(M1_3D, M2_3D) is None
 
 
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
+def _assert_worked_lines(lines):
+    """The worked pair's zero lines are (1, +-1, +-1) / sqrt(3)."""
+    assert len(lines) == 4
+    expected = [np.array([1.0, s1, s2]) / np.sqrt(3.0)
+                for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
+    for e in expected:
+        assert any(min(np.linalg.norm(z - e), np.linalg.norm(z + e)) <= 1e-7
+                   for z in lines)
+
+
 class TestNullLines:
     def test_3d_pair_four_lines(self):
-        lines = rog.null_set_lines_3d(M1_3D, M2_3D)
-        assert len(lines) == 4
-        expected = [np.array([1.0, s1, s2]) / np.sqrt(3.0)
-                    for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
-        for e in expected:
-            assert any(min(np.linalg.norm(z - e), np.linalg.norm(z + e)) <= 1e-7
-                       for z in lines)
+        _assert_worked_lines(rog.null_set_lines_3d(M1_3D, M2_3D))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_four_lines_at_every_scale(self, s):
+        _assert_worked_lines(rog.null_set_lines_3d(s * M1_3D, s * M2_3D))
 
     def test_lines_annihilate_both_forms(self):
         rng = np.random.default_rng(31)
@@ -380,14 +391,53 @@ class TestNullLines:
             rog.null_set_lines_3d(sym_outer(E[0], E[2]), sym_outer(E[1], E[2]))
 
 
+HANDPICKED_W = np.array([-1.0, 0.0, 1.0])
+HANDPICKED_Z = (np.outer(HANDPICKED_W, HANDPICKED_W)
+                + np.outer([1.0, np.sqrt(2.0), 1.0], [1.0, np.sqrt(2.0), 1.0]))
+
+
 class TestWitness:
     def test_handpicked_witness_verifies(self):
-        w = np.array([-1.0, 0.0, 1.0])
-        u = np.array([1.0, np.sqrt(2.0), 1.0])
-        Z = np.outer(w, w) + np.outer(u, u)
-        ok, res = rog.verify_extreme_rank2(Z, M1_3D, M2_3D)
+        ok, res = rog.verify_extreme_rank2(HANDPICKED_Z, M1_3D, M2_3D)
         assert ok
         assert abs(res) > 1e-9
+
+    @pytest.mark.parametrize("s1", SCALES)
+    @pytest.mark.parametrize("s2", SCALES)
+    def test_verification_is_scale_free(self, s1, s2):
+        # the slice does not change under M_i -> s_i M_i or Z -> c Z
+        A, B = s1 * M1_3D, s2 * M2_3D
+        built = rog.construct_rank2_witness_3d(A, B, seed=0)["Z"]
+        for Z in (HANDPICKED_Z, built):
+            for c in SCALES:
+                assert rog.verify_extreme_rank2(c * Z, A, B)[0]
+        rank_one = np.outer(HANDPICKED_W, HANDPICKED_W)
+        for Z in (rank_one, HANDPICKED_Z + np.diag([1e-3, 0.0, 0.0])):
+            assert not rog.verify_extreme_rank2(Z, A, B)[0]
+
+    def test_indefinite_rank_two_rejected(self):
+        # rank 2 with <M_i, Z> = 0 and a nonzero resultant on the span of the
+        # top two eigenvectors, but Z is not PSD, so it is not in the slice
+        w, v = np.array([2.0, 1.0, 1.0]), np.array([2.0, 1.0, -1.0])
+        Z = np.outer(w, w) - np.outer(v, v)
+        assert not rog.verify_extreme_rank2(Z, M1_3D, M2_3D)[0]
+
+    def test_rog_pair_gets_no_witness(self):
+        with pytest.raises(rog.ConstructionFailed):
+            rog.construct_rank2_witness_3d(np.diag([1.0, 1.0, -1.0]),
+                                           np.diag([0.0, 0.0, 1.0]))
+
+    def test_slow_battery_pair_matched_early(self):
+        # pair 256 of a seed-303 battery took 119 Newton attempts (18-25 s)
+        rng = np.random.default_rng(303)
+        for k in range(257):
+            d = rog.BATTERY_DIMS[k % len(rog.BATTERY_DIMS)]
+            M1, M2 = random_sym(rng, d), random_sym(rng, d)
+        assert M1.shape == (3, 3)
+        assert rog.check_pair(M1, M2, seed=256, eps=rog.BATTERY_EPS).status == "NOT_ROG_CERTIFIED"
+        wit = rog.construct_rank2_witness_3d(M1, M2, seed=256)
+        assert rog.verify_extreme_rank2(wit["Z"], M1, M2)[0]
+        assert wit["attempt"] < 10
 
     def test_constructed_witness(self):
         wit = rog.construct_rank2_witness_3d(M1_3D, M2_3D, seed=0)
