@@ -183,7 +183,7 @@ def _cmd_rog(args) -> int:
         if len(mats) != 2 or mats[0].shape[0] != 3:
             raise InputError("rog witness3d needs two 3x3 matrices")
         # a dependent pair, a PSD combination or a common factor is an input error
-        lines = rog.null_set_lines_3d(mats[0], mats[1], seed=args.seed)
+        lines = rog.null_set_lines_3d(mats[0], mats[1])
         wit = rog.construct_rank2_witness_3d(mats[0], mats[1], seed=args.seed)
         _report_line("zero_lines", len(lines))
         for z in lines:

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg, model, oracles, solver
 
@@ -122,9 +123,9 @@ def _dependence(M1, M2):
     """
     n1 = float(np.linalg.norm(M1))
     n2 = float(np.linalg.norm(M2))
-    if n2 <= 1e-9 * max(1.0, n1):
+    if n2 <= 1e-9 * n1:
         return np.array([0.0, -1.0])
-    if n1 <= 1e-9 * max(1.0, n2):
+    if n1 <= 1e-9 * n2:
         return np.array([1.0, 0.0])
     kappa = float(np.sum(M1 * M2)) / (n1 * n1)
     alpha = np.array([kappa, -1.0]) / max(1.0, abs(kappa))
@@ -244,18 +245,20 @@ def _psd_combination(M1, M2, alpha) -> bool:
 
 
 def _is_pd_witness(M1, M2, Z) -> bool:
-    """Z is positive definite and orthogonal to M1 and M2 (condition (i) fails)."""
+    """Z is positive definite and orthogonal to M1 and M2 (condition (i) fails),
+    both relative to ||Z||, so c Z passes with Z for every c > 0."""
     Z = linalg.sym(Z)
-    if linalg.eig_sym(Z).eigenvalues[0] <= 1e-7:
+    w = linalg.eig_sym(Z).eigenvalues
+    if w[0] <= 1e-7 * w[-1]:
         return False
-    tol = 1e-6 * _pair_scale(M1, M2) * max(1.0, np.linalg.norm(Z))
+    tol = 1e-6 * _pair_scale(M1, M2) * np.linalg.norm(Z)
     return all(abs(float(np.sum(M * Z))) <= tol for M in (M1, M2))
 
 
 def _is_sym_product(M, a, b) -> bool:
     """M = Sym(a b^T) within 1e-7 relative (Frobenius)."""
     r = np.linalg.norm(M - 0.5 * (np.outer(a, b) + np.outer(b, a)))
-    return bool(r <= 1e-7 * max(1.0, np.linalg.norm(M)))
+    return bool(r <= 1e-7 * np.linalg.norm(M))
 
 
 def _refutes_common_factor(M1, M2, cert) -> bool:
@@ -322,7 +325,7 @@ def _angular_scan(M1, M2):
 
 def _joint_range_dim(M1, M2) -> int:
     stacked = np.hstack([M1, M2])
-    return int(np.linalg.matrix_rank(stacked, tol=1e-9 * max(1.0, np.linalg.norm(stacked, 2))))
+    return int(np.linalg.matrix_rank(stacked, tol=1e-9 * np.linalg.norm(stacked, 2)))
 
 
 def _common_factor(mats):
@@ -447,30 +450,17 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _quartic_from_pair(M1, M2):
-    """Coefficients (in z1^4 ... z2^4) of the z3-resultant of the two conics."""
-    def parts(M):
-        a = M[2, 2]
-        b = np.array([2.0 * M[0, 2], 2.0 * M[1, 2]])  # linear in (z1, z2)
-        c = np.array([M[0, 0], 2.0 * M[0, 1], M[1, 1]])  # quadratic
-        return a, b, c
-
-    a1, b1, c1 = parts(M1)
-    a2, b2, c2 = parts(M2)
-    # binary forms multiply by convolving their coefficient sequences
-    t1 = np.convolve(a1 * c2 - a2 * c1, a1 * c2 - a2 * c1)
-    t2 = np.convolve(a1 * b2 - a2 * b1, np.convolve(b1, c2) - np.convolve(b2, c1))
-    return t1 - t2
-
-
-def null_set_lines_3d(M1, M2, seed: int = 0):
+def null_set_lines_3d(M1, M2):
     """Unit directions spanning the common zero lines of two 3x3 forms.
 
-    Eliminates z3 via the resultant of the two conics (a degree-4 binary
-    form in (z1, z2)), with seeded random rotations restoring genericity
-    when leading coefficients vanish.  At most four lines exist when the
-    pair admits neither a PSD combination nor a common factor; a dependent
-    pair or one admitting either raises ValueError.
+    A real root (a, b) of the binary cubic det(b M1 - a M2) gives a singular
+    member N of the pencil (M1 itself when the pencil is singular).  With no
+    PSD combination N is indefinite of rank two, N = Sym(p q^T), so every
+    common zero lies on the plane p^T z = 0 or q^T z = 0.  On each plane the
+    two forms are proportional, and the zeros of the larger one's
+    restriction (none when it is definite) are the plane's lines.  At most
+    four lines exist; a dependent pair or one admitting a PSD combination or
+    a common factor raises ValueError.
     """
     M1, M2 = linalg.sym(M1), linalg.sym(M2)
     if M1.shape != (3, 3) or M2.shape != (3, 3):
@@ -483,76 +473,23 @@ def null_set_lines_3d(M1, M2, seed: int = 0):
     if _common_factor((M1, M2)) is not None:
         raise ValueError("pair shares a common factor; zero set contains a plane")
 
-    rng = np.random.default_rng(seed)
-    scale = max(np.linalg.norm(M1), np.linalg.norm(M2))
-    R = np.eye(3)
-    for attempt in range(6):
-        A1 = R @ M1 @ R.T
-        A2 = R @ M2 @ R.T
-        if min(abs(A1[2, 2]), abs(A2[2, 2])) > 1e-6 * scale:
-            quartic = _quartic_from_pair(A1, A2)
-            if np.max(np.abs(quartic)) > 1e-10 * scale**4:
-                break
-        R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    else:
-        raise ConstructionFailed("could not reach a generic frame")
-
+    ab = scipy.linalg.eigvals(M1, M2, homogeneous_eigvals=True)
+    a, b = ab[:, int(np.argmin(np.abs(ab[0].imag)))].real
+    singular = abs(a) <= 1e-12 * np.linalg.norm(M1) and abs(b) <= 1e-12 * np.linalg.norm(M2)
+    N = M1 if singular else b * M1 - a * M2
     directions = []
-
-    def add(zp):
-        nrm = np.linalg.norm(zp)
-        if nrm < 1e-9:
-            return
-        z = R.T @ (zp / nrm)
-        if max(abs(float(z @ M @ z)) for M in (M1, M2)) > 1e-8 * scale:
-            return
-        for d0 in directions:
-            if _same_direction(z, d0, tol=1e-7):
-                return
-        directions.append(z)
-
-    def z3_roots(A, z1, z2):
-        a = A[2, 2]
-        b = 2.0 * (A[0, 2] * z1 + A[1, 2] * z2)
-        c = A[0, 0] * z1**2 + 2.0 * A[0, 1] * z1 * z2 + A[1, 1] * z2**2
-        disc = b * b - 4.0 * a * c
-        if disc < -1e-9 * scale**2:
-            return []
-        disc = max(disc, 0.0)
-        return [(-b + np.sqrt(disc)) / (2.0 * a), (-b - np.sqrt(disc)) / (2.0 * a)]
-
-    # chart z1 = 1: the form sum_k quartic[k] z1^(4-k) z2^k is a polynomial
-    # in s = z2/z1 whose highest-power-first coefficients are quartic[::-1];
-    # the frame search above left it nonzero
-    for r in np.roots(quartic[::-1]):
-        if abs(np.imag(r)) > 1e-7 * max(1.0, abs(r)):
+    for p in decompose_rank2_indefinite(N)[1:]:
+        P = linalg.kernel_basis(np.outer(p, p))
+        R = max((P.T @ M @ P for M in (M1, M2)), key=np.linalg.norm)
+        try:
+            factors = decompose_rank2_indefinite(R)[1:]
+        except DecompositionImpossible:  # definite: no zero on this plane
             continue
-        s = float(np.real(r))
-        for z3 in z3_roots(A1, 1.0, s):
-            zp = np.array([1.0, s, z3])
-            if abs(zp @ A2 @ zp) <= 1e-6 * scale * float(zp @ zp):
-                # polish with a couple of Newton steps on (Q1, Q2)
-                add(_polish_null_direction(A1, A2, zp, scale))
-    # chart z1 = 0: binary forms in (z2, z3)
-    q1 = (A1[1, 1], 2.0 * A1[1, 2], A1[2, 2])
-    q2 = (A2[1, 1], 2.0 * A2[1, 2], A2[2, 2])
-    if abs(linalg.binary_quadratic_resultant(q1, q2)) <= 1e-9 * scale**4:
-        for z3 in z3_roots(A1, 0.0, 1.0):
-            zp = np.array([0.0, 1.0, z3])
-            if abs(zp @ A2 @ zp) <= 1e-6 * scale * float(zp @ zp):
-                add(_polish_null_direction(A1, A2, zp, scale))
+        for f in factors:
+            z = _unit(np.cross(p, P @ f))
+            if not any(_same_direction(z, d0, tol=1e-7) for d0 in directions):
+                directions.append(z)
     return directions
-
-
-def _polish_null_direction(A1, A2, z, scale):
-    for _ in range(20):
-        f = np.array([float(z @ A1 @ z), float(z @ A2 @ z)])
-        if np.max(np.abs(f)) < 1e-14 * scale * float(z @ z):
-            break
-        J = np.vstack([2.0 * (A1 @ z), 2.0 * (A2 @ z)])
-        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        z = z + step
-    return z
 
 
 def construct_rank2_witness_3d(M1, M2, seed: int = 0):

@@ -103,6 +103,13 @@ class TestRog:
         assert "status: ROG_CERTIFIED" in out
         assert "verified: True" in out
 
+    def test_small_pair_verifies(self, capsys):
+        # the worked NOT_ROG pair at 1e-10: no norm is compared with 1
+        assert cli.main(["rog", "pair", "diag:1e-10,-1e-10,0", "diag:0,1e-10,-1e-10"]) == 0
+        out = capsys.readouterr().out
+        assert "status: NOT_ROG_CERTIFIED" in out
+        assert "verified: True" in out
+
     def test_pair_needs_two_matrices(self, capsys):
         assert cli.main(["rog", "pair", "diag:1,-1"]) == 2
 

@@ -164,6 +164,24 @@ class TestCheckPair:
                                               "a2": E[2], "b2": np.ones(3)}})
         assert not rog.verify_certificate(forged, A, B)
 
+    @pytest.mark.parametrize("status,cert,M1,M2", [
+        # a zero factorisation leaves the residual ||M|| ~ 1e-8, which a cut
+        # at 1e-7 * max(1, ||M||) would accept
+        ("ROG_CERTIFIED",
+         {"kind": "CommonFactor", "a": np.zeros(3), "b": np.zeros(3), "c": np.zeros(3)},
+         1e-8 * M1_3D, 1e-8 * M2_3D),
+        # the rank refutation is genuine, and <I_3, Z> = 6e-7 passes a cut
+        # at 1e-6 * max(1, ||Z||), but Z is orthogonal to no member of this
+        # pair relative to ||Z||, and I_3 is a PSD member of a ROG pair
+        ("NOT_ROG_CERTIFIED",
+         {"kind": "PdWitness", "Z": 2e-7 * np.eye(3),
+          "rank_refutation": {"alpha": np.array([1.0, 0.5])}},
+         np.eye(3), np.diag([1.0, -1.0, 0.0])),
+    ], ids=["zero_common_factor_small_pair", "small_pd_witness"])
+    def test_forgery_below_unit_scale_rejected(self, status, cert, M1, M2):
+        forged = rog.RogVerdict(status=status, certificate=cert)
+        assert not rog.verify_certificate(forged, M1, M2)
+
     def test_forged_unit_alpha_rejected(self):
         # alpha1 diag(1,-1,0) + alpha2 diag(0,1,-1) = diag(a1, a2 - a1, -a2) is
         # PSD only for alpha = 0, so no normalised alpha may verify
@@ -269,6 +287,26 @@ class TestScaling:
                 assert rog.verify_certificate(v, s * A, s * B), (k, s, v.status)
         assert decided >= 150
 
+    def test_unit_scale_verdicts_kept_at_extreme_scales(self):
+        # every tolerance is relative to the pair scale, so scaling the pair
+        # changes neither the verdict nor the certificate kind
+        for k, (A, B) in enumerate(_scaling_pairs()):
+            v = rog.check_pair(A, B, seed=k, eps=1e-5)
+            unit = (v.status, v.certificate.get("kind"))
+            for s in (1e-12, 1e-10, 1e-8, 1e8, 1e10, 1e12):
+                v = rog.check_pair(s * A, s * B, seed=k, eps=1e-5)
+                assert (v.status, v.certificate.get("kind")) == unit, (k, s)
+                assert rog.verify_certificate(v, s * A, s * B), (k, s)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+    def test_scaled_pd_witness_verifies(self, c):
+        # Z and c Z witness the same thing for every c > 0
+        for k, (A, B) in enumerate(_scaling_pairs()):
+            v = rog.check_pair(A, B, seed=k, eps=1e-5)
+            if v.status == "NOT_ROG_CERTIFIED":
+                cert = {**v.certificate, "Z": c * v.certificate["Z"]}
+                assert rog.verify_certificate(rog.RogVerdict(v.status, cert), A, B), k
+
     @pytest.mark.parametrize("s", [1e-6, 1e6])
     def test_gordan_stiemke_solves_as_at_unit_scale(self, s, monkeypatch):
         # the SDP fallback of pairs 0, 3 and 9 converges in as many
@@ -369,13 +407,22 @@ class TestNullLines:
             v = rog.check_pair(A, B, seed=trial)
             if v.status != "NOT_ROG_CERTIFIED":
                 continue
-            lines = rog.null_set_lines_3d(A, B, seed=trial)
+            lines = rog.null_set_lines_3d(A, B)
             found += 1
             scale = max(np.linalg.norm(A), np.linalg.norm(B), 1.0)
             for z in lines:
                 assert abs(float(z @ A @ z)) <= 1e-7 * scale
                 assert abs(float(z @ B @ z)) <= 1e-7 * scale
         assert found >= 5
+
+    def test_singular_pencil_one_line(self):
+        # every member of diag(1,-1,0), Sym(e1 e2^T) is singular; the only
+        # common zero line is the shared kernel e3
+        B = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        lines = rog.null_set_lines_3d(M1_3D, B)
+        assert len(lines) == 1
+        e3 = np.eye(3)[2]
+        assert min(np.linalg.norm(lines[0] - e3), np.linalg.norm(lines[0] + e3)) <= 1e-12
 
     def test_precondition_psd_combo(self):
         with pytest.raises(ValueError):
