@@ -170,7 +170,7 @@ def _cmd_rog(args) -> int:
     if sub == "pair":
         if len(mats) != 2:
             raise InputError("rog pair needs exactly two matrices")
-        v = rog.check_pair(mats[0], mats[1], seed=args.seed)
+        v = rog.check_pair(mats[0], mats[1])
         ok = rog.verify_certificate(v, mats[0], mats[1])
         _report_line("status", v.status)
         _report_line("certificate", v.certificate.get("kind"))
@@ -283,8 +283,8 @@ def _cmd_examples(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Each leaf command accepts only the flags it reads: --json on every one
-    but ``examples list``, --seed on the seeded ``rog`` commands and on
-    ``examples run``."""
+    but ``examples list``, --seed on the seeded ``rog`` commands (witness3d,
+    probe, battery) and on ``examples run``."""
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", metavar="PATH",
                         help="write a machine report to PATH")
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rog", help="rank-one-generated analysis")
     rsub = p.add_subparsers(dest="rog_cmd", required=True)
     for name in ("pair", "witness3d", "probe"):
-        rp = rsub.add_parser(name, parents=[seeded])
+        rp = rsub.add_parser(name, parents=[report if name == "pair" else seeded])
         rp.add_argument("matrices", nargs="+", help="diag:... or dense:... literals")
         if name == "probe":
             rp.add_argument("--trials", type=int, default=10)

@@ -83,30 +83,29 @@ def load(name: str) -> dict:
 
 
 def run(name: str, seed: int = 0) -> dict:
-    """Execute the entry's full pipeline and return a report dict."""
+    """Execute the entry's full pipeline and return a report dict; ``seed``
+    seeds the rank-two witness of a 3x3 pair that is not ROG."""
     ent = load(name)
     kind = ent["kind"]
     report = {"name": name, "kind": kind}
     if kind == "qcqp":
         inst = ent["instance"]
         report["summary"] = exactness.exactness_summary(inst, ent.get("gamma_generators"))
-        report["rog"] = rog.check_set(rog.LmiSet.from_instance(inst), seed=seed)
+        report["rog"] = rog.check_set(rog.LmiSet.from_instance(inst))
         report["clconv"] = rog.clconv_report(inst, report["rog"])
         return report
     if kind == "matrix_pair":
         M1, M2 = ent["matrices"]
-        v = rog.check_pair(M1, M2, seed=seed)
+        v = rog.check_pair(M1, M2)
         report["rog"] = v
         report["certificate_verified"] = rog.verify_certificate(v, M1, M2)
         if v.status == "NOT_ROG_CERTIFIED" and M1.shape[0] == 3:
             report["witness"] = rog.construct_rank2_witness_3d(M1, M2, seed=seed)
         return report
     if kind == "lmi_set":
-        report["rog"] = rog.check_set(rog.LmiSet(ent["matrices"], ent["senses"]),
-                                      seed=seed)
+        report["rog"] = rog.check_set(rog.LmiSet(ent["matrices"], ent["senses"]))
         if "original" in ent:
-            report["original_rog"] = rog.check_pair(*ent["original"]["matrices"],
-                                                    seed=seed)
+            report["original_rog"] = rog.check_pair(*ent["original"]["matrices"])
         return report
     if kind == "ratio":
         p = ratio.build_rtls(ent["data"], ent["rhs"], ent["radius"])

@@ -51,12 +51,6 @@ def eig_sym(S) -> Spectrum:
     return Spectrum(*np.linalg.eigh(sym(S)))
 
 
-def rank_eps(S) -> int:
-    """Numerical rank: eigenvalues with |lambda| > RANK_TOL * ||S||_2."""
-    w = eig_sym(S).eigenvalues
-    return int(np.sum(np.abs(w) > rank_cut(w)))
-
-
 def kernel_basis(S) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of S: eigenvectors
     with |lambda| <= RANK_TOL * ||S||_2.  Returns a (dim, k) array; k may be

@@ -69,7 +69,6 @@ class LmiSet:
 class RogVerdict:
     status: str  # ROG_CERTIFIED | NOT_ROG_CERTIFIED | ROG_BY_SUFFICIENT_RULE | UNDECIDED
     certificate: dict = field(default_factory=dict)
-    seed: int = 0
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -88,8 +87,8 @@ def _same_direction(u, v, tol=ANGLE_TOL) -> bool:
 def decompose_rank2_indefinite(M):
     """Split M = Sym(a b^T) when M has rank <= 2 and is not definite.
 
-    Returns (eta, a, b) with eta = 1 and M = Sym(a b^T); raises
-    DecompositionImpossible for rank > 2 or a definite rank-2 matrix.
+    Returns (a, b) with M = Sym(a b^T); raises DecompositionImpossible for
+    rank > 2 or a definite rank-2 matrix.
     """
     spec = linalg.eig_sym(M)
     w, V = spec.eigenvalues, spec.eigenvectors
@@ -104,14 +103,14 @@ def decompose_rank2_indefinite(M):
     if r == 1:
         if pos:
             a = np.sqrt(w[pos[0]]) * V[:, pos[0]]
-            return 1.0, a, a.copy()
+            return a, a.copy()
         a = np.sqrt(-w[neg[0]]) * V[:, neg[0]]
-        return 1.0, a, -a
+        return a, -a
     if len(pos) != 1 or len(neg) != 1:
         raise DecompositionImpossible("rank-2 matrix is definite")
     vp = np.sqrt(w[pos[0]]) * V[:, pos[0]]
     vm = np.sqrt(-w[neg[0]]) * V[:, neg[0]]
-    return 1.0, vp + vm, vp - vm
+    return vp + vm, vp - vm
 
 
 def _dependence(M1, M2):
@@ -261,23 +260,6 @@ def _is_sym_product(M, a, b) -> bool:
     return bool(r <= 1e-7 * np.linalg.norm(M))
 
 
-def _refutes_common_factor(M1, M2, cert) -> bool:
-    """A PdWitness certificate's evidence that condition (ii) fails: a
-    combination of rank >= 3, else splittings with no shared direction, else
-    a recomputed joint range dimension other than 3."""
-    ref = cert.get("rank_refutation")
-    if ref is not None:
-        al = np.asarray(ref["alpha"], dtype=float)
-        return linalg.rank_eps(al[0] * M1 + al[1] * M2) >= 3
-    df = cert.get("distinct_factors")
-    if df is not None:
-        a1, b1, a2, b2 = (np.asarray(df[k], dtype=float) for k in ("a1", "b1", "a2", "b2"))
-        if not (_is_sym_product(M1, a1, b1) and _is_sym_product(M2, a2, b2)):
-            return False
-        return not any(_same_direction(u, v) for u in (a1, b1) for v in (a2, b2))
-    return _joint_range_dim(M1, M2) != 3
-
-
 def _lmin(M1, M2, th):
     """Smallest eigenvalue of cos(th) M1 + sin(th) M2 for each angle in th.
 
@@ -323,19 +305,17 @@ def _angular_scan(M1, M2):
     return None
 
 
-def _joint_range_dim(M1, M2) -> int:
-    stacked = np.hstack([M1, M2])
-    return int(np.linalg.matrix_rank(stacked, tol=1e-9 * np.linalg.norm(stacked, 2)))
-
-
 def _common_factor(mats):
     """(c, cofactors): unit c with M_j = Sym(k_j c^T) for every member, or None.
 
     Candidates for c are the first member's splitting factors whose
-    direction every other member's splitting shares.
+    direction every other member's splitting shares.  The search is
+    complete: z^T Sym(p q^T) z = (p^T z)(q^T z), so a member's splitting
+    directions are unique up to scale, and a None from this deterministic
+    search is itself the proof, for a pair, that condition (ii) fails.
     """
     try:
-        splits = [decompose_rank2_indefinite(M)[1:] for M in mats]
+        splits = [decompose_rank2_indefinite(M) for M in mats]
     except DecompositionImpossible:
         return None
     for cand in splits[0]:
@@ -354,18 +334,12 @@ def _common_factor(mats):
     return None
 
 
-def _rank_refutation(M1, M2, seed: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        al = rng.standard_normal(2)
-        combo = al[0] * M1 + al[1] * M2
-        if linalg.rank_eps(combo) >= 3:
-            return {"alpha": al, "rank": linalg.rank_eps(combo)}
-    return None
-
-
 def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
-    """Complete two-LMI ROG decision with a machine-checkable certificate."""
+    """Complete two-LMI ROG decision with a machine-checkable certificate.
+
+    The decision is deterministic.  ``seed`` is accepted and ignored, only
+    so that callers which pass one (the benchmark workloads) keep working.
+    """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
     if M1.shape != M2.shape:
@@ -376,7 +350,7 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     if alpha is not None:
         # the combination is ~0, so it passes _psd_combination
         return RogVerdict(
-            status="ROG_CERTIFIED", seed=seed,
+            status="ROG_CERTIFIED",
             certificate={"kind": "AggregationWeights", "alpha": alpha,
                          "note": "linearly dependent pair"},
         )
@@ -385,43 +359,28 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     outcome, payload = _condition_i(M1, M2, eps=eps)
     if outcome == "psd_combo":
         return RogVerdict(
-            status="ROG_CERTIFIED", seed=seed,
+            status="ROG_CERTIFIED",
             certificate={"kind": "AggregationWeights", "alpha": payload},
         )
     if outcome == "undecided":
-        return RogVerdict(status="UNDECIDED", seed=seed, diagnostics=payload)
-    Zpd = payload
+        return RogVerdict(status="UNDECIDED", diagnostics=payload)
 
-    span_dim = _joint_range_dim(M1, M2)
-    # (c) condition (ii): shared factor across rank-2 splittings
+    # (c) condition (ii): shared factor across rank-2 splittings.  A factor
+    # found here spans a 3-dimensional joint range with a and b, so no range
+    # test is needed: c = alpha a + beta b would make alpha M1 + beta M2 =
+    # c c^T PSD, decided at (b), and a parallel to b a dependent pair (a).
     common = _common_factor((M1, M2))
-    if common is not None and span_dim == 3:
+    if common is not None:
         c, (a, b) = common
         return RogVerdict(
-            status="ROG_CERTIFIED", seed=seed,
+            status="ROG_CERTIFIED",
             certificate={"kind": "CommonFactor", "a": a, "b": b, "c": c},
         )
 
-    # (d) neither condition: not ROG
-    cert = {"kind": "PdWitness", "Z": Zpd, "span_dim": span_dim}
-    ref = _rank_refutation(M1, M2, seed=seed)
-    if ref is not None:
-        cert["rank_refutation"] = ref
-    else:
-        try:
-            _, a1, b1 = decompose_rank2_indefinite(M1)
-            _, a2, b2 = decompose_rank2_indefinite(M2)
-            cert["distinct_factors"] = {
-                "a1": a1, "b1": b1, "a2": a2, "b2": b2,
-                "note": "no pairing of factors shares a direction",
-            }
-        except DecompositionImpossible as exc:
-            cert["distinct_factors_note"] = str(exc)
-    if not _refutes_common_factor(M1, M2, cert):
-        # the tolerances disagree on condition (ii): no certificate to give
-        return RogVerdict(status="UNDECIDED", seed=seed,
-                          diagnostics={"reason": "condition (ii) not refuted"})
-    return RogVerdict(status="NOT_ROG_CERTIFIED", seed=seed, certificate=cert)
+    # (d) neither condition: not ROG, and the PD witness refuting (i) is the
+    # certificate, since the verifier repeats the search for (ii)
+    return RogVerdict(status="NOT_ROG_CERTIFIED",
+                      certificate={"kind": "PdWitness", "Z": payload})
 
 
 def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
@@ -429,7 +388,9 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
 
     Every fact the certificate claims is recomputed with the predicate the
     decision path applied before emitting it; what the certificate reports
-    about itself (notes, span_dim) is ignored.
+    about itself (notes, any extra field) is ignored.  A PdWitness refutes
+    condition (i) through Z and condition (ii) by ``_common_factor`` on the
+    pair itself.
     """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
@@ -441,7 +402,7 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
         a, b, c = (np.asarray(cert[k], dtype=float) for k in ("a", "b", "c"))
         return _is_sym_product(M1, a, c) and _is_sym_product(M2, b, c)
     if verdict.status == "NOT_ROG_CERTIFIED" and kind == "PdWitness":
-        return _is_pd_witness(M1, M2, cert["Z"]) and _refutes_common_factor(M1, M2, cert)
+        return _is_pd_witness(M1, M2, cert["Z"]) and _common_factor((M1, M2)) is None
     return False
 
 
@@ -478,11 +439,11 @@ def null_set_lines_3d(M1, M2):
     singular = abs(a) <= 1e-12 * np.linalg.norm(M1) and abs(b) <= 1e-12 * np.linalg.norm(M2)
     N = M1 if singular else b * M1 - a * M2
     directions = []
-    for p in decompose_rank2_indefinite(N)[1:]:
+    for p in decompose_rank2_indefinite(N):
         P = linalg.kernel_basis(np.outer(p, p))
         R = max((P.T @ M @ P for M in (M1, M2)), key=np.linalg.norm)
         try:
-            factors = decompose_rank2_indefinite(R)[1:]
+            factors = decompose_rank2_indefinite(R)
         except DecompositionImpossible:  # definite: no zero on this plane
             continue
         for f in factors:
@@ -630,7 +591,7 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
     for cap_idx in range(len(mats)):
         L = mats[cap_idx]
         w = linalg.eig_sym(L).eigenvalues
-        scale = max(1.0, float(np.max(np.abs(w))))
+        scale = float(np.max(np.abs(w)))
         n_neg = int(np.sum(w < -1e-7 * scale))
         if n_neg != 1:
             continue
@@ -639,7 +600,7 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
         if fam.status != "ROG_BY_SUFFICIENT_RULE" or "c" not in fam.certificate:
             continue
         cofs = fam.certificate["cofactors"]
-        if all(float(k @ L @ k) <= 1e-7 * scale * max(1.0, float(k @ k)) for k in cofs):
+        if all(float(k @ L @ k) <= 1e-7 * scale * float(k @ k) for k in cofs):
             return RogVerdict(
                 status="ROG_BY_SUFFICIENT_RULE",
                 certificate={"kind": "SocCap", "cap_index": cap_idx,
@@ -647,7 +608,7 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
     return RogVerdict(status="UNDECIDED", diagnostics={"reason": "no cap structure"})
 
 
-def check_set(mset: LmiSet, seed: int = 0) -> RogVerdict:
+def check_set(mset: LmiSet) -> RogVerdict:
     """ROG decision for an LMI set of any size.
 
     No or one member: ROG (the PSD cone and any slice of it by one
@@ -658,10 +619,10 @@ def check_set(mset: LmiSet, seed: int = 0) -> RogVerdict:
     """
     mats = mset.matrices
     if len(mats) < 2:
-        return RogVerdict(status="ROG_CERTIFIED", seed=seed,
+        return RogVerdict(status="ROG_CERTIFIED",
                           certificate={"kind": "SingleLmi" if mats else "PsdCone"})
     if len(mats) == 2:
-        return check_pair(*mats, seed=seed)
+        return check_pair(*mats)
     for rule in (detect_soc_cap, check_common_factor, check_pairwise_sufficient):
         v = rule(mset)
         if v.status == "ROG_BY_SUFFICIENT_RULE":
@@ -828,7 +789,7 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
         G1 = rng.standard_normal((d, d))
         G2 = rng.standard_normal((d, d))
         M1, M2 = 0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T)
-        verdict = check_pair(M1, M2, seed=k, eps=BATTERY_EPS)
+        verdict = check_pair(M1, M2, eps=BATTERY_EPS)
         counts[verdict.status] = counts.get(verdict.status, 0) + 1
         verified = verify_certificate(verdict, M1, M2)
         if not verified:

@@ -260,7 +260,7 @@ class TestFlags:
         assert _leaf_flags(cli.build_parser()) == {
             "solve": ["--json"],
             "check": ["--json", "--t", "--x"],
-            "rog pair": seeded,
+            "rog pair": ["--json"],
             "rog witness3d": seeded,
             "rog probe": ["--json", "--seed", "--trials"],
             "rog battery": ["--json", "--pairs", "--seed"],
@@ -273,9 +273,11 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["--seed", "5", "rog", "pair", "diag:1", "diag:2"],
         ["rog", "--seed", "5", "pair", "diag:1", "diag:2"],
+        ["rog", "pair", "--seed", "5", "diag:1", "diag:2"],
         ["solve", "--seed", "1", "instance.json"],
         ["examples", "list", "--json", "x"],
-    ], ids=["top_level_seed", "rog_seed", "solve_seed", "examples_list_json"])
+    ], ids=["top_level_seed", "rog_seed", "rog_pair_seed", "solve_seed",
+            "examples_list_json"])
     def test_unread_flag_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -283,17 +285,17 @@ class TestFlags:
         assert "usage:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["rog", "pair", "--seed", "5", "diag:1,-1", "dense:0,1;1,0"],
-        ["examples", "run", "--seed", "5", "rog_pair_not"],
-    ], ids=["rog_pair", "examples_run"])
-    def test_seed_reaches_check_pair(self, argv, monkeypatch, capsys):
+        ["rog", "witness3d", "--seed", "5", "diag:1,-1,0", "diag:0,1,-1"],
+        ["examples", "run", "--seed", "5", "rog_pair_3d_not"],
+    ], ids=["witness3d", "examples_run"])
+    def test_seed_reaches_rank2_witness(self, argv, monkeypatch, capsys):
         seeds = []
-        check_pair = rog.check_pair
+        construct = rog.construct_rank2_witness_3d
 
-        def capture(M1, M2, seed=0, **kw):
+        def capture(M1, M2, seed=0):
             seeds.append(seed)
-            return check_pair(M1, M2, seed=seed, **kw)
+            return construct(M1, M2, seed=seed)
 
-        monkeypatch.setattr(rog, "check_pair", capture)
+        monkeypatch.setattr(rog, "construct_rank2_witness_3d", capture)
         assert cli.main(argv) == 0
         assert seeds == [5]

@@ -86,7 +86,6 @@ class TestRankKernel:
             r = int(rng.integers(0, d + 1))
             B = rng.standard_normal((d, r))
             S = B @ B.T
-            assert linalg.rank_eps(S) == r
             K = linalg.kernel_basis(S)
             assert K.shape == (d, d - r)
             if K.size:
@@ -102,9 +101,7 @@ class TestRankKernel:
                      ([3.0, -0.05, 0.01, 0], 3)):
             S = (Q * w) @ Q.T
             for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
-                assert linalg.rank_eps(s * S) == r, (r, s)
                 assert linalg.kernel_basis(s * S).shape == (4, 4 - r), (r, s)
-        assert linalg.rank_eps(np.zeros((3, 3))) == 0
         assert linalg.kernel_basis(np.zeros((3, 3))).shape == (3, 3)
 
 class TestResultant:

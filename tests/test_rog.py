@@ -40,7 +40,7 @@ class TestDecompose:
             a = rng.standard_normal(d)
             b = rng.standard_normal(d)
             M = sym_outer(a, b)
-            _, u, v = rog.decompose_rank2_indefinite(M)
+            u, v = rog.decompose_rank2_indefinite(M)
             back = sym_outer(u, v)
             assert np.linalg.norm(back - M) <= 1e-8 * max(1.0, np.linalg.norm(M))
 
@@ -143,7 +143,8 @@ class TestCheckPair:
 
     def test_forged_span_dim_rejected(self):
         # S13, S23 is ROG with a 3-dimensional joint range; Z = I is PD and
-        # orthogonal to both, so only the reported span_dim could decide
+        # orthogonal to both, and the verifier ignores the reported span_dim:
+        # it finds the common factor e3 itself
         E = np.eye(3)
         A, B = sym_outer(E[0], E[2]), sym_outer(E[1], E[2])
         assert rog.check_pair(A, B).status == "ROG_CERTIFIED"
@@ -154,7 +155,8 @@ class TestCheckPair:
 
     def test_forged_distinct_factors_rejected(self):
         # Z = I is PD and orthogonal to S13, S23, and no pairing of the
-        # forged factors shares a direction; they just do not factor the pair
+        # forged factors shares a direction; the verifier ignores them and
+        # finds the common factor e3 itself
         E = np.eye(3)
         A, B = sym_outer(E[0], E[2]), sym_outer(E[1], E[2])
         forged = rog.RogVerdict(
@@ -170,9 +172,9 @@ class TestCheckPair:
         ("ROG_CERTIFIED",
          {"kind": "CommonFactor", "a": np.zeros(3), "b": np.zeros(3), "c": np.zeros(3)},
          1e-8 * M1_3D, 1e-8 * M2_3D),
-        # the rank refutation is genuine, and <I_3, Z> = 6e-7 passes a cut
-        # at 1e-6 * max(1, ||Z||), but Z is orthogonal to no member of this
-        # pair relative to ||Z||, and I_3 is a PSD member of a ROG pair
+        # the reported rank refutation is ignored, and <I_3, Z> = 6e-7 passes
+        # a cut at 1e-6 * max(1, ||Z||), but Z is orthogonal to no member of
+        # this pair relative to ||Z||, and I_3 is a PSD member of a ROG pair
         ("NOT_ROG_CERTIFIED",
          {"kind": "PdWitness", "Z": 2e-7 * np.eye(3),
           "rank_refutation": {"alpha": np.array([1.0, 0.5])}},
@@ -205,11 +207,25 @@ class TestCheckPair:
         assert rog.verify_certificate(v, M1, M2)
 
     def test_honest_distinct_factors_verify(self):
+        # the splittings of diag(1,-1) and S12 share no direction: condition
+        # (ii) fails, and the verifier recomputes that from the pair
         A, B = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
         v = rog.check_pair(A, B)
         assert v.status == "NOT_ROG_CERTIFIED"
-        assert "distinct_factors" in v.certificate
+        assert sorted(v.certificate) == ["Z", "kind"]
         assert rog.verify_certificate(v, A, B)
+
+    @pytest.mark.parametrize("M1,M2", [
+        (M1_3D, M2_3D),
+        (np.diag([1.0, -1.0, 0.0, 2.0]), np.diag([0.0, 1.0, -1.0, -2.0])),
+    ], ids=["3x3", "4x4"])
+    def test_decision_does_not_depend_on_seed(self, M1, M2):
+        ref = rog.check_pair(M1, M2)
+        assert ref.status == "NOT_ROG_CERTIFIED"
+        for seed in range(5):
+            v = rog.check_pair(M1, M2, seed=seed)
+            assert v.status == ref.status
+            np.testing.assert_equal(v.certificate, ref.certificate)
 
     def test_orthogonal_change_of_basis_keeps_verdict(self):
         Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
@@ -280,7 +296,7 @@ class TestScaling:
         decided = 0
         for k, (A, B) in enumerate(_scaling_pairs()):
             for s in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
-                v = rog.check_pair(s * A, s * B, seed=k, eps=1e-5)
+                v = rog.check_pair(s * A, s * B, eps=1e-5)
                 if v.status == "UNDECIDED":
                     continue
                 decided += 1
@@ -291,10 +307,10 @@ class TestScaling:
         # every tolerance is relative to the pair scale, so scaling the pair
         # changes neither the verdict nor the certificate kind
         for k, (A, B) in enumerate(_scaling_pairs()):
-            v = rog.check_pair(A, B, seed=k, eps=1e-5)
+            v = rog.check_pair(A, B, eps=1e-5)
             unit = (v.status, v.certificate.get("kind"))
             for s in (1e-12, 1e-10, 1e-8, 1e8, 1e10, 1e12):
-                v = rog.check_pair(s * A, s * B, seed=k, eps=1e-5)
+                v = rog.check_pair(s * A, s * B, eps=1e-5)
                 assert (v.status, v.certificate.get("kind")) == unit, (k, s)
                 assert rog.verify_certificate(v, s * A, s * B), (k, s)
 
@@ -302,7 +318,7 @@ class TestScaling:
     def test_scaled_pd_witness_verifies(self, c):
         # Z and c Z witness the same thing for every c > 0
         for k, (A, B) in enumerate(_scaling_pairs()):
-            v = rog.check_pair(A, B, seed=k, eps=1e-5)
+            v = rog.check_pair(A, B, eps=1e-5)
             if v.status == "NOT_ROG_CERTIFIED":
                 cert = {**v.certificate, "Z": c * v.certificate["Z"]}
                 assert rog.verify_certificate(rog.RogVerdict(v.status, cert), A, B), k
@@ -318,7 +334,7 @@ class TestScaling:
             out = {}
             for scale in (1.0, s):
                 sols.clear()
-                status = rog.check_pair(scale * A, scale * B, seed=k, eps=1e-5).status
+                status = rog.check_pair(scale * A, scale * B, eps=1e-5).status
                 assert [sol.status for sol in sols] == [solver.SolveStatus.OPTIMAL], k
                 out[scale] = (status, sols[0].iterations)
             assert out[s] == out[1.0] and out[1.0][1] <= 500, (k, out)
@@ -330,8 +346,8 @@ class TestScaling:
         # factor c is found
         A, B = _scaling_pairs()[14]
         M1, M2 = 1e-6 * A, 1e-6 * B
-        assert [linalg.rank_eps(M) for M in (M1, M2)] == [2, 2]
-        v = rog.check_pair(M1, M2, seed=14, eps=1e-5)
+        assert [linalg.kernel_basis(M).shape[1] for M in (M1, M2)] == [1, 1]
+        v = rog.check_pair(M1, M2, eps=1e-5)
         assert (v.status, v.certificate["kind"]) == ("ROG_CERTIFIED", "CommonFactor")
         assert rog.verify_certificate(v, M1, M2)
 
@@ -348,7 +364,7 @@ class TestScaling:
         forged = rog.RogVerdict(status="ROG_CERTIFIED",
                                 certificate={"kind": "AggregationWeights", "alpha": alpha})
         assert not rog.verify_certificate(forged, M1, M2)
-        assert rog.check_pair(M1, M2, seed=3, eps=1e-5).status == "NOT_ROG_CERTIFIED"
+        assert rog.check_pair(M1, M2, eps=1e-5).status == "NOT_ROG_CERTIFIED"
 
 
 class TestAngularScan:
@@ -404,7 +420,7 @@ class TestNullLines:
         for trial in range(20):
             A = random_sym(rng, 3)
             B = random_sym(rng, 3)
-            v = rog.check_pair(A, B, seed=trial)
+            v = rog.check_pair(A, B)
             if v.status != "NOT_ROG_CERTIFIED":
                 continue
             lines = rog.null_set_lines_3d(A, B)
@@ -481,7 +497,7 @@ class TestWitness:
             d = rog.BATTERY_DIMS[k % len(rog.BATTERY_DIMS)]
             M1, M2 = random_sym(rng, d), random_sym(rng, d)
         assert M1.shape == (3, 3)
-        assert rog.check_pair(M1, M2, seed=256, eps=rog.BATTERY_EPS).status == "NOT_ROG_CERTIFIED"
+        assert rog.check_pair(M1, M2, eps=rog.BATTERY_EPS).status == "NOT_ROG_CERTIFIED"
         wit = rog.construct_rank2_witness_3d(M1, M2, seed=256)
         assert rog.verify_extreme_rank2(wit["Z"], M1, M2)[0]
         assert wit["attempt"] < 10
@@ -490,7 +506,7 @@ class TestWitness:
         wit = rog.construct_rank2_witness_3d(M1_3D, M2_3D, seed=0)
         ok, res = rog.verify_extreme_rank2(wit["Z"], M1_3D, M2_3D)
         assert ok and abs(res) > 1e-9
-        assert linalg.rank_eps(wit["Z"]) == 2
+        assert linalg.kernel_basis(wit["Z"]).shape[1] == 1
 
     def test_rank_one_rejected(self):
         w = np.array([1.0, 1.0, 1.0])
@@ -532,6 +548,15 @@ class TestSetRules:
         assert v.status == "ROG_BY_SUFFICIENT_RULE"
         assert v.certificate["kind"] == "SocCap"
 
+    @pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-4, 1.0, 1e4, 1e8])
+    def test_soc_cap_rule_at_every_scale(self, s):
+        # the cap's negative eigenvalue and the co-factor test are relative
+        # to the cap's own scale, so scaling every member keeps the rule
+        mset = rog.LmiSet(tuple(s * M for M in _soc_cap_set()), ("LE",) * 5)
+        for v in (rog.detect_soc_cap(mset), rog.check_set(mset)):
+            assert (v.status, v.certificate.get("kind")) == (
+                "ROG_BY_SUFFICIENT_RULE", "SocCap"), s
+
 
 def _soc_cap_set():
     c = np.array([0.0, 0.0, 1.0])
@@ -572,8 +597,8 @@ class TestCheckSet:
     def test_two_equalities_decided_as_pair(self):
         E = np.eye(3)
         mats = (sym_outer(E[0], E[2]), np.diag([1.0, -1.0, 0.0]))
-        v = rog.check_set(rog.LmiSet(mats, ("EQ", "EQ")), seed=5)
-        ref = rog.check_pair(*mats, seed=5)
+        v = rog.check_set(rog.LmiSet(mats, ("EQ", "EQ")))
+        ref = rog.check_pair(*mats)
         assert v.status == ref.status
         np.testing.assert_equal(v.certificate, ref.certificate)
         assert rog.verify_certificate(v, *mats)
