@@ -15,6 +15,7 @@ import scipy.stats.qmc
 from . import linalg, model
 
 SPHERE_SLACK = 1e-6  # a unit z is feasible when every z^T M z is at most this
+MEMBERSHIP_TOL = 1e-2  # sup-norm distance from the sampled hull read as in
 
 
 @dataclass(frozen=True)
@@ -182,62 +183,81 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     return best_val, best_vec
 
 
+def _combination_miss(G, target) -> float:
+    """Sup-norm miss of one checked combination of the columns of G (the
+    sample points, then the vertical ray), or inf when none is found.
+
+    Solves the nonnegative least-squares system [G; w 1^T, 0] lam ~
+    [target; w] (Lawson-Hanson), whose last row asks for the point weights
+    to sum to 1, with w = max(1, max|G|).  The point weights are then
+    scaled to sum 1 and the combination is evaluated, so the miss bounds
+    the hull LP's optimum whatever the least-squares residual was.
+    """
+    w = max(1.0, float(np.abs(G).max()))
+    sum_row = np.full(G.shape[1], w)
+    sum_row[-1] = 0.0
+    try:
+        lam, _ = scipy.optimize.nnls(np.vstack([G, sum_row]),
+                                     np.append(target, w))
+    except RuntimeError:
+        return np.inf
+    total = lam[:-1].sum()
+    if total <= 0.0:
+        return np.inf
+    lam[:-1] /= total
+    return float(np.abs(G @ lam - target).max())
+
+
 def conv_membership_sample(inst, x, t, n_samples: int = 2000):
     """One-sided sampled membership of (x, t) in the convex epigraph hull.
 
     Collects feasible sample points (x_k, q_obj(x_k)) from the box
-    [-r, r]^n, r = max(2, 2 ||x||): a grid plus n_samples uniform points
-    (seed 0).  Then solves an LP for the smallest sup-norm deviation of
-    (x, t) from their convex hull plus the vertical recession direction.
-    Returns "LIKELY_IN" when it is at most 1e-2, else "NOT_SHOWN".
+    [-r, r]^n, r = max(2, 2 ||x||): the 41^n grid of step r/20 plus
+    n_samples uniform points (seed 0).  Answers "LIKELY_IN" when the
+    sup-norm distance of (x, t) from their convex hull plus the vertical
+    recession direction is at most MEMBERSHIP_TOL, else "NOT_SHOWN".
+
+    The distance is first bounded by one evaluated combination of the
+    points (`_combination_miss`); the LP for the smallest deviation is
+    solved only when that combination misses by more than MEMBERSHIP_TOL.
+    Raises ValueError unless x has n finite entries and t is finite.
     """
     if inst.n > 3:
         raise ValueError("membership oracle limited to n <= 3")
     x = np.asarray(x, dtype=float).reshape(-1)
     t = float(t)
+    if x.size != inst.n or not np.all(np.isfinite(x)) or not np.isfinite(t):
+        raise ValueError(
+            f"membership needs x with {inst.n} finite entries and a finite t")
     r = max(2.0, 2.0 * float(np.linalg.norm(x)))
-    box = [(-r, r)] * inst.n
+    step = r / 20.0
     rng = np.random.default_rng(0)
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    # structured grid plus random fill
-    res = max((hi - lo).max() / 40.0, 1e-3)
-    fill = lo + (hi - lo) * rng.random((n_samples, inst.n))
-    grids = np.meshgrid(*_axes(box, res), indexing="ij")
+    fill = -r + 2.0 * r * rng.random((n_samples, inst.n))
+    grids = np.meshgrid(*_axes([(-r, r)] * inst.n, step), indexing="ij")
     pts = np.vstack([np.stack([g.reshape(-1) for g in grids], axis=1), fill])
-    ok, vals = _scan(inst, pts.T, _feasibility_slack(inst, res))
+    ok, vals = _scan(inst, pts.T, _feasibility_slack(inst, step))
     if not np.any(ok):
         return "NOT_SHOWN"
-    P = np.column_stack([pts[ok], vals[ok]])  # (N, n+1)
-    N = P.shape[0]
-    target = np.concatenate([x, [t]])
-    # variables: lambda (N), mu >= 0 (vertical ray), d (deviation)
-    # |P^T lambda + mu e_t - target| <= d componentwise, sum lambda = 1
-    nv = N + 2
-    c = np.zeros(nv)
+    N = int(ok.sum())
+    G = np.zeros((inst.n + 1, N + 1))  # columns: (x_k, q_obj(x_k)), then e_t
+    G[:-1, :N] = pts[ok].T
+    G[-1, :N] = vals[ok]
+    G[-1, N] = 1.0
+    target = np.append(x, t)
+    if _combination_miss(G, target) <= MEMBERSHIP_TOL:
+        return "LIKELY_IN"
+    # variables: weights lambda (N, sum 1) and mu (ray), then deviation d,
+    # all >= 0; |G [lambda; mu] - target| <= d componentwise
+    ones = np.ones((inst.n + 1, 1))
+    c = np.zeros(N + 2)
     c[-1] = 1.0
-    dim = inst.n + 1
-    A_ub = []
-    b_ub = []
-    e_t = np.zeros(dim)
-    e_t[-1] = 1.0
-    for j in range(dim):
-        row = np.zeros(nv)
-        row[:N] = P[:, j]
-        row[N] = e_t[j]
-        row[-1] = -1.0
-        A_ub.append(row.copy())
-        b_ub.append(target[j])
-        row2 = -row
-        row2[-1] = -1.0
-        A_ub.append(row2)
-        b_ub.append(-target[j])
-    A_eq = np.zeros((1, nv))
+    A_eq = np.zeros((1, N + 2))
     A_eq[0, :N] = 1.0
     res_lp = scipy.optimize.linprog(
-        c, A_ub=np.array(A_ub), b_ub=np.array(b_ub), A_eq=A_eq, b_eq=[1.0],
-        bounds=[(0, None)] * (N + 1) + [(0, None)], method="highs")
-    if res_lp.status == 0 and res_lp.fun <= 1e-2:
+        c, A_ub=np.block([[G, -ones], [-G, -ones]]),
+        b_ub=np.concatenate([target, -target]), A_eq=A_eq, b_eq=[1.0],
+        bounds=(0, None), method="highs")
+    if res_lp.status == 0 and res_lp.fun <= MEMBERSHIP_TOL:
         return "LIKELY_IN"
     return "NOT_SHOWN"
 

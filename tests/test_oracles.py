@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sdpexact import model, oracles, solver
-from conftest import q, make_explicit_instance, random_sym
+from conftest import q, make_explicit_instance, make_gtrs, random_sym
 
 
 @st.composite
@@ -221,18 +221,76 @@ class TestSphereDerivatives:
                     rtol=1e-6, atol=1e-14 * fmax / h)
 
 
+def _unit_ball_concave(n):
+    """min -||x||^2 over the unit ball: the hull reaches down to t = -1."""
+    return model.QcqpInstance(
+        n, q(-np.eye(n), np.zeros(n), 0.0),
+        (q(np.eye(n), np.zeros(n), -1.0),))
+
+
 class TestMembership:
-    def test_boundary_point_in_hull(self):
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hull LP ran")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+
+    @pytest.fixture
+    def linprog_calls(self, monkeypatch):
+        """Counts scipy.optimize.linprog calls: one list entry per call."""
+        calls = []
+        real = scipy.optimize.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        return calls
+
+    def test_boundary_point_in_hull(self, no_lp):
         inst = make_explicit_instance()
         assert oracles.conv_membership_sample(inst, [0.0, 0.0], 2.0) == "LIKELY_IN"
 
-    def test_point_below_hull_rejected(self):
+    def test_point_below_hull_rejected(self, linprog_calls):
         inst = make_explicit_instance()
         assert oracles.conv_membership_sample(inst, [0.0, 0.0], 1.5) == "NOT_SHOWN"
+        assert len(linprog_calls) == 1
 
-    def test_vertical_ray_included(self):
+    def test_vertical_ray_included(self, no_lp):
         inst = make_explicit_instance()
         assert oracles.conv_membership_sample(inst, [0.0, 0.0], 50.0) == "LIKELY_IN"
+
+    def test_lp_accepts_what_the_combination_misses(self, linprog_calls):
+        # criterion-06 relaxation point (make_gtrs(19), point 11): the NNLS
+        # combination misses by about 0.0113, the LP optimum is about 0.0085
+        inst = make_gtrs(19)
+        x = [0.9319251099164659, 0.3626506633491966]
+        status = oracles.conv_membership_sample(
+            inst, x, -0.7668525111779743, n_samples=200)
+        assert status == "LIKELY_IN"
+        assert len(linprog_calls) == 1
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_unit_ball(self, n, linprog_calls):
+        inst = _unit_ball_concave(n)
+        # the centre at t = -1 averages antipodal boundary points
+        assert oracles.conv_membership_sample(inst, np.zeros(n), -1.0) == "LIKELY_IN"
+        assert not linprog_calls
+        assert oracles.conv_membership_sample(inst, np.zeros(n), -1.2) == "NOT_SHOWN"
+        assert len(linprog_calls) == 1
+
+    @pytest.mark.parametrize("x, t", [
+        ([0.0, 0.0, 5.0], 0.0),
+        ([0.0], 0.0),
+        ([0.0, 0.0], np.nan),
+        ([0.0, 0.0], np.inf),
+        ([np.nan, 0.0], 0.0),
+    ], ids=["long_x", "short_x", "nan_t", "inf_t", "nan_x"])
+    def test_malformed_point_rejected(self, x, t):
+        with pytest.raises(ValueError):
+            oracles.conv_membership_sample(make_explicit_instance(), x, t)
 
 
 class TestCompare:
