@@ -19,7 +19,6 @@ from . import linalg, model, oracles, solver
 
 ANGLE_TOL = 1e-8  # on |cos| for "same direction"
 RESULTANT_TOL = 1e-9
-PD_WITNESS_TOL = 1e-6
 
 
 class ConstructionFailed(RuntimeError):
@@ -148,84 +147,50 @@ def _bordered(M, extra):
     return W
 
 
-def gordan_stiemke(M1, M2, eps: float = 1e-7):
-    """Decide whether some nonzero combination of M1, M2 is PSD.
+def gordan_stiemke(M1, M2):
+    """A positive definite Z orthogonal to M1 and M2, or None.
 
-    Returns one of
-      ("psd_combo", alpha)  -- condition (i) holds, ||alpha||_inf = 1
-      ("pd_witness", Z)     -- condition (i) fails; Z PD with <M_i, Z> = 0
-      ("undecided", diag)
-    assuming {M1, M2} linearly independent (caller handles dependence).
-
-    The search runs the normalized program max tau over {Y PSD, tau >= 0,
-    <M_i, Y> + tau tr(M_i) = 0, tr Y + tau d = 1}; a positive optimum yields
-    the definite witness Z = Y + tau I, while at optimum ~0 the equality
-    multipliers aggregate the M_i into a PSD combination.  A pair the first
-    solve leaves open (20,000 iterations) gets one solve with ten times
-    that budget.
+    The PD side of condition (i), in closed form, for a linearly independent
+    pair with no PSD combination.  Then lambda_min(cos t M1 + sin t M2) < 0
+    at every angle t, so a minimising unit eigenvector z_t gives a support
+    point w_t = (z_t^T M1 z_t, z_t^T M2 z_t) with (cos t, sin t) . w_t < 0.
+    For tau = -(tr M1, tr M2) at polar angle a, w_t lies clockwise of tau at
+    t = a + pi/2 and anticlockwise at t = a + 3pi/2.  Bisection keeps one
+    support point on each side until two of them bracket tau = l1 w1 + l2 w2
+    with l >= 0 (where z_t jumps, the points on both sides lie on one line
+    that misses the origin, by Dines's convexity of the joint range), and
+    then Z = I + l1 z1 z1^T + l2 z2 z2^T has <M_i, Z> = 0 and Z >= I.  A
+    candidate counts only if ``_is_pd_witness`` accepts it; None once the
+    angle interval is spent, after about 52 halvings.
     """
-    M1 = linalg.sym(M1)
-    M2 = linalg.sym(M2)
-    d = M1.shape[0]
-    C = _bordered(np.zeros((d, d)), -1.0)
-    cons = (
-        solver.Constraint(_bordered(M1, float(np.trace(M1))), "EQ", 0.0),
-        solver.Constraint(_bordered(M2, float(np.trace(M2))), "EQ", 0.0),
-        solver.Constraint(_bordered(np.eye(d), float(d)), "EQ", 1.0),
-    )
-    prog = solver.ConicProgram(dim=d + 1, objective_matrix=C, constraints=cons)
-    for budget in (20000, 200000):
-        sol = solver.solve(prog, eps=eps, max_iter=budget)
-        tau = float(sol.Z[d, d])
-        if tau > PD_WITNESS_TOL:
-            Z = _polish_pd_witness(M1, M2, sol.Z[:d, :d] + tau * np.eye(d))
-            if Z is not None:
-                return "pd_witness", Z
-        # dual recovery: C + lam_1 B_1 + lam_2 B_2 + lam_3 I_blk PSD implies
-        # lam_1 M1 + lam_2 M2 >= -lam_3 I with lam_3 ~ -tau* ~ 0
-        alpha = _normalised(sol.y[:2])
-        if alpha is not None and _psd_combination(M1, M2, alpha):
-            return "psd_combo", alpha
-    return "undecided", {"tau": tau, "status": sol.status.name}
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
 
+    def support(t):
+        z = np.linalg.eigh(np.cos(t) * M1 + np.sin(t) * M2)[1][:, 0]
+        return z, np.array([z @ M1 @ z, z @ M2 @ z])
 
-def _condition_i(M1, M2, eps: float = 1e-7):
-    """Condition (i) for a linearly independent symmetric pair.
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
 
-    The one decision behind ``check_pair``, the pairwise family rule and
-    the zero-line precondition: the angular scan of the smallest
-    eigenvalue, then the identity polished into a PD witness, then the
-    normalized SDP of ``gordan_stiemke``, whose (outcome, payload) pairs it
-    returns.
-    """
-    alpha = _angular_scan(M1, M2)
-    if alpha is not None:
-        return "psd_combo", alpha
-    Z = _polish_pd_witness(M1, M2, np.eye(M1.shape[0]))
-    if Z is not None:
-        return "pd_witness", Z
-    return gordan_stiemke(M1, M2, eps=eps)
-
-
-def _polish_pd_witness(M1, M2, Z):
-    """Remove the span{M1, M2} component of Z; the result if a PD witness."""
-    Z = 0.5 * (Z + Z.T)
-    G = np.array([[np.sum(A * B) for B in (M1, M2)] for A in (M1, M2)])
-    rhs = np.array([np.sum(M * Z) for M in (M1, M2)])
-    try:
-        coef = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        coef, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    Zc = Z - coef[0] * M1 - coef[1] * M2
-    Zc = 0.5 * (Zc + Zc.T)
-    return Zc if _is_pd_witness(M1, M2, Zc) else None
-
-
-def _normalised(alpha):
-    """alpha / max|alpha|, or None when alpha is numerically zero."""
-    alpha = np.asarray(alpha, dtype=float)
-    nrm = float(np.max(np.abs(alpha)))
-    return alpha / nrm if nrm > 1e-9 else None
+    tau = -np.array([np.trace(M1), np.trace(M2)])
+    lo = float(np.arctan2(tau[1], tau[0])) + 0.5 * np.pi
+    hi = lo + np.pi
+    (z1, w1), (z2, w2) = support(lo), support(hi)
+    while True:
+        det = cross(w1, w2)
+        if det != 0.0:
+            l1, l2 = cross(tau, w2) / det, cross(w1, tau) / det
+            Z = np.eye(len(M1)) + l1 * np.outer(z1, z1) + l2 * np.outer(z2, z2)
+            if min(l1, l2) >= 0.0 and _is_pd_witness(M1, M2, Z):
+                return Z
+        if hi - lo <= 4.0 * np.spacing(2.0 * np.pi):
+            return None
+        mid = 0.5 * (lo + hi)
+        z, w = support(mid)
+        if cross(tau, w) > 0.0:
+            hi, z2, w2 = mid, z, w
+        else:
+            lo, z1, w1 = mid, z, w
 
 
 # One predicate per fact a pair certificate can claim.  The decision path
@@ -271,8 +236,9 @@ def _lmin(M1, M2, th):
 
 
 def _angular_scan(M1, M2):
+    """Weights of a PSD combination, or None: the best of 4000 angles for
+    lambda_min, refined by golden section, if ``_psd_combination`` accepts it."""
     thetas = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
-    scale = _pair_scale(M1, M2)
 
     def lmin(th):
         return float(_lmin(M1, M2, th))
@@ -298,11 +264,9 @@ def _angular_scan(M1, M2):
             e = a + gr * (b - a)
             fe = lmin(e)
     th = 0.5 * (a + b)
-    if lmin(th) >= -1e-9 * scale:
-        alpha = _normalised([np.cos(th), np.sin(th)])
-        if _psd_combination(M1, M2, alpha):
-            return alpha
-    return None
+    alpha = np.array([np.cos(th), np.sin(th)])
+    alpha /= np.max(np.abs(alpha))
+    return alpha if _psd_combination(M1, M2, alpha) else None
 
 
 def _common_factor(mats):
@@ -337,8 +301,9 @@ def _common_factor(mats):
 def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     """Complete two-LMI ROG decision with a machine-checkable certificate.
 
-    The decision is deterministic.  ``seed`` is accepted and ignored, only
-    so that callers which pass one (the benchmark workloads) keep working.
+    The decision is deterministic and makes no conic solve.  ``seed`` and
+    ``eps`` are accepted and ignored, only so that callers which pass them
+    (the benchmark workloads) keep working.
     """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
@@ -355,15 +320,18 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
                          "note": "linearly dependent pair"},
         )
 
-    # (b) condition (i): some nonzero combination PSD
-    outcome, payload = _condition_i(M1, M2, eps=eps)
-    if outcome == "psd_combo":
+    # (b) condition (i): some nonzero combination PSD, or else a PD matrix
+    # orthogonal to both
+    alpha = _angular_scan(M1, M2)
+    if alpha is not None:
         return RogVerdict(
             status="ROG_CERTIFIED",
-            certificate={"kind": "AggregationWeights", "alpha": payload},
+            certificate={"kind": "AggregationWeights", "alpha": alpha},
         )
-    if outcome == "undecided":
-        return RogVerdict(status="UNDECIDED", diagnostics=payload)
+    Z = gordan_stiemke(M1, M2)
+    if Z is None:
+        return RogVerdict(status="UNDECIDED",
+                          diagnostics={"reason": "no PSD combination and no PD witness"})
 
     # (c) condition (ii): shared factor across rank-2 splittings.  A factor
     # found here spans a 3-dimensional joint range with a and b, so no range
@@ -380,7 +348,7 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     # (d) neither condition: not ROG, and the PD witness refuting (i) is the
     # certificate, since the verifier repeats the search for (ii)
     return RogVerdict(status="NOT_ROG_CERTIFIED",
-                      certificate={"kind": "PdWitness", "Z": payload})
+                      certificate={"kind": "PdWitness", "Z": Z})
 
 
 def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
@@ -428,8 +396,7 @@ def null_set_lines_3d(M1, M2):
         raise ValueError("dimension must be 3")
     if _dependence(M1, M2) is not None:
         raise ValueError("pair is linearly dependent")
-    outcome, _ = _condition_i(M1, M2)
-    if outcome == "psd_combo":
+    if _angular_scan(M1, M2) is not None:
         raise ValueError("a PSD combination exists; zero set is not four lines")
     if _common_factor((M1, M2)) is not None:
         raise ValueError("pair shares a common factor; zero set contains a plane")
@@ -550,11 +517,11 @@ def check_pairwise_sufficient(mset: LmiSet) -> RogVerdict:
             if _dependence(mats[i], mats[j]) is not None:
                 weights.append(((i, j), "dependent"))
                 continue
-            outcome, payload = _condition_i(mats[i], mats[j])
-            if outcome != "psd_combo":
+            alpha = _angular_scan(mats[i], mats[j])
+            if alpha is None:
                 return RogVerdict(status="UNDECIDED",
                                   diagnostics={"failing_pair": (i, j)})
-            weights.append(((i, j), payload))
+            weights.append(((i, j), alpha))
     return RogVerdict(status="ROG_BY_SUFFICIENT_RULE",
                       certificate={"kind": "PairwisePsd", "weights": weights})
 
@@ -789,7 +756,7 @@ def run_battery(pairs: int = 200, seed: int = 3) -> dict:
         G1 = rng.standard_normal((d, d))
         G2 = rng.standard_normal((d, d))
         M1, M2 = 0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T)
-        verdict = check_pair(M1, M2, eps=BATTERY_EPS)
+        verdict = check_pair(M1, M2)
         counts[verdict.status] = counts.get(verdict.status, 0) + 1
         verified = verify_certificate(verdict, M1, M2)
         if not verified:
