@@ -174,6 +174,7 @@ def _cmd_rog(args) -> int:
         ok = rog.verify_certificate(v, mats[0], mats[1])
         _report_line("status", v.status)
         _report_line("certificate", v.certificate.get("kind"))
+        _report_line("route", v.diagnostics["route"])
         _report_line("verified", ok)
         _write_json(args.json, {"verdict": v, "verified": ok})
         if v.status in ("ROG_CERTIFIED", "NOT_ROG_CERTIFIED") and not ok:

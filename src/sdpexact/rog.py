@@ -148,26 +148,38 @@ def _bordered(M, extra):
 
 
 def gordan_stiemke(M1, M2):
-    """A positive definite Z orthogonal to M1 and M2, or None.
+    """Condition (i) by bisection on support angles: (alpha, None) for weights
+    that pass ``_psd_combination``, (None, Z) for a Z that passes
+    ``_is_pd_witness``, or (None, None).
 
-    The PD side of condition (i), in closed form, for a linearly independent
-    pair with no PSD combination.  Then lambda_min(cos t M1 + sin t M2) < 0
-    at every angle t, so a minimising unit eigenvector z_t gives a support
-    point w_t = (z_t^T M1 z_t, z_t^T M2 z_t) with (cos t, sin t) . w_t < 0.
-    For tau = -(tr M1, tr M2) at polar angle a, w_t lies clockwise of tau at
+    Each probed angle t gives lambda_min(cos t M1 + sin t M2) and a
+    minimising unit eigenvector z_t from one ``eigh``.  The first t whose
+    weights alpha = (cos t, sin t) / max|.| pass ``_psd_combination`` ends
+    the search: that is the PSD side.  Otherwise z_t gives a support point
+    w_t = (z_t^T M1 z_t, z_t^T M2 z_t) with (cos t, sin t) . w_t < 0.  For
+    tau = -(tr M1, tr M2) at polar angle a, w_t lies clockwise of tau at
     t = a + pi/2 and anticlockwise at t = a + 3pi/2.  Bisection keeps one
     support point on each side until two of them bracket tau = l1 w1 + l2 w2
     with l >= 0 (where z_t jumps, the points on both sides lie on one line
     that misses the origin, by Dines's convexity of the joint range), and
-    then Z = I + l1 z1 z1^T + l2 z2 z2^T has <M_i, Z> = 0 and Z >= I.  A
-    candidate counts only if ``_is_pd_witness`` accepts it; None once the
-    angle interval is spent, after about 52 halvings.
+    then Z = I + l1 z1 z1^T + l2 z2 z2^T has <M_i, Z> = 0 and Z >= I: the PD
+    side.  (None, None) once the angle interval is spent, after about 52
+    halvings.
     """
     M1, M2 = linalg.sym(M1), linalg.sym(M2)
+    # a necessary bound for _psd_combination, which divides by max|.| <= 1
+    # (Frobenius norms bound the pair scale, with room for rounding): only
+    # angles within it pay for the predicate
+    near = -2e-7 * max(np.linalg.norm(M1), np.linalg.norm(M2))
 
-    def support(t):
-        z = np.linalg.eigh(np.cos(t) * M1 + np.sin(t) * M2)[1][:, 0]
-        return z, np.array([z @ M1 @ z, z @ M2 @ z])
+    def probe(t):
+        c = np.array([np.cos(t), np.sin(t)])
+        lam, V = np.linalg.eigh(c[0] * M1 + c[1] * M2)
+        alpha = c / np.max(np.abs(c))
+        if lam[0] >= near and _psd_combination(M1, M2, alpha):
+            return alpha, None, None
+        z = V[:, 0]
+        return None, z, np.array([z @ M1 @ z, z @ M2 @ z])
 
     def cross(u, v):
         return u[0] * v[1] - u[1] * v[0]
@@ -175,22 +187,27 @@ def gordan_stiemke(M1, M2):
     tau = -np.array([np.trace(M1), np.trace(M2)])
     lo = float(np.arctan2(tau[1], tau[0])) + 0.5 * np.pi
     hi = lo + np.pi
-    (z1, w1), (z2, w2) = support(lo), support(hi)
-    while True:
+    alpha, z1, w1 = probe(lo)
+    if alpha is None:
+        alpha, z2, w2 = probe(hi)
+    while alpha is None:
         det = cross(w1, w2)
         if det != 0.0:
             l1, l2 = cross(tau, w2) / det, cross(w1, tau) / det
             Z = np.eye(len(M1)) + l1 * np.outer(z1, z1) + l2 * np.outer(z2, z2)
             if min(l1, l2) >= 0.0 and _is_pd_witness(M1, M2, Z):
-                return Z
+                return None, Z
         if hi - lo <= 4.0 * np.spacing(2.0 * np.pi):
-            return None
+            return None, None
         mid = 0.5 * (lo + hi)
-        z, w = support(mid)
+        alpha, z, w = probe(mid)
+        if alpha is not None:
+            break
         if cross(tau, w) > 0.0:
             hi, z2, w2 = mid, z, w
         else:
             lo, z1, w1 = mid, z, w
+    return alpha, None
 
 
 # One predicate per fact a pair certificate can claim.  The decision path
@@ -217,6 +234,32 @@ def _is_pd_witness(M1, M2, Z) -> bool:
         return False
     tol = 1e-6 * _pair_scale(M1, M2) * np.linalg.norm(Z)
     return all(abs(float(np.sum(M * Z))) <= tol for M in (M1, M2))
+
+
+def _excludes_psd_combination(M1, M2, Z) -> bool:
+    """Z proves that no alpha passes ``_psd_combination`` for the pair.
+
+    Let A = alpha1 M1 + alpha2 M2 pass, so |max|alpha| - 1| <= 1e-6 and
+    A >= -e I with e = 1e-7 s, s the pair scale.  For Z of order d,
+    <A + e I, Z> >= lambda_min(Z) tr(A + e I), so <A, Z> >= lambda_min(Z)
+    lambda_max(A) - d e lambda_max(Z).  With sigma the smaller singular
+    value of [vec M1, vec M2], ||A||_F >= sigma ||alpha|| >= (1 - 1e-6) sigma,
+    and the eigenvalues of A lie in [-e, lambda_max(A)], so max(lambda_max(A),
+    e) >= ||A||_F / sqrt(d); when sigma / sqrt(d) > 2e this gives
+    lambda_max(A) >= (1 - 1e-6) sigma / sqrt(d).  Yet <A, Z> <= (1 + 1e-6) r
+    with r = |<M1, Z>| + |<M2, Z>|.  So lambda_min(Z) sigma / sqrt(d) >
+    2 (d e lambda_max(Z) + r) leaves no such A; the factor 2 covers both
+    1e-6 slacks.  Every term scales with the pair and with Z, so the answer
+    is the same for s M_i and c Z.
+    """
+    Z = linalg.sym(Z)
+    d = len(Z)
+    e = 1e-7 * _pair_scale(M1, M2)
+    sigma = np.linalg.svd(np.stack([M1.ravel(), M2.ravel()]), compute_uv=False)[-1]
+    lam = linalg.eig_sym(Z).eigenvalues
+    r = sum(abs(float(np.sum(M * Z))) for M in (M1, M2))
+    reach = sigma / np.sqrt(d)
+    return bool(reach > 2.0 * e and lam[0] * reach > 2.0 * (d * e * lam[-1] + r))
 
 
 def _is_sym_product(M, a, b) -> bool:
@@ -269,6 +312,23 @@ def _angular_scan(M1, M2):
     return alpha if _psd_combination(M1, M2, alpha) else None
 
 
+def _condition_i(M1, M2):
+    """(alpha, Z, route): condition (i) for a linearly independent pair.
+
+    alpha passes ``_psd_combination``, or else Z (when not None) passes
+    ``_is_pd_witness``; route names the step that settled it.
+    ``gordan_stiemke`` settles it alone ("bisection") when it returns
+    weights, or a Z that ``_excludes_psd_combination`` proves leaves no
+    weights to find.  Otherwise ``_angular_scan`` runs ("scan") and its
+    weights, if any, win, so the outcome is that of scanning first.
+    """
+    alpha, Z = gordan_stiemke(M1, M2)
+    if alpha is not None or (Z is not None and _excludes_psd_combination(M1, M2, Z)):
+        return alpha, Z, "bisection"
+    alpha = _angular_scan(M1, M2)
+    return alpha, (Z if alpha is None else None), "scan"
+
+
 def _common_factor(mats):
     """(c, cofactors): unit c with M_j = Sym(k_j c^T) for every member, or None.
 
@@ -301,9 +361,10 @@ def _common_factor(mats):
 def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     """Complete two-LMI ROG decision with a machine-checkable certificate.
 
-    The decision is deterministic and makes no conic solve.  ``seed`` and
-    ``eps`` are accepted and ignored, only so that callers which pass them
-    (the benchmark workloads) keep working.
+    The decision is deterministic and makes no conic solve; its
+    diagnostics["route"] is "dependent" or the route of ``_condition_i``.
+    ``seed`` and ``eps`` are accepted and ignored, only so that callers
+    which pass them (the benchmark workloads) keep working.
     """
     M1 = linalg.sym(M1)
     M2 = linalg.sym(M2)
@@ -318,20 +379,22 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
             status="ROG_CERTIFIED",
             certificate={"kind": "AggregationWeights", "alpha": alpha,
                          "note": "linearly dependent pair"},
+            diagnostics={"route": "dependent"},
         )
 
     # (b) condition (i): some nonzero combination PSD, or else a PD matrix
     # orthogonal to both
-    alpha = _angular_scan(M1, M2)
+    alpha, Z, route = _condition_i(M1, M2)
     if alpha is not None:
         return RogVerdict(
             status="ROG_CERTIFIED",
             certificate={"kind": "AggregationWeights", "alpha": alpha},
+            diagnostics={"route": route},
         )
-    Z = gordan_stiemke(M1, M2)
     if Z is None:
         return RogVerdict(status="UNDECIDED",
-                          diagnostics={"reason": "no PSD combination and no PD witness"})
+                          diagnostics={"route": route,
+                                       "reason": "no PSD combination and no PD witness"})
 
     # (c) condition (ii): shared factor across rank-2 splittings.  A factor
     # found here spans a 3-dimensional joint range with a and b, so no range
@@ -343,12 +406,14 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
         return RogVerdict(
             status="ROG_CERTIFIED",
             certificate={"kind": "CommonFactor", "a": a, "b": b, "c": c},
+            diagnostics={"route": route},
         )
 
     # (d) neither condition: not ROG, and the PD witness refuting (i) is the
     # certificate, since the verifier repeats the search for (ii)
     return RogVerdict(status="NOT_ROG_CERTIFIED",
-                      certificate={"kind": "PdWitness", "Z": Z})
+                      certificate={"kind": "PdWitness", "Z": Z},
+                      diagnostics={"route": route})
 
 
 def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
@@ -396,7 +461,7 @@ def null_set_lines_3d(M1, M2):
         raise ValueError("dimension must be 3")
     if _dependence(M1, M2) is not None:
         raise ValueError("pair is linearly dependent")
-    if _angular_scan(M1, M2) is not None:
+    if _condition_i(M1, M2)[0] is not None:
         raise ValueError("a PSD combination exists; zero set is not four lines")
     if _common_factor((M1, M2)) is not None:
         raise ValueError("pair shares a common factor; zero set contains a plane")
@@ -517,7 +582,7 @@ def check_pairwise_sufficient(mset: LmiSet) -> RogVerdict:
             if _dependence(mats[i], mats[j]) is not None:
                 weights.append(((i, j), "dependent"))
                 continue
-            alpha = _angular_scan(mats[i], mats[j])
+            alpha = _condition_i(mats[i], mats[j])[0]
             if alpha is None:
                 return RogVerdict(status="UNDECIDED",
                                   diagnostics={"failing_pair": (i, j)})

@@ -2,12 +2,16 @@
 
 import argparse
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from sdpexact import cli, gallery, model, rog
 from conftest import make_explicit_instance
+
+GALLERY_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
+                     / "bench" / "gallery_reference.json")
 
 
 @pytest.fixture
@@ -87,8 +91,10 @@ class TestRog:
         out = capsys.readouterr().out
         assert "status: NOT_ROG_CERTIFIED" in out
         assert "verified: True" in out
+        assert "route: bisection" in out
         payload = json.loads(open(out_json).read())
         assert payload["verdict"]["status"] == "NOT_ROG_CERTIFIED"
+        assert payload["verdict"]["diagnostics"]["route"] == "bisection"
         assert payload["verified"] is True
 
     @pytest.mark.parametrize("pair", [
@@ -234,6 +240,26 @@ class TestOracleAndExamples:
         payload = json.loads(out_json.read_text())
         assert sorted(payload) == gallery.names()
         assert payload["rog_pair_not"]["certificate_verified"] is True
+
+    def test_examples_run_all_matches_reference(self, capsys, tmp_path):
+        # the categorical verdicts of every entry, as recorded for the benchmark
+        out_json = tmp_path / "gallery.json"
+        assert cli.main(["examples", "run", "--all", "--json", str(out_json)]) == 0
+        payload = json.loads(out_json.read_text())
+        reference = json.loads(GALLERY_REFERENCE.read_text())
+        assert sorted(reference) == sorted(payload)
+        for name, rep in payload.items():
+            got = {key: rep[key]["status"] for key in ("rog", "original_rog") if key in rep}
+            if "summary" in rep:
+                got.update({key: rep["summary"][key]["verdict"]
+                            for key in ("strong", "weak", "ch", "burer_ye")})
+            if "clconv" in rep:
+                got["clconv"] = rep["clconv"]["consequence"]
+            if "ratio" in rep:
+                got["ratio_claim"] = rep["ratio"]["claim"]
+            if "certificate_verified" in rep:
+                got["certificate_verified"] = rep["certificate_verified"]
+            assert got == reference[name], name
 
     def test_examples_unknown_name(self, capsys):
         assert cli.main(["examples", "run", "missing_entry"]) == 2

@@ -62,11 +62,12 @@ class TestGordanStiemke:
         v = rog.check_pair(A, B)
         assert (v.status, v.certificate["kind"]) == ("ROG_CERTIFIED", "AggregationWeights")
         assert rog.verify_certificate(v, A, B)
-        assert rog.gordan_stiemke(A, B) is None
+        alpha, Z = rog.gordan_stiemke(A, B)
+        assert Z is None and rog._psd_combination(A, B, alpha)
 
     def test_pd_witness_found(self):
-        Z = rog.gordan_stiemke(M1_3D, M2_3D)
-        assert rog._is_pd_witness(M1_3D, M2_3D, Z)
+        alpha, Z = rog.gordan_stiemke(M1_3D, M2_3D)
+        assert alpha is None and rog._is_pd_witness(M1_3D, M2_3D, Z)
 
 
 class TestCheckPair:
@@ -345,7 +346,7 @@ class TestScaling:
         pairs = _scaling_pairs()
         for k in (0, 3, 9):
             A, B = pairs[k]
-            Z1, Zs = rog.gordan_stiemke(A, B), rog.gordan_stiemke(s * A, s * B)
+            Z1, Zs = rog.gordan_stiemke(A, B)[1], rog.gordan_stiemke(s * A, s * B)[1]
             assert Z1 is not None and Zs is not None, k
             assert rog._is_pd_witness(s * A, s * B, Zs), k
             assert np.linalg.norm(Zs - Z1) <= 1e-8 * np.linalg.norm(Z1), k
@@ -426,6 +427,127 @@ class TestNearBoundary:
             else:
                 assert v.status == "ROG_CERTIFIED"
             assert v.status == "UNDECIDED" or rog.verify_certificate(v, A, B)
+
+
+def _scan_first_status(A, B):
+    """check_pair's status when the angular scan runs before the bisection."""
+    if rog._dependence(A, B) is not None or rog._angular_scan(A, B) is not None:
+        return "ROG_CERTIFIED"
+    alpha, Z = rog.gordan_stiemke(A, B)
+    assert alpha is None  # a probe passing where the scan misses would differ
+    if Z is None:
+        return "UNDECIDED"
+    return "NOT_ROG_CERTIFIED" if rog._common_factor((A, B)) is None else "ROG_CERTIFIED"
+
+
+def _no_psd_angle(A, B, n=20000):
+    """No weights (cos t, sin t) / max|.| on an n-point grid pass
+    ``_psd_combination``: the stacked lambda_min at every angle, and the
+    predicate itself at the best one."""
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    m = np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
+    lmin = rog._lmin(A, B, th) / m
+    k = int(np.argmax(lmin))
+    alpha = np.array([np.cos(th[k]), np.sin(th[k])]) / m[k]
+    return bool(lmin[k] < -1e-7 * rog._pair_scale(A, B)
+                and not rog._psd_combination(A, B, alpha))
+
+
+class TestConditionI:
+    SCALES = (1e-8, 1.0, 1e8)
+
+    def test_battery_decided_without_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("angular scan ran")
+
+        monkeypatch.setattr(rog, "_angular_scan", no_scan)
+        for A, B in _battery_pairs(200, 3):
+            for s in self.SCALES:
+                v = rog.check_pair(s * A, s * B)
+                assert v.status != "UNDECIDED"
+                assert v.diagnostics["route"] in ("dependent", "bisection")
+                assert rog.verify_certificate(v, s * A, s * B)
+
+    def test_status_matches_scan_first_order(self):
+        pairs = [(s * A, s * B) for A, B in _battery_pairs(200, 3) for s in self.SCALES]
+        pairs += [(s * A, s * B) for A, B in _scaling_pairs()
+                  for s in 10.0 ** np.arange(-12, 13)]
+        for A, B in pairs:
+            assert rog.check_pair(A, B).status == _scan_first_status(A, B)
+
+    def test_near_boundary_falls_back_to_scan(self):
+        # a witness too close to a PSD combination proves nothing, so the
+        # scan decides, as it would have first
+        routes = set()
+        for A, B in _battery_pairs(8, 7)[2:]:
+            for delta in (1e-6, 1e-7, 1e-8):
+                A2, B2 = _near_boundary(A, B, delta)
+                v = rog.check_pair(A2, B2)
+                routes.add(v.diagnostics["route"])
+                assert v.status == _scan_first_status(A2, B2)
+        assert "scan" in routes
+
+    def test_route_on_every_verdict(self):
+        E = np.eye(3)
+        cases = {
+            "dependent": (M1_3D, 2.0 * M1_3D),
+            "bisection": (M1_3D, M2_3D),
+        }
+        for route, (A, B) in cases.items():
+            assert rog.check_pair(A, B).diagnostics["route"] == route
+        v = rog.check_pair(sym_outer(E[0], E[2]), sym_outer(E[1], E[2]))
+        assert (v.certificate["kind"], v.diagnostics["route"]) == ("CommonFactor", "bisection")
+
+
+class TestExcludesPsdCombination:
+    def test_sound_on_random_pairs(self):
+        rng = np.random.default_rng(5)
+        held = 0
+        for k in range(60):
+            d = 3 + k % 2
+            A, B = random_sym(rng, d), random_sym(rng, d)
+            alpha, Z = rog.gordan_stiemke(A, B)
+            if Z is not None and rog._excludes_psd_combination(A, B, Z):
+                held += 1
+                assert _no_psd_angle(A, B), k
+        assert held >= 30
+
+    def test_sound_near_the_boundary(self):
+        for A, B in _battery_pairs(8, 7)[2:]:
+            for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+                A2, B2 = _near_boundary(A, B, delta)
+                Z = rog.gordan_stiemke(A2, B2)[1]
+                if Z is not None and rog._excludes_psd_combination(A2, B2, Z):
+                    assert _no_psd_angle(A2, B2), delta
+
+    def test_refuses_on_psd_pairs(self):
+        # diag(1,1,-1) + diag(0,0,1) is PSD, and so is a combination of each
+        # battery pair certified by weights, so no Z may exclude them
+        pairs = [(np.diag([1.0, 1.0, -1.0]), np.diag([0.0, 0.0, 1.0]))]
+        pairs += [(A, B) for A, B in _battery_pairs(200, 3)
+                  if rog.check_pair(A, B).certificate["kind"] == "AggregationWeights"]
+        assert len(pairs) == 27
+        rng = np.random.default_rng(9)
+        for A, B in pairs:
+            d = len(A)
+            Zs = [np.eye(d)] + [G @ G.T + 0.1 * np.eye(d)
+                                for G in rng.standard_normal((20, d, d))]
+            for Z in Zs:
+                assert not rog._excludes_psd_combination(A, B, Z)
+
+    def test_scale_free(self):
+        rng = np.random.default_rng(6)
+        for k in range(20):
+            d = 3 + k % 2
+            A, B = random_sym(rng, d), random_sym(rng, d)
+            Z = rog.gordan_stiemke(A, B)[1]
+            if Z is None:
+                continue
+            unit = rog._excludes_psd_combination(A, B, Z)
+            for s in (1e-8, 1e-3, 1e3, 1e8):
+                for c in (1e-6, 1e6):
+                    got = rog._excludes_psd_combination(s * A, s * B, c * Z)
+                    assert got == unit, (k, s, c)
 
 
 class TestAngularScan:
