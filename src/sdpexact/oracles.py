@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+import scipy.special
 import scipy.stats.qmc
 
 from . import linalg, model
@@ -105,9 +106,16 @@ def grid_opt(inst, box):
     return best, arg
 
 
-def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
+def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0,
+                        stop_at: float | None = None):
     """Approximate min of z^T C z over unit z with z^T M z <= SPHERE_SLACK
-    for all M."""
+    for all M.
+
+    With a finite stop_at, the multi-start polish ends before any start after
+    the first once the best feasible value is at most stop_at.  Later starts
+    can only lower the value, v_full <= v_early <= stop_at, so whether the
+    value exceeds stop_at reads the same as after the full polish.
+    """
     Mlist = [linalg.sym(M) for M in Mset]
     C = linalg.sym(C)
     d = C.shape[0]
@@ -116,7 +124,7 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
     eng = scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
     # Sobol balance requires power-of-two sample counts
     raw = eng.random_base2(max(1, int(np.ceil(np.log2(samples)))))[:samples]
-    z = scipy.stats.norm.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
+    z = scipy.special.ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
     nrm = np.linalg.norm(z, axis=1)
     z = z[nrm > 1e-9] / nrm[nrm > 1e-9][:, None]
     viol = np.zeros(z.shape[0])
@@ -162,7 +170,11 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0):
         starts.append(best_vec)
     # generic fallback starts so an empty candidate list still gets polished
     starts.extend(np.linalg.eigh(C)[1].T)
-    for s in starts:
+    if stop_at is None or not np.isfinite(stop_at):
+        stop_at = -np.inf  # no value is at most -inf: polish every start
+    for i, s in enumerate(starts):
+        if i and best_val <= stop_at:
+            break
         res = scipy.optimize.minimize(lambda v: float(v @ C @ v), s,
                                       jac=lambda v: 2.0 * C @ v,
                                       constraints=cons, method="SLSQP",

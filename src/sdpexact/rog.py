@@ -708,6 +708,12 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
     slice that a nonnegative definite combination empties (returned as
     empty_slice_theta) gets no solve: each trial is recorded as EMPTY_SLICE
     with both values +inf and gap NaN.
+
+    The sphere oracle stops polishing once its value is at most
+    v_sdp + PROBE_GAP_TOL: the full polish would only lower it, v_full <=
+    v_early, so gap_full <= gap_early <= PROBE_GAP_TOL and no record's
+    gap test or flag changes.  v_rank1 may then sit above the full-polish
+    value, but only on a record that neither run flags.
     """
     d = mset.dim
     if d > 4:
@@ -728,8 +734,14 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
                 solver.Constraint(np.eye(d), "EQ", 1.0))
         prog = solver.ConicProgram(dim=d, objective_matrix=C, constraints=cons)
         sol = solver.solve(prog, eps=eps, max_iter=max_iter)
-        v_rank1, _ = oracles.sphere_min_rank_one(mats, C, seed=seed + 1000 + k,
-                                                 samples=samples)
+        # v_sdp + PROBE_GAP_TOL may round up; step it down until its own
+        # computed gap is at most PROBE_GAP_TOL, so no value at or below it
+        # can flag (the rounded subtraction is monotone)
+        stop_at = sol.objective_value + PROBE_GAP_TOL
+        while stop_at - sol.objective_value > PROBE_GAP_TOL:
+            stop_at = np.nextafter(stop_at, -np.inf)
+        v_rank1, _ = oracles.sphere_min_rank_one(
+            mats, C, seed=seed + 1000 + k, samples=samples, stop_at=stop_at)
         gap = v_rank1 - sol.objective_value
         if sol.status == solver.SolveStatus.OPTIMAL:
             gaps.append(gap)

@@ -180,6 +180,61 @@ class TestSphere:
         b = oracles.sphere_min_rank_one([], C, samples=4096, seed=5)
         assert a[0] == b[0]
 
+    @pytest.fixture
+    def slsqp_runs(self, monkeypatch):
+        runs = []
+        minimize = scipy.optimize.minimize
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        return runs
+
+    # the constraint_respected case: optimum 1.5 on the edge z1^2 = z2^2
+    STOP_CASE = ([np.diag([1.0, -1.0, 0.0])], np.diag([1.0, 2.0, 3.0]))
+
+    def _feasible(self, val, z):
+        Mset, C = self.STOP_CASE
+        assert np.isfinite(val) and abs(float(z @ z) - 1.0) <= 1e-12
+        assert abs(val - float(z @ C @ z)) <= 1e-12
+        assert all(float(z @ M @ z) <= oracles.SPHERE_SLACK for M in Mset)
+
+    def test_stop_above_first_polish_runs_one_start(self, slsqp_runs):
+        val, z = oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096,
+                                             stop_at=1e300)
+        assert len(slsqp_runs) == 1
+        self._feasible(val, z)
+        # the stop test is inclusive: a stop at that very value also ends there
+        again = oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096,
+                                            stop_at=val)
+        assert len(slsqp_runs) == 2 and again[0] == val
+
+    @pytest.mark.parametrize("stop_at", [None, -np.inf, np.inf, np.nan])
+    def test_no_finite_stop_polishes_every_start(self, slsqp_runs, stop_at):
+        full, _ = oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096)
+        starts = len(slsqp_runs)
+        assert starts > 1
+        val, z = oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096,
+                                             stop_at=stop_at)
+        assert len(slsqp_runs) == 2 * starts and val == full
+        self._feasible(val, z)
+
+    def test_early_value_bounds_the_full_one(self, slsqp_runs):
+        # a stop below the optimum is never reached; one above it cuts the
+        # polish short, and the full value is then at most the early one
+        full, _ = oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096)
+        starts = len(slsqp_runs)
+        assert oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096,
+                                           stop_at=full - 1e-3)[0] == full
+        assert len(slsqp_runs) == 2 * starts
+        val, z = oracles.sphere_min_rank_one(*self.STOP_CASE, samples=4096,
+                                             stop_at=full + 1e-3)
+        assert len(slsqp_runs) < 3 * starts
+        assert full <= val <= full + 1e-3
+        self._feasible(val, z)
+
 
 def _central_jacobian(f, v, h):
     cols = [(np.atleast_1d(f(v + h * e)) - np.atleast_1d(f(v - h * e))) / (2.0 * h)

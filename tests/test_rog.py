@@ -1,12 +1,14 @@
 """Rank-one-generated analysis: pair decision, zero lines, witnesses, rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdpexact import linalg, rog, solver
+from sdpexact import linalg, oracles, rog, solver
 from conftest import (make_perspective_instance, make_separation_instance,
                       random_sym)
 
@@ -859,6 +861,47 @@ class TestProbe:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             rog.probe_random_objectives(rog.LmiSet((np.eye(5),), ("LE",)))
+
+    def test_rank_one_value_at_the_stop_never_flags(self, monkeypatch):
+        # (0.1 + 1e-3) - 0.1 > 1e-3 in floating point, so the stop passed to
+        # the oracle must sit below the plain sum for a slice value of 0.1
+        assert (0.1 + rog.PROBE_GAP_TOL) - 0.1 > rog.PROBE_GAP_TOL
+        solve = solver.solve
+        monkeypatch.setattr(solver, "solve", lambda *a, **kw: dataclasses.replace(
+            solve(*a, **kw), objective_value=0.1))
+        monkeypatch.setattr(oracles, "sphere_min_rank_one",
+                            lambda *a, stop_at, **kw: (stop_at, None))
+        mset = rog.LmiSet((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+                          ("LE", "LE"))
+        rep = rog.probe_random_objectives(mset, trials=2, samples=256, max_iter=2000)
+        for r in rep["records"]:
+            assert r["status"] == "OPTIMAL"
+            assert 0.0 < 0.1 + rog.PROBE_GAP_TOL - r["v_rank1"] <= 1e-15
+            assert r["gap"] <= rog.PROBE_GAP_TOL
+        assert not rep["flagged"]
+
+    def test_early_stop_keeps_every_decision(self, monkeypatch):
+        # the battery's probe settings on its first 40 seed-3 pairs, with the
+        # sphere oracle's early stop and then with every start polished;
+        # pairs 5, 12 and 13 flag
+        def decisions():
+            out = []
+            for k, (M1, M2) in enumerate(_battery_pairs(40, 3)):
+                rep = rog.probe_random_objectives(
+                    rog.LmiSet((M1, M2), ("LE", "LE")), trials=2, seed=k,
+                    samples=2048, eps=1e-5, max_iter=5000)
+                out.append((rep["flagged"], [
+                    (bool(np.isfinite(r["v_rank1"])), bool(r["gap"] > rog.PROBE_GAP_TOL))
+                    for r in rep["records"]]))
+            return out
+
+        early = decisions()
+        sphere = oracles.sphere_min_rank_one
+        monkeypatch.setattr(oracles, "sphere_min_rank_one",
+                            lambda *a, stop_at=None, **kw: sphere(*a, **kw))
+        assert decisions() == early
+        flagged = [f for f, _ in early]
+        assert any(flagged) and not all(flagged)
 
 
 class TestClconv:
