@@ -109,6 +109,7 @@ def _cmd_solve(args) -> int:
     for row in Z:
         print("  " + "  ".join(f"{v: .8f}" for v in row))
     _write_json(args.json, {"objective": val, "Z": Z, "status": sol.status.name,
+                            "iterations": sol.iterations, "rho": sol.rho,
                             "residuals": [sol.primal_residual, sol.dual_residual, sol.gap]})
     if sol.status == solver.SolveStatus.MAX_ITER:
         return EXIT_NONCONVERGED

@@ -19,17 +19,24 @@ solves, where call overhead rather than arithmetic sets the pace.  The
 affine step x = P w + q, with P = I - A^T (A A^T)^{-1} A, is linear in the
 iterate pair (v, u), so the projection, the over-relaxation and the cone
 step's input fold into one matrix-vector product t = K [v; u] + k0, with K
-built once per solve and k0 once per penalty change.  The cone step is one
-LAPACK ``dsyevd`` call with in-place clipping, and u' = t - v'.  The affine
-multipliers are back-solved (LAPACK ``dpotrs``) only on the convergence
-check iterations, every 25th and the last, which are the only iterations
-that read them.
+built once per solve and k0 once per penalty change.  That product is
+lifted: the rows of K and k0 that give svec(T) are repeated as the d*d rows
+L K that give vec(T) (L svec(M) = vec(M)), and k0 is the last column,
+multiplying a constant 1 after [v; u].  One product thus writes both t and
+the cone input T, a reshaped view of the same buffer, with no smat.  The
+cone step is one LAPACK ``dsyevd`` call with in-place clipping, and the
+clipped matrix returns as svec through one more product, Sv vec(M) =
+svec(M); then u' = t - v'.  The affine multipliers are back-solved (LAPACK
+``dpotrs``) only on the convergence check iterations, every 25th and the
+last, which are the only iterations that read them.  The penalty rho at
+exit is reported with the solution.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +95,7 @@ class SdpSolution:
     gap: float
     status: SolveStatus
     iterations: int = 0
+    rho: float = 1.0  # final ADMM penalty
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,9 +105,24 @@ def _svec_idx(d: int):
     return iu, iu[::-1], np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _lifts(d: int):
+    """Lifting matrices: L (d*d x nz) with L svec(M) = vec(M), and Sv
+    (nz x d*d) with Sv vec(M) = svec(M), read off the upper triangle."""
+    iu, il, scale = _svec_idx(d)
+    k = np.arange(scale.size)
+    L = np.zeros((d * d, scale.size))
+    L[iu[0] * d + iu[1], k] = 1.0 / scale
+    L[il[0] * d + il[1], k] = 1.0 / scale
+    Sv = np.zeros((scale.size, d * d))
+    Sv[k, iu[0] * d + iu[1]] = scale
+    return L, Sv
+
+
 def svec(M: np.ndarray, d: int) -> np.ndarray:
+    """svec of a d x d matrix, or of each matrix in a stack (..., d, d)."""
     iu, _, scale = _svec_idx(d)
-    return M[iu] * scale
+    return M[..., iu[0], iu[1]] * scale
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
@@ -112,10 +135,17 @@ def smat(v: np.ndarray, d: int) -> np.ndarray:
     return M
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, as np.linalg.norm computes it."""
+    return math.sqrt(x @ x)
+
+
 def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSolution:
     """Solve min <C,Z> s.t. constraints, Z PSD."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     d = prog.dim
     cons = prog.constraints
 
@@ -124,15 +154,6 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
     p = len(le_idx)
     ncon = len(cons)
     nvar = nz + p
-
-    # Rows of the affine system: <M_k, Z> (+ s_j for LE rows) = rhs_k.
-    A = np.zeros((ncon, nvar))
-    rhs = np.zeros(ncon)
-    for k, con in enumerate(cons):
-        A[k, :nz] = svec(con.matrix, d)
-        rhs[k] = con.rhs
-    for j, k in enumerate(le_idx):
-        A[k, nz + j] = 1.0
 
     c = np.zeros(nvar)
     c[:nz] = svec(prog.objective_matrix, d)
@@ -157,6 +178,12 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
             status=SolveStatus.UNBOUNDED_LIKELY, iterations=0,
         )
 
+    # Rows of the affine system: <M_k, Z> (+ s_j for LE rows) = rhs_k.
+    A = np.zeros((ncon, nvar))
+    A[:, :nz] = svec(np.array([con.matrix for con in cons]), d)
+    A[le_idx, nz + np.arange(p)] = 1.0
+    rhs = np.array([con.rhs for con in cons])
+
     # Unit-norm rows; an all-zero EQ row keeps its (zero) scale.
     row_norm = np.linalg.norm(A, axis=1)
     row_norm[row_norm == 0.0] = 1.0
@@ -164,47 +191,62 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
     rhs /= row_norm
 
     # Tiny ridge keeps redundant rows (duplicated constraints) solvable.
-    gram = A @ A.T + 1e-12 * np.eye(ncon)
-    chol, _ = scipy.linalg.cho_factor(gram)  # upper factor, as potrs expects
-    potrs = scipy.linalg.lapack.dpotrs
-    eig = scipy.linalg.lapack.dsyevd
+    gram = A @ A.T
+    gram.flat[:: ncon + 1] += 1e-12
+    if not np.isfinite(gram).all():
+        raise ValueError("constraint matrices must be finite")
+    lapack = scipy.linalg.lapack
+    chol, info = lapack.dpotrf(gram, overwrite_a=1, clean=0)  # upper, as potrs expects
+    if info:
+        raise np.linalg.LinAlgError("Gram matrix of the affine rows is not positive definite")
+    potrs, eig = lapack.dpotrs, lapack.dsyevd
 
-    scale_b = max(1.0, float(np.linalg.norm(rhs)))
-    scale_c = max(1.0, float(np.linalg.norm(c)))
+    scale_b = max(1.0, _norm(rhs))
+    scale_c = max(1.0, _norm(c))
 
-    # t = a x + (1 - a) v + u with x = P (v - u - c / rho) + q
+    # t = a x + (1 - a) v + u with x = P (v - u - c / rho) + q is the product
+    # K [v; u] + k0.  KL stacks K over its rows lifted by L, so the same
+    # product also gives T = smat(t[:nz]), and it ends in the lifted column
+    # k0 = a (q - P c / rho), which multiplies the 1 that ends [v; u; 1].
     a = OVER_RELAXATION
-    GA = scipy.linalg.cho_solve((chol, False), A)
+    L, Sv = _lifts(d)
+    GA, _ = potrs(chol, A)
     P = np.eye(nvar) - A.T @ GA
-    q = GA.T @ rhs
-    Pc = P @ c
     K = np.hstack([a * P + (1.0 - a) * np.eye(nvar), np.eye(nvar) - a * P])
 
+    def lift(x):
+        return np.concatenate([x, L @ x[:nz]])
+
+    qL, PcL = lift(GA.T @ rhs), lift(P @ c)
+    KL = np.empty((nvar + d * d, 2 * nvar + 1))
+    KL[:, :-1] = lift(K)
     rho = 1.0
-    k0 = a * (q - Pc / rho)
-    vu = np.zeros(2 * nvar)  # [v; u]
-    v, u = vu[:nvar], vu[nvar:]
-    mu = np.zeros(ncon)
+    KL[:, -1] = a * (qL - PcL / rho)
 
-    iu, _, scale = _svec_idx(d)
+    vu = np.zeros(2 * nvar + 1)  # [v; u; 1]
+    vu[-1] = 1.0
+    v, u = vu[:nvar], vu[nvar:-1]
+    buf = np.empty(nvar + d * d)  # [t; vec(T)]
+    t, T = buf[:nvar], buf[nvar:].reshape(d, d)
+    M = np.empty((d, d))
 
-    pri = dua = np.inf
-    it = 0
+    # every exit is a check iteration, which sets mu, pri and dua
     for it in range(1, max_iter + 1):
         check = it % 25 == 0 or it == max_iter
         if check:
             mu, _ = potrs(chol, rhs - A @ (v - u - c / rho), overwrite_b=True)
             v_prev = v.copy()
-        t = K @ vu + k0
-        w, V, _ = eig(smat(t[:nz], d), lower=1)
+        np.dot(KL, vu, out=buf)
+        w, V, _ = eig(T, lower=1)
         np.maximum(w, 0.0, out=w)
-        np.multiply(((V * w) @ V.T)[iu], scale, out=v[:nz])
+        np.dot(V * w, V.T, out=M)
+        np.dot(Sv, M.ravel(), out=v[:nz])
         np.maximum(t[nz:], 0.0, out=v[nz:])
         np.subtract(t, v, out=u)
 
         if check:
-            pri = float(np.linalg.norm(A @ v - rhs)) / scale_b
-            dua = rho * float(np.linalg.norm(v - v_prev)) / scale_c
+            pri = _norm(A @ v - rhs) / scale_b
+            dua = rho * _norm(v - v_prev) / scale_c
             gap_now = abs(float(c @ v) - float(rhs @ (rho * mu))) / max(
                 1.0, abs(float(c @ v))
             )
@@ -217,20 +259,20 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
             elif dua > PENALTY_RATIO * pri and np.isfinite(dua):
                 rho /= 2.0
                 u *= 2.0
-            k0 = a * (q - Pc / rho)
+            KL[:, -1] = a * (qL - PcL / rho)
 
     y_eq = rho * mu / row_norm  # multipliers of the given rows (max b^T y)
     # Reported per-constraint multipliers follow the aggregation convention
     # C + sum(lambda_k M_k) PSD, i.e. lambda = -y; LE multipliers come out >= 0.
     lam = -y_eq
     Z = smat(v[:nz], d)
-    obj = float(np.sum(svec(prog.objective_matrix, d) * v[:nz]))
+    obj = float((c[:nz] * v[:nz]).sum())
     dual_obj = float(rhs @ (rho * mu))
     gap = abs(obj - dual_obj) / max(1.0, abs(obj), abs(dual_obj))
 
     if pri <= eps and dua <= eps:
         status = SolveStatus.OPTIMAL
-    elif float(np.linalg.norm(v)) > 1e8:
+    elif _norm(v) > 1e8:
         status = SolveStatus.UNBOUNDED_LIKELY
     elif pri > 1e-3:
         status = SolveStatus.INFEASIBLE_LIKELY
@@ -246,6 +288,7 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
         gap=gap,
         status=status,
         iterations=it,
+        rho=rho,
     )
 
 

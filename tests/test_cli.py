@@ -49,6 +49,8 @@ class TestSolve:
         payload = json.loads(open(out_json).read())
         assert abs(payload["objective"] - 2.0) <= 1e-4
         assert payload["status"] == "OPTIMAL"
+        assert payload["iterations"] > 0
+        assert payload["rho"] > 0.0
 
     def test_missing_file_is_input_error(self, capsys):
         rc = cli.main(["solve", "/nonexistent/file.json"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdpexact import linalg, model, solver
-from conftest import q, make_explicit_instance, random_sym
+from conftest import q, make_explicit_instance, make_gtrs, random_sym
 
 
 class TestSvec:
@@ -40,6 +40,18 @@ class TestSvec:
                 U[iu] = v / np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
                 assert M.tobytes() == (U + np.triu(U, 1).T).tobytes()
                 assert M.tobytes() == M.T.tobytes()
+
+    def test_lifting_matrices(self):
+        rng = np.random.default_rng(6)
+        for d in range(1, 7):
+            nz = d * (d + 1) // 2
+            L, Sv = solver._lifts(d)
+            assert L.shape == (d * d, nz) and Sv.shape == (nz, d * d)
+            for _ in range(5):
+                M = random_sym(rng, d)
+                assert np.allclose(L @ solver.svec(M, d), M.ravel(), rtol=0, atol=1e-15)
+                assert np.array_equal(Sv @ M.ravel(), solver.svec(M, d))
+            assert np.allclose(Sv @ L, np.eye(nz), rtol=0, atol=1e-15)
 
 
 class TestKnownOptima:
@@ -91,6 +103,48 @@ class TestKnownOptima:
         # the returned Z is an improving PSD ray
         assert np.linalg.eigvalsh(sol.Z)[0] >= -1e-12
         assert float(np.sum(C * sol.Z)) < 0.0
+
+    def test_one_by_one_program(self):
+        # min Z s.t. Z <= 2, Z = 1: the lifted product at d = 1
+        prog = solver.ConicProgram(
+            dim=1, objective_matrix=np.eye(1),
+            constraints=(solver.Constraint(np.eye(1), "LE", 2.0),
+                         solver.Constraint(np.eye(1), "EQ", 1.0)))
+        sol = solver.solve(prog)
+        assert sol.status == solver.SolveStatus.OPTIMAL
+        assert sol.iterations == 50
+        assert np.allclose(sol.Z, [[1.0]], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iteration_budget_rejected(self, max_iter):
+        prog = solver.ConicProgram(
+            dim=2, objective_matrix=np.eye(2),
+            constraints=(solver.Constraint(np.eye(2), "EQ", 1.0),))
+        with pytest.raises(ValueError):
+            solver.solve(prog, max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        M = np.eye(2)
+        M[0, 1] = M[1, 0] = bad
+        with np.errstate(invalid="ignore"):
+            prog = solver.ConicProgram(dim=2, objective_matrix=np.eye(2),
+                                       constraints=(solver.Constraint(M, "EQ", 1.0),))
+            with pytest.raises(ValueError):
+                solver.solve(prog)
+
+    def test_final_penalty_reported(self):
+        # min Z33 over three diagonal LE rows and Z11 + Z22 = 1 runs past
+        # the first penalty check and ends with the penalty doubled
+        rows = ([4.0, 4.0, -1.0], [1.0, 4.0, -1.0], [4.0, 1.0, -1.0])
+        prog = solver.ConicProgram(
+            dim=3, objective_matrix=np.diag([0.0, 0.0, 1.0]),
+            constraints=tuple(solver.Constraint(np.diag(r), "LE", 0.0) for r in rows)
+            + (solver.Constraint(np.diag([1.0, 1.0, 0.0]), "EQ", 1.0),))
+        sol = solver.solve(prog)
+        assert sol.status == solver.SolveStatus.OPTIMAL
+        assert sol.iterations > solver.PENALTY_CHECK_EVERY
+        assert sol.rho != 1.0
 
     def test_infeasible_detected(self):
         prog = solver.ConicProgram(
@@ -180,6 +234,110 @@ class TestRowEquilibration:
             assert np.max(np.abs(sol.Z - ref.Z)) <= 1e-6, k
             # multipliers come back in the units of the given rows
             assert np.allclose(s * sol.y, ref.y, rtol=1e-6, atol=1e-6), k
+
+
+def _textbook_solve(prog, eps=1e-7, max_iter=50000):
+    """The solver's ADMM iteration written out step by step: the affine
+    projection x = P (v - u - c / rho) + q with P = I - A^T (A A^T)^-1 A,
+    over-relaxation, eigenvalue and slack clipping, and the u update, with
+    the solver's row equilibration, 25-step check, penalty rule and
+    statuses. Returns (status, iterations, Z)."""
+    d, cons = prog.dim, prog.constraints
+    nz = d * (d + 1) // 2
+    le = [k for k, con in enumerate(cons) if con.sense == "LE"]
+    nvar = nz + len(le)
+    A = np.zeros((len(cons), nvar))
+    for k, con in enumerate(cons):
+        A[k, :nz] = solver.svec(con.matrix, d)
+    for j, k in enumerate(le):
+        A[k, nz + j] = 1.0
+    b = np.array([con.rhs for con in cons])
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0.0] = 1.0
+    A /= norms[:, None]
+    b /= norms
+    c = np.zeros(nvar)
+    c[:nz] = solver.svec(prog.objective_matrix, d)
+    G = A @ A.T + 1e-12 * np.eye(len(cons))
+    P = np.eye(nvar) - A.T @ np.linalg.solve(G, A)
+    q = A.T @ np.linalg.solve(G, b)
+    scale_b = max(1.0, np.linalg.norm(b))
+    scale_c = max(1.0, np.linalg.norm(c))
+    a, rho = solver.OVER_RELAXATION, 1.0
+    v, u = np.zeros(nvar), np.zeros(nvar)
+    for it in range(1, max_iter + 1):
+        w_in = v - u - c / rho
+        x = P @ w_in + q
+        t = a * x + (1.0 - a) * v + u
+        lam, V = np.linalg.eigh(solver.smat(t[:nz], d))
+        clipped = V @ np.diag(np.maximum(lam, 0.0)) @ V.T
+        v_new = np.concatenate([solver.svec(clipped, d), np.maximum(t[nz:], 0.0)])
+        u = t - v_new
+        if it % 25 == 0 or it == max_iter:
+            mu = np.linalg.solve(G, b - A @ w_in)
+            pri = np.linalg.norm(A @ v_new - b) / scale_b
+            dua = rho * np.linalg.norm(v_new - v) / scale_c
+            gap = abs(c @ v_new - b @ (rho * mu)) / max(1.0, abs(c @ v_new))
+        v = v_new
+        if it % 25 == 0 or it == max_iter:
+            if pri <= eps and dua <= eps and gap <= max(eps, 1e-7) * 10:
+                break
+        if it % solver.PENALTY_CHECK_EVERY == 0:
+            if pri > solver.PENALTY_RATIO * dua and np.isfinite(pri):
+                rho, u = 2.0 * rho, u / 2.0
+            elif dua > solver.PENALTY_RATIO * pri and np.isfinite(dua):
+                rho, u = rho / 2.0, 2.0 * u
+    if pri <= eps and dua <= eps:
+        status = solver.SolveStatus.OPTIMAL
+    elif np.linalg.norm(v) > 1e8:
+        status = solver.SolveStatus.UNBOUNDED_LIKELY
+    elif pri > 1e-3:
+        status = solver.SolveStatus.INFEASIBLE_LIKELY
+    else:
+        status = solver.SolveStatus.MAX_ITER
+    return status, it, solver.smat(v[:nz], d)
+
+
+def _criterion06_program(seed):
+    """The first random-objective relaxation program criterion 06 samples
+    for its trust-region instance `seed`."""
+    inst = make_gtrs(seed)
+    n = inst.n
+    rng = np.random.default_rng(10_000 + seed)
+    C = float(rng.uniform(0.2, 1.0)) * inst.objective.embed()
+    for j in range(n):
+        E = np.zeros((n + 1, n + 1))
+        E[j, n] = E[n, j] = 0.5
+        C = C + float(rng.standard_normal()) * E
+    prog = solver.relaxation_program(inst)
+    return solver.ConicProgram(dim=prog.dim, objective_matrix=C,
+                               constraints=prog.constraints)
+
+
+class TestTextbookIteration:
+    """The lifted product, the fused cone step and the every-25 multiplier
+    solve take the same iterates as the iteration written out."""
+
+    def _same(self, prog, **kw):
+        sol = solver.solve(prog, **kw)
+        status, iters, Z = _textbook_solve(prog, **kw)
+        assert sol.status == status
+        assert sol.iterations == iters
+        assert np.max(np.abs(sol.Z - Z)) <= 1e-10
+
+    @pytest.mark.parametrize("le_rows", [False, True])
+    def test_criterion10_programs(self, le_rows):
+        for k in range(100):
+            self._same(_criterion10_program(k, le_rows))
+
+    def test_criterion06_relaxation_points(self):
+        for seed in range(20):
+            self._same(_criterion06_program(seed), eps=1e-6, max_iter=20000)
+
+    def test_budget_cut_short(self):
+        # the last iteration is a check iteration too
+        for k in range(10):
+            self._same(_criterion10_program(k, le_rows=True), max_iter=40)
 
 
 class TestRelaxation:
