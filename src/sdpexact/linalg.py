@@ -22,8 +22,9 @@ def sym(entries) -> np.ndarray:
     """Symmetrize and validate a dense square matrix.
 
     Raises ValueError if the input is not square, or if the skew part exceeds
-    SYM_TOL relative to the matrix norm (a genuinely asymmetric input is a
-    caller bug, not something to silently average away).
+    10 SYM_TOL relative to the Frobenius norm, with no floor, so the check is
+    the same at every scale (a genuinely asymmetric input is a caller bug,
+    not something to silently average away).
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim == 0:
@@ -32,8 +33,7 @@ def sym(entries) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("dim must be >= 1")
-    scale = max(1.0, float(np.linalg.norm(a, "fro")))
-    if np.linalg.norm(a - a.T, "fro") > SYM_TOL * scale * 10:
+    if np.linalg.norm(a - a.T, "fro") > SYM_TOL * 10 * np.linalg.norm(a, "fro"):
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (a + a.T)
 

@@ -84,13 +84,12 @@ def _same_direction(u, v, tol=ANGLE_TOL) -> bool:
 
 
 def decompose_rank2_indefinite(M):
-    """Split M = Sym(a b^T) when M has rank <= 2 and is not definite.
+    """Split a symmetric M = Sym(a b^T) when M has rank <= 2 and is not definite.
 
     Returns (a, b) with M = Sym(a b^T); raises DecompositionImpossible for
-    rank > 2 or a definite rank-2 matrix.
+    rank > 2 or a definite rank-2 matrix.  M is not symmetrised again.
     """
-    spec = linalg.eig_sym(M)
-    w, V = spec.eigenvalues, spec.eigenvectors
+    w, V = np.linalg.eigh(M)
     cut = linalg.rank_cut(w)
     pos = [k for k in range(len(w)) if w[k] > cut]
     neg = [k for k in range(len(w)) if w[k] < -cut]
@@ -132,22 +131,25 @@ def _dependence(M1, M2):
     return None
 
 
+def _norms(M1, M2):
+    """(||M1||_2, ||M2||_2) of symmetric M1, M2: max |lambda| of each, from one
+    stacked ``eigvalsh`` (a third of the cost of two SVD 2-norms)."""
+    return np.max(np.abs(np.linalg.eigvalsh(np.stack([M1, M2]))), axis=1)
+
+
 def _pair_scale(M1, M2) -> float:
     """max(||M1||_2, ||M2||_2), 1 for a zero pair: the scale of every pair
     tolerance, so each one is relative at every input scale."""
-    return float(max(np.linalg.norm(M1, 2), np.linalg.norm(M2, 2))) or 1.0
-
-
-def _bordered(M, extra):
-    """[[M, 0], [0, extra]]: M bordered by one extra diagonal entry."""
-    d = M.shape[0]
-    W = np.zeros((d + 1, d + 1))
-    W[:d, :d] = M
-    W[d, d] = extra
-    return W
+    return float(np.max(_norms(M1, M2))) or 1.0
 
 
 def gordan_stiemke(M1, M2):
+    """Condition (i) for the pair as given (``_gordan_stiemke``)."""
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
+    return _gordan_stiemke(M1, M2, _pair_scale(M1, M2))
+
+
+def _gordan_stiemke(M1, M2, scale):
     """Condition (i) by bisection on support angles: (alpha, None) for weights
     that pass ``_psd_combination``, (None, Z) for a Z that passes
     ``_is_pd_witness``, or (None, None).
@@ -166,17 +168,15 @@ def gordan_stiemke(M1, M2):
     side.  (None, None) once the angle interval is spent, after about 52
     halvings.
     """
-    M1, M2 = linalg.sym(M1), linalg.sym(M2)
-    # a necessary bound for _psd_combination, which divides by max|.| <= 1
-    # (Frobenius norms bound the pair scale, with room for rounding): only
-    # angles within it pay for the predicate
-    near = -2e-7 * max(np.linalg.norm(M1), np.linalg.norm(M2))
+    # necessary for _psd_combination, which divides by max|.| <= 1 (the factor
+    # 2 leaves room for rounding): only angles within it pay for the predicate
+    near = -2e-7 * scale
 
     def probe(t):
         c = np.array([np.cos(t), np.sin(t)])
         lam, V = np.linalg.eigh(c[0] * M1 + c[1] * M2)
         alpha = c / np.max(np.abs(c))
-        if lam[0] >= near and _psd_combination(M1, M2, alpha):
+        if lam[0] >= near and _psd_combination(M1, M2, alpha, scale):
             return alpha, None, None
         z = V[:, 0]
         return None, z, np.array([z @ M1 @ z, z @ M2 @ z])
@@ -195,7 +195,7 @@ def gordan_stiemke(M1, M2):
         if det != 0.0:
             l1, l2 = cross(tau, w2) / det, cross(w1, tau) / det
             Z = np.eye(len(M1)) + l1 * np.outer(z1, z1) + l2 * np.outer(z2, z2)
-            if min(l1, l2) >= 0.0 and _is_pd_witness(M1, M2, Z):
+            if min(l1, l2) >= 0.0 and _is_pd_witness(M1, M2, Z, scale):
                 return None, Z
         if hi - lo <= 4.0 * np.spacing(2.0 * np.pi):
             return None, None
@@ -213,34 +213,36 @@ def gordan_stiemke(M1, M2):
 # One predicate per fact a pair certificate can claim.  The decision path
 # applies each before it emits a certificate and ``verify_certificate``
 # re-applies the same one to the input matrices, so a decided pair verifies.
+# Each takes symmetric matrices and the pair scale, computed once per call.
 
 
-def _psd_combination(M1, M2, alpha) -> bool:
+def _psd_combination(M1, M2, alpha, scale) -> bool:
     """max|alpha| = 1 (a tiny alpha passes any pair) and alpha1 M1 + alpha2 M2
     PSD relative to the pair scale, not to the combination, which may cancel."""
     alpha = np.asarray(alpha, dtype=float)
     if abs(float(np.max(np.abs(alpha))) - 1.0) > 1e-6:
         return False
-    w = linalg.eig_sym(alpha[0] * M1 + alpha[1] * M2).eigenvalues
-    return bool(w[0] >= -1e-7 * _pair_scale(M1, M2))
+    return bool(np.linalg.eigvalsh(alpha[0] * M1 + alpha[1] * M2)[0] >= -1e-7 * scale)
 
 
-def _is_pd_witness(M1, M2, Z) -> bool:
-    """Z is positive definite and orthogonal to M1 and M2 (condition (i) fails),
-    both relative to ||Z||, so c Z passes with Z for every c > 0."""
-    Z = linalg.sym(Z)
-    w = linalg.eig_sym(Z).eigenvalues
+def _is_pd_witness(M1, M2, Z, scale) -> bool:
+    """Symmetric Z is positive definite and orthogonal to M1 and M2 (condition
+    (i) fails), both relative to ||Z||, so c Z passes with Z for every c > 0."""
+    w = np.linalg.eigvalsh(Z)
     if w[0] <= 1e-7 * w[-1]:
         return False
-    tol = 1e-6 * _pair_scale(M1, M2) * np.linalg.norm(Z)
+    tol = 1e-6 * scale * np.linalg.norm(Z)
     return all(abs(float(np.sum(M * Z))) <= tol for M in (M1, M2))
 
 
-def _excludes_psd_combination(M1, M2, Z) -> bool:
-    """Z proves that no alpha passes ``_psd_combination`` for the pair.
+def _excludes_psd_combination(M1, M2, Z, scale) -> bool:
+    """Symmetric Z proves that no alpha passes ``_psd_combination`` for the
+    pair at the same scale s.
 
     Let A = alpha1 M1 + alpha2 M2 pass, so |max|alpha| - 1| <= 1e-6 and
-    A >= -e I with e = 1e-7 s, s the pair scale.  For Z of order d,
+    A >= -e I with e = 1e-7 s.  The argument uses s only through e, so it
+    holds for whatever s both predicates are given; the callers pass the
+    one max |lambda| of the pair, computed once.  For Z of order d,
     <A + e I, Z> >= lambda_min(Z) tr(A + e I), so <A, Z> >= lambda_min(Z)
     lambda_max(A) - d e lambda_max(Z).  With sigma the smaller singular
     value of [vec M1, vec M2], ||A||_F >= sigma ||alpha|| >= (1 - 1e-6) sigma,
@@ -252,11 +254,10 @@ def _excludes_psd_combination(M1, M2, Z) -> bool:
     1e-6 slacks.  Every term scales with the pair and with Z, so the answer
     is the same for s M_i and c Z.
     """
-    Z = linalg.sym(Z)
     d = len(Z)
-    e = 1e-7 * _pair_scale(M1, M2)
+    e = 1e-7 * scale
     sigma = np.linalg.svd(np.stack([M1.ravel(), M2.ravel()]), compute_uv=False)[-1]
-    lam = linalg.eig_sym(Z).eigenvalues
+    lam = np.linalg.eigvalsh(Z)
     r = sum(abs(float(np.sum(M * Z))) for M in (M1, M2))
     reach = sigma / np.sqrt(d)
     return bool(reach > 2.0 * e and lam[0] * reach > 2.0 * (d * e * lam[-1] + r))
@@ -278,7 +279,7 @@ def _lmin(M1, M2, th):
     return np.linalg.eigvalsh(np.cos(th) * M1 + np.sin(th) * M2)[..., 0]
 
 
-def _angular_scan(M1, M2):
+def _angular_scan(M1, M2, scale):
     """Weights of a PSD combination, or None: the best of 4000 angles for
     lambda_min, refined by golden section, if ``_psd_combination`` accepts it."""
     thetas = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
@@ -309,23 +310,23 @@ def _angular_scan(M1, M2):
     th = 0.5 * (a + b)
     alpha = np.array([np.cos(th), np.sin(th)])
     alpha /= np.max(np.abs(alpha))
-    return alpha if _psd_combination(M1, M2, alpha) else None
+    return alpha if _psd_combination(M1, M2, alpha, scale) else None
 
 
-def _condition_i(M1, M2):
+def _condition_i(M1, M2, scale):
     """(alpha, Z, route): condition (i) for a linearly independent pair.
 
     alpha passes ``_psd_combination``, or else Z (when not None) passes
     ``_is_pd_witness``; route names the step that settled it.
-    ``gordan_stiemke`` settles it alone ("bisection") when it returns
+    ``_gordan_stiemke`` settles it alone ("bisection") when it returns
     weights, or a Z that ``_excludes_psd_combination`` proves leaves no
     weights to find.  Otherwise ``_angular_scan`` runs ("scan") and its
     weights, if any, win, so the outcome is that of scanning first.
     """
-    alpha, Z = gordan_stiemke(M1, M2)
-    if alpha is not None or (Z is not None and _excludes_psd_combination(M1, M2, Z)):
+    alpha, Z = _gordan_stiemke(M1, M2, scale)
+    if alpha is not None or (Z is not None and _excludes_psd_combination(M1, M2, Z, scale)):
         return alpha, Z, "bisection"
-    alpha = _angular_scan(M1, M2)
+    alpha = _angular_scan(M1, M2, scale)
     return alpha, (Z if alpha is None else None), "scan"
 
 
@@ -366,8 +367,7 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     ``seed`` and ``eps`` are accepted and ignored, only so that callers
     which pass them (the benchmark workloads) keep working.
     """
-    M1 = linalg.sym(M1)
-    M2 = linalg.sym(M2)
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
     if M1.shape != M2.shape:
         raise ValueError("dimension mismatch")
 
@@ -375,22 +375,18 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     alpha = _dependence(M1, M2)
     if alpha is not None:
         # the combination is ~0, so it passes _psd_combination
-        return RogVerdict(
-            status="ROG_CERTIFIED",
-            certificate={"kind": "AggregationWeights", "alpha": alpha,
-                         "note": "linearly dependent pair"},
-            diagnostics={"route": "dependent"},
-        )
+        return RogVerdict(status="ROG_CERTIFIED",
+                          certificate={"kind": "AggregationWeights", "alpha": alpha,
+                                       "note": "linearly dependent pair"},
+                          diagnostics={"route": "dependent"})
 
     # (b) condition (i): some nonzero combination PSD, or else a PD matrix
     # orthogonal to both
-    alpha, Z, route = _condition_i(M1, M2)
+    alpha, Z, route = _condition_i(M1, M2, _pair_scale(M1, M2))
     if alpha is not None:
-        return RogVerdict(
-            status="ROG_CERTIFIED",
-            certificate={"kind": "AggregationWeights", "alpha": alpha},
-            diagnostics={"route": route},
-        )
+        return RogVerdict(status="ROG_CERTIFIED",
+                          certificate={"kind": "AggregationWeights", "alpha": alpha},
+                          diagnostics={"route": route})
     if Z is None:
         return RogVerdict(status="UNDECIDED",
                           diagnostics={"route": route,
@@ -403,11 +399,9 @@ def check_pair(M1, M2, seed: int = 0, eps: float = 1e-7) -> RogVerdict:
     common = _common_factor((M1, M2))
     if common is not None:
         c, (a, b) = common
-        return RogVerdict(
-            status="ROG_CERTIFIED",
-            certificate={"kind": "CommonFactor", "a": a, "b": b, "c": c},
-            diagnostics={"route": route},
-        )
+        return RogVerdict(status="ROG_CERTIFIED",
+                          certificate={"kind": "CommonFactor", "a": a, "b": b, "c": c},
+                          diagnostics={"route": route})
 
     # (d) neither condition: not ROG, and the PD witness refuting (i) is the
     # certificate, since the verifier repeats the search for (ii)
@@ -425,17 +419,18 @@ def verify_certificate(verdict: RogVerdict, M1, M2) -> bool:
     condition (i) through Z and condition (ii) by ``_common_factor`` on the
     pair itself.
     """
-    M1 = linalg.sym(M1)
-    M2 = linalg.sym(M2)
+    M1, M2 = linalg.sym(M1), linalg.sym(M2)
+    scale = _pair_scale(M1, M2)
     cert = verdict.certificate
     kind = cert.get("kind")
     if verdict.status == "ROG_CERTIFIED" and kind == "AggregationWeights":
-        return _psd_combination(M1, M2, cert["alpha"])
+        return _psd_combination(M1, M2, cert["alpha"], scale)
     if verdict.status == "ROG_CERTIFIED" and kind == "CommonFactor":
         a, b, c = (np.asarray(cert[k], dtype=float) for k in ("a", "b", "c"))
         return _is_sym_product(M1, a, c) and _is_sym_product(M2, b, c)
     if verdict.status == "NOT_ROG_CERTIFIED" and kind == "PdWitness":
-        return _is_pd_witness(M1, M2, cert["Z"]) and _common_factor((M1, M2)) is None
+        return (_is_pd_witness(M1, M2, linalg.sym(cert["Z"]), scale)
+                and _common_factor((M1, M2)) is None)
     return False
 
 
@@ -461,7 +456,7 @@ def null_set_lines_3d(M1, M2):
         raise ValueError("dimension must be 3")
     if _dependence(M1, M2) is not None:
         raise ValueError("pair is linearly dependent")
-    if _condition_i(M1, M2)[0] is not None:
+    if _condition_i(M1, M2, _pair_scale(M1, M2))[0] is not None:
         raise ValueError("a PSD combination exists; zero set is not four lines")
     if _common_factor((M1, M2)) is not None:
         raise ValueError("pair shares a common factor; zero set contains a plane")
@@ -473,7 +468,8 @@ def null_set_lines_3d(M1, M2):
     directions = []
     for p in decompose_rank2_indefinite(N):
         P = linalg.kernel_basis(np.outer(p, p))
-        R = max((P.T @ M @ P for M in (M1, M2)), key=np.linalg.norm)
+        # P^T M P is symmetric only up to rounding
+        R = linalg.sym(max((P.T @ M @ P for M in (M1, M2)), key=np.linalg.norm))
         try:
             factors = decompose_rank2_indefinite(R)
         except DecompositionImpossible:  # definite: no zero on this plane
@@ -495,6 +491,7 @@ def construct_rank2_witness_3d(M1, M2, seed: int = 0):
     verified rank-two extreme ray refutes ROG however it was found.
     """
     M1, M2 = linalg.sym(M1), linalg.sym(M2)
+    norms = _norms(M1, M2)
     rng = np.random.default_rng(seed)
     for attempt in range(200):
         w = _unit(rng.standard_normal(3))
@@ -502,7 +499,7 @@ def construct_rank2_witness_3d(M1, M2, seed: int = 0):
         if u is None:
             continue
         Z = np.outer(w, w) + np.outer(u, u)
-        ok, res_val = verify_extreme_rank2(Z, M1, M2)
+        ok, res_val = _extreme_rank2(Z, M1, M2, norms)
         if ok:
             return {"Z": Z, "w": w, "u": u, "resultant": res_val, "seed": seed,
                     "attempt": attempt}
@@ -521,8 +518,7 @@ def _match(M1, M2, target):
     unit length is scaled onto the target; None when there is none.
     """
     a, b = target
-    spec = linalg.eig_sym(b * M1 - a * M2)
-    lam, V = spec.eigenvalues, spec.eigenvectors
+    lam, V = np.linalg.eigh(b * M1 - a * M2)
     cut = linalg.rank_cut(lam)
     if np.sum(lam > cut) < np.sum(lam < -cut):
         lam = -lam
@@ -551,17 +547,20 @@ def verify_extreme_rank2(Z, M1, M2):
     ||M2||_2^2: scaling Z or an M_i leaves the slice and the answer alone.
     Returns (bool, resultant value).
     """
-    Z = linalg.sym(Z)
-    M1, M2 = linalg.sym(M1), linalg.sym(M2)
-    spec = linalg.eig_sym(Z)
-    lam = spec.eigenvalues
+    Z, M1, M2 = linalg.sym(Z), linalg.sym(M1), linalg.sym(M2)
+    return _extreme_rank2(Z, M1, M2, _norms(M1, M2))
+
+
+def _extreme_rank2(Z, M1, M2, norms):
+    """``verify_extreme_rank2`` for symmetric inputs; norms = ``_norms(M1, M2)``."""
+    lam, V = np.linalg.eigh(Z)
     cut = linalg.rank_cut(lam)
     if lam[-2] <= cut or np.any(np.abs(lam[:-2]) > cut):
         return False, 0.0
-    n1, n2 = (float(np.linalg.norm(M, 2)) for M in (M1, M2))
+    n1, n2 = (float(n) for n in norms)
     if any(abs(float(np.sum(M * Z))) > 1e-7 * n * lam[-1] for M, n in ((M1, n1), (M2, n2))):
         return False, 0.0
-    p, q = spec.eigenvectors[:, -1], spec.eigenvectors[:, -2]
+    p, q = V[:, -1], V[:, -2]
     q1 = (float(p @ M1 @ p), 2.0 * float(p @ M1 @ q), float(q @ M1 @ q))
     q2 = (float(p @ M2 @ p), 2.0 * float(p @ M2 @ q), float(q @ M2 @ q))
     res = linalg.binary_quadratic_resultant(q1, q2)
@@ -582,7 +581,7 @@ def check_pairwise_sufficient(mset: LmiSet) -> RogVerdict:
             if _dependence(mats[i], mats[j]) is not None:
                 weights.append(((i, j), "dependent"))
                 continue
-            alpha = _condition_i(mats[i], mats[j])[0]
+            alpha = _condition_i(mats[i], mats[j], _pair_scale(mats[i], mats[j]))[0]
             if alpha is None:
                 return RogVerdict(status="UNDECIDED",
                                   diagnostics={"failing_pair": (i, j)})
@@ -622,7 +621,7 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
         return RogVerdict(status="UNDECIDED", diagnostics={"reason": "shape mismatch"})
     for cap_idx in range(len(mats)):
         L = mats[cap_idx]
-        w = linalg.eig_sym(L).eigenvalues
+        w = np.linalg.eigvalsh(L)
         scale = float(np.max(np.abs(w)))
         n_neg = int(np.sum(w < -1e-7 * scale))
         if n_neg != 1:
@@ -791,9 +790,9 @@ def _max_min_eig_over_simplex(blocks):
     d = blocks[0].shape[0]
     shift = max(float(np.linalg.norm(A, 2)) for A in blocks) + 1.0
     shifted = [A + shift * np.eye(d) for A in blocks]
-    cons = [solver.Constraint(_bordered(A, -1.0), "LE", 0.0) for A in shifted]
-    cons.append(solver.Constraint(_bordered(np.eye(d), 0.0), "EQ", 1.0))
-    C = _bordered(np.zeros((d, d)), 1.0)
+    cons = [solver.Constraint(scipy.linalg.block_diag(A, -1.0), "LE", 0.0) for A in shifted]
+    cons.append(solver.Constraint(scipy.linalg.block_diag(np.eye(d), 0.0), "EQ", 1.0))
+    C = scipy.linalg.block_diag(np.zeros((d, d)), 1.0)
     prog = solver.ConicProgram(dim=d + 1, objective_matrix=C, constraints=tuple(cons))
     theta = np.clip(solver.solve(prog).y[: len(blocks)], 0.0, None)
     tot = float(np.sum(theta))

@@ -22,6 +22,16 @@ class TestSym:
         with pytest.raises(ValueError):
             linalg.sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e6])
+    def test_rejects_asymmetric_at_every_scale(self, s):
+        # the skew part is measured against the matrix's own norm, with no
+        # floor at 1 that would let a tiny asymmetric input through
+        with pytest.raises(ValueError):
+            linalg.sym(np.array([[0.0, s], [0.0, 0.0]]))
+
+    def test_accepts_zero_matrix(self):
+        assert np.array_equal(linalg.sym(np.zeros((3, 3))), np.zeros((3, 3)))
+
     def test_scalar_becomes_1x1(self):
         assert linalg.sym(3.0).shape == (1, 1)
 

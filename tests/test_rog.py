@@ -65,11 +65,12 @@ class TestGordanStiemke:
         assert (v.status, v.certificate["kind"]) == ("ROG_CERTIFIED", "AggregationWeights")
         assert rog.verify_certificate(v, A, B)
         alpha, Z = rog.gordan_stiemke(A, B)
-        assert Z is None and rog._psd_combination(A, B, alpha)
+        assert Z is None and rog._psd_combination(A, B, alpha, rog._pair_scale(A, B))
 
     def test_pd_witness_found(self):
         alpha, Z = rog.gordan_stiemke(M1_3D, M2_3D)
-        assert alpha is None and rog._is_pd_witness(M1_3D, M2_3D, Z)
+        scale = rog._pair_scale(M1_3D, M2_3D)
+        assert alpha is None and rog._is_pd_witness(M1_3D, M2_3D, Z, scale)
 
 
 class TestCheckPair:
@@ -350,7 +351,7 @@ class TestScaling:
             A, B = pairs[k]
             Z1, Zs = rog.gordan_stiemke(A, B)[1], rog.gordan_stiemke(s * A, s * B)[1]
             assert Z1 is not None and Zs is not None, k
-            assert rog._is_pd_witness(s * A, s * B, Zs), k
+            assert rog._is_pd_witness(s * A, s * B, Zs, rog._pair_scale(s * A, s * B)), k
             assert np.linalg.norm(Zs - Z1) <= 1e-8 * np.linalg.norm(Z1), k
             assert rog.check_pair(s * A, s * B).status == rog.check_pair(A, B).status, k
         assert sols == []
@@ -393,6 +394,84 @@ class TestScaling:
         assert rog.check_pair(M1, M2).status == "NOT_ROG_CERTIFIED"
 
 
+def _congruent_certificate(cert, P):
+    """The certificate of (P^T M1 P, P^T M2 P) that ``cert`` maps to: the same
+    weights, factors times P^T, or Z' = P^-1 Z P^-T, since <P^T M P, Z'> =
+    <M, P Z' P^T>."""
+    kind = cert["kind"]
+    if kind == "AggregationWeights":
+        return {"kind": kind, "alpha": cert["alpha"]}
+    if kind == "CommonFactor":
+        return {"kind": kind, **{k: P.T @ cert[k] for k in ("a", "b", "c")}}
+    Pinv = np.linalg.inv(P)
+    return {"kind": kind, "Z": Pinv @ cert["Z"] @ Pinv.T}
+
+
+class TestInvariance:
+    def test_verdict_survives_congruence(self):
+        # P = Q diag(u), u in [0.3, 3]: P^T M P keeps the slice up to the
+        # change of basis, so the status stays and the mapped certificate
+        # verifies against the transformed pair
+        rng = np.random.default_rng(21)
+        for k, (A, B) in enumerate(_battery_pairs(300, 3)):
+            d = len(A)
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            P = Q @ np.diag(rng.uniform(0.3, 3.0, d))
+            A2, B2 = P.T @ A @ P, P.T @ B @ P
+            v = rog.check_pair(A, B)
+            assert rog.check_pair(A2, B2).status == v.status, k
+            mapped = rog.RogVerdict(v.status, _congruent_certificate(v.certificate, P))
+            assert rog.verify_certificate(mapped, A2, B2), k
+
+    def test_verdict_and_route_survive_scaling(self):
+        for k, (A, B) in enumerate(_battery_pairs(300, 3)):
+            v = rog.check_pair(A, B)
+            for s in (1e-6, 1e6):
+                vs = rog.check_pair(s * A, s * B)
+                assert (vs.status, vs.diagnostics["route"]) == \
+                    (v.status, v.diagnostics["route"]), (k, s)
+
+
+class TestComputedOnce:
+    """Each pair fact is computed once per public call: one ``linalg.sym`` per
+    input matrix, and the pair scale from ``eigvalsh``, never an SVD 2-norm."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        seen = {"sym": [], "norm2": 0}
+        sym, norm = linalg.sym, np.linalg.norm
+
+        def counted_sym(a):
+            seen["sym"].append(a)
+            return sym(a)
+
+        def counted_norm(x, ord=None, *args, **kw):
+            seen["norm2"] += ord == 2
+            return norm(x, ord, *args, **kw)
+
+        monkeypatch.setattr(linalg, "sym", counted_sym)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        return seen
+
+    @staticmethod
+    def _once_each(seen, inputs):
+        assert len(seen) == len(inputs)
+        assert all(sum(a is x for a in seen) == 1 for x in inputs)
+
+    def test_check_pair(self, counted):
+        v = rog.check_pair(M1_3D, M2_3D)
+        assert v.status == "NOT_ROG_CERTIFIED"
+        self._once_each(counted["sym"], (M1_3D, M2_3D))
+        assert counted["norm2"] == 0
+
+    def test_verify_certificate(self, counted):
+        v = rog.check_pair(M1_3D, M2_3D)
+        counted["sym"].clear()
+        assert rog.verify_certificate(v, M1_3D, M2_3D)
+        self._once_each(counted["sym"], (M1_3D, M2_3D, v.certificate["Z"]))
+        assert counted["norm2"] == 0
+
+
 def _near_boundary(A, B, delta):
     """(A, B) + x (cos t, sin t) I, with t the angle maximising
     lambda_min(cos t A + sin t B) = m and x chosen so that the shifted pair's
@@ -433,7 +512,8 @@ class TestNearBoundary:
 
 def _scan_first_status(A, B):
     """check_pair's status when the angular scan runs before the bisection."""
-    if rog._dependence(A, B) is not None or rog._angular_scan(A, B) is not None:
+    scale = rog._pair_scale(A, B)
+    if rog._dependence(A, B) is not None or rog._angular_scan(A, B, scale) is not None:
         return "ROG_CERTIFIED"
     alpha, Z = rog.gordan_stiemke(A, B)
     assert alpha is None  # a probe passing where the scan misses would differ
@@ -451,8 +531,8 @@ def _no_psd_angle(A, B, n=20000):
     lmin = rog._lmin(A, B, th) / m
     k = int(np.argmax(lmin))
     alpha = np.array([np.cos(th[k]), np.sin(th[k])]) / m[k]
-    return bool(lmin[k] < -1e-7 * rog._pair_scale(A, B)
-                and not rog._psd_combination(A, B, alpha))
+    scale = rog._pair_scale(A, B)
+    return bool(lmin[k] < -1e-7 * scale and not rog._psd_combination(A, B, alpha, scale))
 
 
 class TestConditionI:
@@ -509,7 +589,7 @@ class TestExcludesPsdCombination:
             d = 3 + k % 2
             A, B = random_sym(rng, d), random_sym(rng, d)
             alpha, Z = rog.gordan_stiemke(A, B)
-            if Z is not None and rog._excludes_psd_combination(A, B, Z):
+            if Z is not None and rog._excludes_psd_combination(A, B, Z, rog._pair_scale(A, B)):
                 held += 1
                 assert _no_psd_angle(A, B), k
         assert held >= 30
@@ -519,7 +599,8 @@ class TestExcludesPsdCombination:
             for delta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
                 A2, B2 = _near_boundary(A, B, delta)
                 Z = rog.gordan_stiemke(A2, B2)[1]
-                if Z is not None and rog._excludes_psd_combination(A2, B2, Z):
+                scale = rog._pair_scale(A2, B2)
+                if Z is not None and rog._excludes_psd_combination(A2, B2, Z, scale):
                     assert _no_psd_angle(A2, B2), delta
 
     def test_refuses_on_psd_pairs(self):
@@ -535,7 +616,7 @@ class TestExcludesPsdCombination:
             Zs = [np.eye(d)] + [G @ G.T + 0.1 * np.eye(d)
                                 for G in rng.standard_normal((20, d, d))]
             for Z in Zs:
-                assert not rog._excludes_psd_combination(A, B, Z)
+                assert not rog._excludes_psd_combination(A, B, Z, rog._pair_scale(A, B))
 
     def test_scale_free(self):
         rng = np.random.default_rng(6)
@@ -545,10 +626,11 @@ class TestExcludesPsdCombination:
             Z = rog.gordan_stiemke(A, B)[1]
             if Z is None:
                 continue
-            unit = rog._excludes_psd_combination(A, B, Z)
+            unit = rog._excludes_psd_combination(A, B, Z, rog._pair_scale(A, B))
             for s in (1e-8, 1e-3, 1e3, 1e8):
                 for c in (1e-6, 1e6):
-                    got = rog._excludes_psd_combination(s * A, s * B, c * Z)
+                    scale = rog._pair_scale(s * A, s * B)
+                    got = rog._excludes_psd_combination(s * A, s * B, c * Z, scale)
                     assert got == unit, (k, s, c)
 
 
@@ -569,13 +651,13 @@ class TestAngularScan:
     def test_psd_combination_found_and_verified(self):
         A = np.diag([1.0, 1.0, -1.0])
         B = np.diag([0.0, 0.0, 1.0])
-        alpha = rog._angular_scan(A, B)
+        alpha = rog._angular_scan(A, B, rog._pair_scale(A, B))
         assert alpha is not None
         assert abs(float(np.max(np.abs(alpha))) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(alpha[0] * A + alpha[1] * B)[0] >= -1e-7
 
     def test_pd_witness_pair_has_no_psd_combination(self):
-        assert rog._angular_scan(M1_3D, M2_3D) is None
+        assert rog._angular_scan(M1_3D, M2_3D, rog._pair_scale(M1_3D, M2_3D)) is None
 
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
