@@ -15,7 +15,7 @@ import numpy as np
 import scipy.optimize
 
 from . import gamma as gamma_mod
-from . import model, solver
+from . import model, oracles, solver
 from .gamma import STRICT_TOL
 
 
@@ -326,7 +326,5 @@ def exactness_summary(inst, supplied_generators=None) -> dict:
     out["opt_sdp"] = val
     out["sdp_status"] = sol.status.name
     if inst.n <= 3:
-        from . import oracles
-
         out["oracle"] = oracles.compare_opt(inst, val)
     return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg, model
 
@@ -100,9 +101,7 @@ def dd_extreme_rays(H: HPolyCone) -> list:
             "cone has a nontrivial lineality space; extreme rays undefined"
         )
     # initial simplicial cone from dim linearly independent rows
-    from scipy.linalg import qr as _qr
-
-    _, _, piv = _qr(rows.T, pivoting=True)
+    _, _, piv = scipy.linalg.qr(rows.T, pivoting=True)
     base_idx = list(piv[:dim])
     A0 = rows[base_idx]
     rays = [col.copy() for col in np.linalg.inv(A0).T]

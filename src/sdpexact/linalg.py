@@ -8,8 +8,6 @@ resulting spectrum relative to its largest magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Relative tolerances.  Solver accuracy is ~1e-7, so classification
@@ -38,17 +36,10 @@ def sym(entries) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigendecomposition: ascending eigenvalues, orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eig_sym(S) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix (ValueError if it is not one)."""
-    return Spectrum(*np.linalg.eigh(sym(S)))
+def eig_sym(S):
+    """Full eigendecomposition of a symmetric matrix (ValueError if it is not
+    one): ascending ``eigenvalues``, orthonormal columns ``eigenvectors``."""
+    return np.linalg.eigh(sym(S))
 
 
 def kernel_basis(S) -> np.ndarray:

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
-import scipy.special
-import scipy.stats.qmc
 
 from . import linalg, model
 
@@ -121,10 +119,7 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0,
     d = C.shape[0]
     if d > 5:
         raise ValueError("sphere oracle limited to dimension <= 5")
-    eng = scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)
-    # Sobol balance requires power-of-two sample counts
-    raw = eng.random_base2(max(1, int(np.ceil(np.log2(samples)))))[:samples]
-    z = scipy.special.ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
+    z = np.random.default_rng(seed).standard_normal((samples, d))
     nrm = np.linalg.norm(z, axis=1)
     z = z[nrm > 1e-9] / nrm[nrm > 1e-9][:, None]
     viol = np.zeros(z.shape[0])

@@ -717,6 +717,8 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
     d = mset.dim
     if d > 4:
         raise ValueError("probe limited to dimension <= 4")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     rng = np.random.default_rng(seed)
     mats = mset.expanded()
     theta = _empty_slice_weights(mats)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linalg
+from . import linalg, model
 
 OVER_RELAXATION = 1.6
 PENALTY_CHECK_EVERY = 100
@@ -299,8 +299,6 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
 
 def relaxation_program(inst) -> ConicProgram:
     """Lifted program: Z in S^{n+1}, <M_i,Z> <= 0 / = 0, Z[n,n] = 1, Z PSD."""
-    from . import model
-
     n = inst.n
     mats, M_obj = model.homogenize(inst)
     cons = [Constraint(M, sense, 0.0) for M, sense in mats]
@@ -323,21 +321,17 @@ def dsdp_membership(inst, x, t) -> bool:
     (x, 1) and the objective row relaxed to <M_obj, Z> <= t, to accuracy
     1e-6; the point belongs when the primal residual is at most 1e-5.
     """
-    from . import model
-
     x = np.asarray(x, dtype=float).reshape(-1)
     n = inst.n
-    mats, M_obj = model.homogenize(inst)
-    cons = [Constraint(M, sense, 0.0) for M, sense in mats]
-    cons.append(Constraint(M_obj, "LE", float(t)))
+    rel = relaxation_program(inst)
+    *cons, corner = rel.constraints
+    cons.append(Constraint(rel.objective_matrix, "LE", float(t)))
     for j in range(n):
         E = np.zeros((n + 1, n + 1))
         E[j, n] = 0.5
         E[n, j] = 0.5
         cons.append(Constraint(E, "EQ", float(x[j])))
-    corner = np.zeros((n + 1, n + 1))
-    corner[n, n] = 1.0
-    cons.append(Constraint(corner, "EQ", 1.0))
+    cons.append(corner)
     # Bounded surrogate objective: minimize tr Z to keep iterates tame.
     prog = ConicProgram(dim=n + 1, objective_matrix=np.eye(n + 1), constraints=tuple(cons))
     sol = solve(prog, eps=1e-6)

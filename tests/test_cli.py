@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +153,10 @@ class TestRog:
                        "--trials", "2"])
         assert rc == 0
         assert "max_gap:" in capsys.readouterr().out
+
+    def test_probe_negative_trials_is_input_error(self, capsys):
+        assert cli.main(["rog", "probe", "diag:1,-1", "diag:-1,1", "--trials", "-3"]) == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_probe_empty_slice_not_flagged(self, capsys):
         # a PD member empties the slice: every trial is EMPTY_SLICE, unsolved
@@ -327,3 +334,13 @@ class TestFlags:
         monkeypatch.setattr(rog, "construct_rank2_witness_3d", capture)
         assert cli.main(argv) == 0
         assert seeds == [5]
+
+
+def test_import_loads_no_scipy_stats():
+    # every command pays for what `import sdpexact.cli` loads
+    code = ("import sys, sdpexact.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -944,6 +944,24 @@ class TestProbe:
         with pytest.raises(ValueError):
             rog.probe_random_objectives(rog.LmiSet((np.eye(5),), ("LE",)))
 
+    def test_negative_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            rog.probe_random_objectives(rog.LmiSet((np.diag([1.0, -1.0]),), ("LE",)),
+                                        trials=-2)
+
+    def test_battery_flags_pinned(self):
+        # the benchmark's probe settings on the first 100 seed-3 pairs; only
+        # NOT_ROG pairs may flag
+        pairs = _battery_pairs(100, 3)
+        flagged = [k for k, (M1, M2) in enumerate(pairs)
+                   if rog.probe_random_objectives(
+                       rog.LmiSet((M1, M2), ("LE", "LE")), trials=2, seed=k,
+                       samples=2048, eps=1e-5, max_iter=5000)["flagged"]]
+        assert flagged == [5, 12, 13, 18, 22, 26, 28, 33, 39, 41, 42, 44, 45, 46,
+                           54, 64, 84, 85, 89, 91, 92]
+        assert all(rog.check_pair(*pairs[k]).status == "NOT_ROG_CERTIFIED"
+                   for k in flagged)
+
     def test_rank_one_value_at_the_stop_never_flags(self, monkeypatch):
         # (0.1 + 1e-3) - 0.1 > 1e-3 in floating point, so the stop passed to
         # the oracle must sit below the plain sum for a slice value of 0.1
