@@ -138,11 +138,17 @@ def _cmd_check(args) -> int:
     elif which == "qmp":
         rep = exactness.check_qmp_bounds(inst, gamma_polyhedral=model.is_diagonal_instance(inst) or gens is not None)
     else:
-        gd = gamma.build_gamma_data(inst, gens)
         fn = {"obj-strong": exactness.check_obj_strong,
               "obj-weak": exactness.check_obj_weak,
               "ch": exactness.check_ch_polyhedral}[which]
-        rep = fn(inst, gd)
+        try:
+            gd = gamma.build_gamma_data(inst, gens)
+        except gamma.NotPointedError as exc:  # no extreme rays, so no faces
+            rep = exactness.ExactnessReport(condition=which.replace("-", "_"),
+                                            verdict="NOT_APPLICABLE",
+                                            details={"reason": str(exc)})
+        else:
+            rep = fn(inst, gd)
     _report_line("condition", rep.condition)
     _report_line("verdict", rep.verdict)
     for fr in rep.face_records:

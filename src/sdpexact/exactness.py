@@ -117,16 +117,20 @@ def check_obj_strong(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
 
 def _weak_face(B, verts, rays):
     k = B.shape[1]
-    rows = np.array(verts + rays)
-    for j in range(k):
-        for sign in (1.0, -1.0):
-            bounds = [(-1.0, 1.0)] * k
-            bounds[j] = (sign, sign)
-            res = scipy.optimize.linprog(
-                np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
-                bounds=bounds, method="highs")
-            if res.status == 0:
-                return True, B @ res.x
+    if k == 0:
+        return False, None
+    R = np.array(verts + rays)
+    null = _nullspace(R)
+    if null.shape[1]:
+        return True, B @ null[:, 0]
+    # R has full column rank, so d != 0 exactly when R d != 0: with R d <= 0
+    # that is 1^T R d < 0, normalised to -1^T R d = 1
+    res = scipy.optimize.linprog(
+        np.zeros(k), A_ub=R, b_ub=np.zeros(R.shape[0]),
+        A_eq=-R.sum(axis=0, keepdims=True), b_eq=[1.0],
+        bounds=[(None, None)] * k, method="highs")
+    if res.status == 0:
+        return True, B @ res.x
     return False, None
 
 
@@ -134,8 +138,10 @@ def check_obj_weak(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     """Existence, per semidefinite face, of a nonzero direction in V(F) making
     every slice linear term nonpositive.
 
-    Solved as 2*dim(V(F)) LPs pinning one V(F)-coordinate to +/-1 with the
-    rest boxed in [-1, 1]; the face passes iff any LP is feasible.
+    With R the projected slice terms (one row per vertex and ray), a face
+    passes when R has a nonzero kernel vector, and otherwise iff the one LP
+    R d <= 0, -1^T R d = 1 (d free) is feasible; a face with dim V(F) = 0
+    has no nonzero direction and fails.
     """
     return _face_walk("obj_weak", inst, gd, _weak_face)
 
@@ -172,8 +178,8 @@ def check_burer_ye_diag(inst) -> ExactnessReport:
     H = gamma_mod.build_gamma_hrep_diag(inst)
     m = inst.m
     # rows of H applied at gamma_obj = 1: row[0] + row[1:] . gamma >= 0
-    A_ub = -H.rows[:, 1:]
-    b_ub = H.rows[:, 0].copy()
+    A_ub = -H[:, 1:]
+    b_ub = H[:, 0].copy()
     d_obj = np.diag(inst.objective.A)
     d_cons = np.array([np.diag(q.A) for q in inst.constraints]).reshape(m, inst.n)
     b_obj = inst.objective.b
@@ -276,10 +282,9 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
             tight.append(g)
     if not tight:
         return "IN_D", None
-    classification, _ = gamma_mod._classify(inst, tight)
+    classification, _, B = gamma_mod.classify_face(inst, tight)
     if classification == "DEFINITE":
         return "IN_D", None
-    B = gamma_mod.compute_VF(inst, tight)
     k = B.shape[1]
     verts, rays = gamma_mod.face_slice_vrep(tight)
     rows = []
@@ -307,16 +312,17 @@ def exactness_summary(inst, supplied_generators=None) -> dict:
     out["diagonal"] = diagonal
     try:
         gd = gamma_mod.build_gamma_data(inst, supplied_generators)
+        reason = None if gd.assumption1_witness is not None else "definiteness assumption fails"
     except gamma_mod.NotDiagonalError:
-        gd = None
-    if gd is None or gd.assumption1_witness is None:
+        gd, reason = None, "no polyhedral cone data"
+    except gamma_mod.NotPointedError as exc:
+        gd, reason = None, str(exc)
+    out["gamma"] = gd
+    if reason is not None:
         na = ExactnessReport(condition="all", verdict="NOT_APPLICABLE")
-        na.details["reason"] = ("no polyhedral cone data" if gd is None
-                                else "definiteness assumption fails")
+        na.details["reason"] = reason
         out["strong"] = out["weak"] = out["ch"] = na
-        out["gamma"] = gd
     else:
-        out["gamma"] = gd
         out["strong"] = check_obj_strong(inst, gd)
         out["weak"] = check_obj_weak(inst, gd)
         out["ch"] = check_ch_polyhedral(inst, gd)

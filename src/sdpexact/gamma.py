@@ -30,18 +30,6 @@ class NotPointedError(ValueError):
 
 
 @dataclass(frozen=True)
-class HPolyCone:
-    """H-representation {x : row . x >= 0 for each row} in R^{ambient}."""
-
-    ambient: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float).reshape(-1, self.ambient)
-        object.__setattr__(self, "rows", rows)
-
-
-@dataclass(frozen=True)
 class FaceDescriptor:
     face_id: int
     generator_indices: tuple
@@ -54,15 +42,15 @@ class FaceDescriptor:
 
 @dataclass(frozen=True)
 class GammaData:
-    hrep: HPolyCone | None
     generators: tuple  # (m+1)-vectors
     faces: tuple  # FaceDescriptor list, deterministic order
     provenance: str  # "DIAGONAL_AUTO" | "GENERATOR_SUPPLIED"
     assumption1_witness: np.ndarray | None
 
 
-def build_gamma_hrep_diag(inst: model.QcqpInstance) -> HPolyCone:
-    """H-rep for diagonal instances: n diagonal rows plus sign rows."""
+def build_gamma_hrep_diag(inst: model.QcqpInstance) -> np.ndarray:
+    """H-rep rows {x : row . x >= 0} for diagonal instances: n diagonal rows
+    plus sign rows, as an (n + 1 + m_I, m + 1) array."""
     if not model.is_diagonal_instance(inst):
         raise NotDiagonalError(
             "quadratic terms are not all diagonal; supply gamma generators "
@@ -78,7 +66,7 @@ def build_gamma_hrep_diag(inst: model.QcqpInstance) -> HPolyCone:
     rows.append(e[0])  # gamma_obj >= 0
     for i in range(inst.m_i):
         rows.append(e[1 + i])
-    return HPolyCone(ambient=m + 1, rows=np.array(rows))
+    return np.array(rows)
 
 
 def _active_set(rows: np.ndarray, r: np.ndarray) -> frozenset:
@@ -87,12 +75,13 @@ def _active_set(rows: np.ndarray, r: np.ndarray) -> frozenset:
     return frozenset(int(i) for i in np.flatnonzero(np.abs(vals) <= RAY_TOL * scale))
 
 
-def dd_extreme_rays(H: HPolyCone) -> list:
-    """Extreme rays of a pointed H-cone by incremental double description."""
-    dim = H.ambient
+def dd_extreme_rays(rows) -> list:
+    """Extreme rays of the pointed cone {x : rows @ x >= 0} by incremental
+    double description; rows is a 2-D array with one H-row per row."""
+    rows = np.asarray(rows, dtype=float)
+    dim = rows.shape[1]
     if dim > 12:
         raise ValueError("ambient dimension cap (12) exceeded")
-    rows = H.rows
     if rows.shape[0] == 0:
         raise NotPointedError("no rows: cone is all of space")
     rank = np.linalg.matrix_rank(rows, tol=1e-10)
@@ -167,8 +156,8 @@ def verify_generator(inst: model.QcqpInstance, ray) -> bool:
         return False
     if np.any(ray[1 : 1 + inst.m_i] < -STRICT_TOL):
         return False
-    lmin, scale = _min_eig_and_scale(_aggregate_A(inst, ray))
-    return lmin >= -STRICT_TOL * scale
+    w = linalg.eig_sym(_aggregate_A(inst, ray)).eigenvalues
+    return bool(w[0] >= -STRICT_TOL * _spectrum_scale(w))
 
 
 def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
@@ -176,32 +165,25 @@ def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
     return model.aggregate_with_obj(inst, ray[0], ray[1:]).A
 
 
-def _min_eig_and_scale(A):
-    """lambda_min(A) and the spectrum scale max(1, max |lambda|)."""
-    w = linalg.eig_sym(A).eigenvalues
-    return float(w[0]), max(1.0, float(np.max(np.abs(w), initial=0.0)))
+def _spectrum_scale(w) -> float:
+    """The spectrum scale max(1, max |lambda|) of the eigenvalues w."""
+    return max(1.0, float(np.max(np.abs(w), initial=0.0)))
 
 
-def _classify(inst, gens_on_face):
-    """DEFINITE, with the generator mean as witness, when its aggregate is PD;
-    the aggregates are PSD, so the mean is PD iff some conic combination is."""
-    mix = np.mean(gens_on_face, axis=0)
-    lmin, scale = _min_eig_and_scale(_aggregate_A(inst, mix))
-    if lmin > STRICT_TOL * scale:
-        return "DEFINITE", mix
-    return "SEMIDEFINITE", None
+def classify_face(inst: model.QcqpInstance, gens_on_face):
+    """(classification, witness, V(F)) of the face spanned by gens_on_face,
+    from one eigendecomposition of the aggregate of the generator mean.
 
-
-def compute_VF(inst: model.QcqpInstance, gens_on_face) -> np.ndarray:
-    """Shared zero eigenspace of the face's aggregated matrices.
-
-    Each aggregate is PSD, so the shared kernel equals the kernel of the sum
-    (``linalg.kernel_basis``).
+    The aggregates are PSD, so the mean is PD iff some conic combination is
+    (DEFINITE, with the mean as witness and an empty V(F)), and the shared
+    kernel of the aggregates is the kernel of the mean's aggregate: the
+    eigenvectors with |lambda| <= ``linalg.rank_cut``.
     """
-    total = np.zeros((inst.n, inst.n))
-    for g in gens_on_face:
-        total += _aggregate_A(inst, g)
-    return linalg.kernel_basis(total)
+    mix = np.mean(gens_on_face, axis=0)
+    w, V = linalg.eig_sym(_aggregate_A(inst, mix))
+    if w[0] > STRICT_TOL * _spectrum_scale(w):
+        return "DEFINITE", mix, np.zeros((inst.n, 0))
+    return "SEMIDEFINITE", None, V[:, np.abs(w) <= linalg.rank_cut(w)]
 
 
 def face_slice_vrep(gens_on_face):
@@ -242,14 +224,16 @@ def _face_lattice_from_rows(rows: np.ndarray, gens):
 
 
 def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> GammaData:
-    """Full pipeline: H-rep (diagonal path) or supplied rays, faces, V(F)."""
+    """Full pipeline: H-rep (diagonal path) or supplied rays, faces, V(F).
+
+    Each face is classified once (``classify_face``); the full generator
+    support is the last face, so its witness is Assumption 1's.
+    """
     if supplied_generators is None:
-        hrep = build_gamma_hrep_diag(inst)
-        gens = dd_extreme_rays(hrep)
+        rows = build_gamma_hrep_diag(inst)
+        gens = dd_extreme_rays(rows)
         provenance = "DIAGONAL_AUTO"
-        rows = hrep.rows
     else:
-        hrep = None
         gens = [np.asarray(g, dtype=float).reshape(-1) for g in supplied_generators]
         bad = [i for i, g in enumerate(gens) if not verify_generator(inst, g)]
         if bad:
@@ -259,17 +243,16 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
         # generated cone is not full-dimensional the lattice degrades to
         # {singletons, full set}.
         try:
-            dual = HPolyCone(ambient=inst.m + 1, rows=np.array(gens))
-            rows = np.array(dd_extreme_rays(dual))
+            rows = np.array(dd_extreme_rays(np.reshape(gens, (-1, inst.m + 1))))
         except NotPointedError:
             rows = None
 
     if not gens:
-        return GammaData(hrep=hrep, generators=(), faces=(), provenance=provenance,
+        return GammaData(generators=(), faces=(), provenance=provenance,
                          assumption1_witness=None)
 
     if rows is not None and len(rows) > 0:
-        supports = _face_lattice_from_rows(np.asarray(rows), gens)
+        supports = _face_lattice_from_rows(rows, gens)
     else:
         supports = [frozenset([k]) for k in range(len(gens))]
         if len(gens) > 1:
@@ -279,8 +262,7 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
     faces = []
     for fid, sup in enumerate(supports):
         face_gens = [gens[k] for k in sorted(sup)]
-        classification, witness = _classify(inst, face_gens)
-        vf = compute_VF(inst, face_gens) if classification == "SEMIDEFINITE" else np.zeros((inst.n, 0))
+        classification, witness, vf = classify_face(inst, face_gens)
         vertices, rays_v = face_slice_vrep(face_gens)
         faces.append(
             FaceDescriptor(
@@ -295,9 +277,8 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
         )
 
     return GammaData(
-        hrep=hrep,
         generators=tuple(gens),
         faces=tuple(faces),
         provenance=provenance,
-        assumption1_witness=_classify(inst, gens)[1],
+        assumption1_witness=faces[-1].witness,
     )

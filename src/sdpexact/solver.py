@@ -320,9 +320,12 @@ def dsdp_membership(inst, x, t) -> bool:
     Solves a feasibility program with the last row/column of Z pinned to
     (x, 1) and the objective row relaxed to <M_obj, Z> <= t, to accuracy
     1e-6; the point belongs when the primal residual is at most 1e-5.
+    ValueError unless x has exactly n finite entries.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     n = inst.n
+    if x.shape[0] != n or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must have {n} finite entries, got {x.tolist()}")
     rel = relaxation_program(inst)
     *cons, corner = rel.constraints
     cons.append(Constraint(rel.objective_matrix, "LE", float(t)))

@@ -51,6 +51,33 @@ def make_perspective_instance():
          q(np.diag([0.0, -1.0]), [0.0, 0.5], 0.0)))
 
 
+def make_lineality_instance():
+    """min x1^2 - x2^2 over the unit disc and the line x1 + x2 = 1/2.  The
+    equality's quadratic term is zero, so its multiplier spans a line of
+    the multiplier cone: the cone has a lineality space."""
+    return model.QcqpInstance(
+        2, q(np.diag([1.0, -1.0]), [0, 0], 0),
+        (q(np.eye(2), [0, 0], -1.0),),
+        (q(np.zeros((2, 2)), [0.5, 0.5], -0.5),))
+
+
+def diag_family(seed, count, n, extra):
+    """count random diagonal instances: an objective diag(U(-1, 1)^n) with
+    b ~ U(-0.5, 0.5)^n, the unit ball, then `extra` constraints diag(U(-1, 1)^n)
+    with b ~ U(-0.5, 0.5)^n and c ~ U(-1, 0.2), drawn in that order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        obj = q(np.diag(rng.uniform(-1.0, 1.0, n)), rng.uniform(-0.5, 0.5, n), 0.0)
+        cons = [q(np.eye(n), np.zeros(n), -1.0)]
+        for _ in range(extra):
+            A = np.diag(rng.uniform(-1.0, 1.0, n))
+            b = rng.uniform(-0.5, 0.5, n)
+            cons.append(q(A, b, rng.uniform(-1.0, 0.2)))
+        out.append(model.QcqpInstance(n, obj, tuple(cons)))
+    return out
+
+
 def random_sym(rng, d):
     G = rng.standard_normal((d, d))
     return 0.5 * (G + G.T)

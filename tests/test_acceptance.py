@@ -83,7 +83,7 @@ class TestCriterion01:
             inst = make_explicit_instance()
             gd = gamma.build_gamma_data(inst)
 
-            assert gd.hrep.rows.shape[0] == 5
+            assert gamma.build_gamma_hrep_diag(inst).shape[0] == 5
             assert len(gd.generators) == 4
             targets = [(1, 0, 0), (1, 0.5, 0), (1, 0, 0.5), (1, 1, 1)]
             for tgt in targets:

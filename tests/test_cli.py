@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdpexact import cli, gallery, model, rog
-from conftest import make_explicit_instance
+from conftest import make_explicit_instance, make_lineality_instance
 
 GALLERY_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
                      / "bench" / "gallery_reference.json")
@@ -85,6 +85,23 @@ class TestCheck:
 
     def test_ch_point_requires_coordinates(self, instance_file, capsys):
         assert cli.main(["check", "ch-point", instance_file]) == 2
+
+    @pytest.mark.parametrize("which,verdict", [
+        ("obj-strong", "NOT_APPLICABLE"),
+        ("obj-weak", "NOT_APPLICABLE"),
+        ("ch", "NOT_APPLICABLE"),
+        ("burer-ye", "FAILS"),
+    ])
+    def test_lineality_space(self, tmp_path, capsys, which, verdict):
+        # a multiplier cone with a lineality space has no faces: the face
+        # checks do not apply, which is no input error
+        path = tmp_path / "lineality.json"
+        path.write_text(json.dumps(model.instance_to_dict(make_lineality_instance())))
+        report = tmp_path / "report.json"
+        assert cli.main(["check", which, str(path), "--json", str(report)]) == 0
+        assert f"verdict: {verdict}" in capsys.readouterr().out.splitlines()
+        if verdict == "NOT_APPLICABLE":
+            assert "lineality space" in json.loads(report.read_text())["details"]["reason"]
 
 
 class TestRog:

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from sdpexact import exactness, gallery, gamma, model, oracles, solver
-from conftest import (q, make_explicit_instance, make_gtrs,
-                      make_separation_instance)
+from conftest import (q, diag_family, make_explicit_instance, make_gtrs,
+                      make_lineality_instance, make_separation_instance)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,61 @@ class TestObjWeak:
                              for v in face.slice_vertices]
                     for v in verts:
                         assert float(v @ fr.witness) <= 1e-7
+
+
+def _reference_weak_face(B, verts, rays):
+    """The weak test as 2 dim V(F) LPs: pin one V(F)-coordinate to +-1, box
+    the rest in [-1, 1], and pass iff any LP is feasible."""
+    k = B.shape[1]
+    rows = np.array(verts + rays)
+    for j in range(k):
+        for sign in (1.0, -1.0):
+            bounds = [(-1.0, 1.0)] * k
+            bounds[j] = (sign, sign)
+            res = scipy.optimize.linprog(
+                np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
+                bounds=bounds, method="highs")
+            if res.status == 0:
+                return True, B @ res.x
+    return False, None
+
+
+# d2 instances 0-39 and d3 instances 0-19; d2 instance 23 has a semidefinite
+# face whose aggregate is zero up to rounding, so its V(F) is empty
+WEAK_FAMILY = diag_family(0, 40, 2, 1) + diag_family(5, 20, 3, 2)
+
+
+class TestWeakFace:
+    def test_sub_verdicts_match_pinned_lps(self):
+        empty_vf = 0
+        for k, inst in enumerate(WEAK_FAMILY):
+            gd = gamma.build_gamma_data(inst)
+            rep = exactness.check_obj_weak(inst, gd)
+            ref = exactness._face_walk("obj_weak", inst, gd, _reference_weak_face)
+            assert [r.sub_verdict for r in rep.face_records] == \
+                [r.sub_verdict for r in ref.face_records], k
+            assert rep.verdict == ref.verdict, k
+            empty_vf += any(f.classification == "SEMIDEFINITE" and f.slice_vertices
+                            and f.vf_basis.shape[1] == 0 for f in gd.faces)
+        assert empty_vf >= 1
+
+    def test_at_most_one_lp_per_face(self, monkeypatch):
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return linprog(*args, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        insts = WEAK_FAMILY + [gallery.load(key)["instance"] for key in DIAGONAL_GALLERY]
+        for k, inst in enumerate(insts):
+            gd = gamma.build_gamma_data(inst)
+            calls.clear()
+            exactness.check_obj_weak(inst, gd)
+            eligible = sum(f.classification == "SEMIDEFINITE" and bool(f.slice_vertices)
+                           for f in gd.faces)
+            assert len(calls) <= eligible, k
 
 
 class TestChPolyhedral:
@@ -215,3 +271,14 @@ class TestSummary:
         assert out["strong"].verdict == "NOT_APPLICABLE"
         assert out["weak"].verdict == "NOT_APPLICABLE"
         assert out["ch"].verdict == "NOT_APPLICABLE"
+
+    def test_lineality_space_not_applicable(self):
+        # the multiplier cone has no extreme rays, hence no faces to walk
+        out = exactness.exactness_summary(make_lineality_instance())
+        assert out["gamma"] is None
+        for key in ("strong", "weak", "ch"):
+            assert out[key].verdict == "NOT_APPLICABLE"
+            assert "lineality space" in out[key].details["reason"]
+        assert out["burer_ye"].verdict == "FAILS"
+        assert out["qmp"].condition == "qmp"
+        assert out["sdp_status"] == "OPTIMAL" and np.isfinite(out["opt_sdp"])

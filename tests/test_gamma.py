@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sdpexact import gamma, model
-from conftest import q, make_explicit_instance
+from sdpexact import gamma, linalg, model
+from conftest import q, diag_family, make_explicit_instance, make_gtrs
 
 EXPECTED_EXPLICIT_RAYS = [
     np.array([1.0, 0.0, 0.0]),
@@ -23,10 +23,10 @@ def _match_up_to_scale(r, target, tol=1e-9):
 class TestHRep:
     def test_explicit_instance_rows(self):
         H = gamma.build_gamma_hrep_diag(make_explicit_instance())
-        assert H.rows.shape == (5, 3)
+        assert H.shape == (5, 3)
         # diagonal rows: (1, -2, 1) and (1, 1, -2); sign rows e0, e1, e2
-        assert any(np.allclose(r, [1.0, -2.0, 1.0]) for r in H.rows)
-        assert any(np.allclose(r, [1.0, 1.0, -2.0]) for r in H.rows)
+        assert any(np.allclose(r, [1.0, -2.0, 1.0]) for r in H)
+        assert any(np.allclose(r, [1.0, 1.0, -2.0]) for r in H)
 
     def test_nondiagonal_rejected(self):
         inst = model.QcqpInstance(2, q([[0.0, 1.0], [1.0, 0.0]], [0, 0], 0))
@@ -36,8 +36,7 @@ class TestHRep:
 
 class TestDoubleDescription:
     def test_orthant(self):
-        H = gamma.HPolyCone(ambient=3, rows=np.eye(3))
-        rays = gamma.dd_extreme_rays(H)
+        rays = gamma.dd_extreme_rays(np.eye(3))
         assert len(rays) == 3
         for e in np.eye(3):
             assert any(_match_up_to_scale(r, e) for r in rays)
@@ -50,7 +49,7 @@ class TestDoubleDescription:
             A = rng.standard_normal((d, d)) + d * np.eye(d)
             if abs(np.linalg.det(A)) < 1e-3:
                 continue
-            rays = gamma.dd_extreme_rays(gamma.HPolyCone(ambient=d, rows=A))
+            rays = gamma.dd_extreme_rays(A)
             cols = np.linalg.inv(A).T  # rows of inv(A).T = columns of inv(A)
             assert len(rays) == d
             for cvec in np.linalg.inv(A).T:
@@ -68,10 +67,9 @@ class TestDoubleDescription:
         for _ in range(15):
             d = int(rng.integers(2, 5))
             rows = np.vstack([np.eye(d), rng.standard_normal((3, d))])
-            H = gamma.HPolyCone(ambient=d, rows=rows)
-            rays = gamma.dd_extreme_rays(H)
+            rays = gamma.dd_extreme_rays(rows)
             for r in rays:
-                assert np.all(H.rows @ r >= -1e-8 * max(1.0, np.linalg.norm(r)))
+                assert np.all(rows @ r >= -1e-8 * max(1.0, np.linalg.norm(r)))
                 act = sorted(i for i in range(rows.shape[0])
                              if abs(rows[i] @ r) <= 1e-9 * max(1.0, np.linalg.norm(r)))
                 assert np.linalg.matrix_rank(rows[act], tol=1e-10) >= d - 1
@@ -97,14 +95,12 @@ class TestDoubleDescription:
         assert res.status != 0
 
     def test_lineality_rejected(self):
-        H = gamma.HPolyCone(ambient=2, rows=np.array([[1.0, 0.0]]))
         with pytest.raises(gamma.NotPointedError):
-            gamma.dd_extreme_rays(H)
+            gamma.dd_extreme_rays(np.array([[1.0, 0.0]]))
 
     def test_dim_two_adjacent_pairs(self):
         # a planar cone bounded by two rows keeps both boundary rays
-        H = gamma.HPolyCone(ambient=2, rows=np.array([[1.0, 0.0], [-1.0, 1.0]]))
-        rays = gamma.dd_extreme_rays(H)
+        rays = gamma.dd_extreme_rays(np.array([[1.0, 0.0], [-1.0, 1.0]]))
         assert len(rays) == 2
 
 
@@ -199,3 +195,46 @@ class TestFaces:
         inst = make_explicit_instance()
         with pytest.raises(ValueError):
             gamma.build_gamma_data(inst, supplied_generators=[[0.0, 1.0, 0.0]])
+
+
+class TestComputedOnce:
+    """Each face is classified, and its V(F) found, from one eigendecomposition,
+    and Assumption 1 is read off the last face (the full generator support)."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        seen = []
+        eig_sym = linalg.eig_sym
+
+        def counted(S):
+            seen.append(S)
+            return eig_sym(S)
+
+        monkeypatch.setattr(linalg, "eig_sym", counted)
+        return seen
+
+    @pytest.mark.parametrize("make", [make_explicit_instance, lambda: make_gtrs(0),
+                                      lambda: diag_family(5, 1, 3, 2)[0]])
+    def test_one_eigendecomposition_per_face(self, eig_calls, make):
+        inst = make()
+        eig_calls.clear()
+        gd = gamma.build_gamma_data(inst)
+        assert len(gd.faces) >= 2
+        assert len(eig_calls) == len(gd.faces)
+        full = gd.faces[-1]
+        assert full.generator_indices == tuple(range(len(gd.generators)))
+        assert gd.assumption1_witness is full.witness
+
+    def test_classify_face_vf_is_the_shared_kernel(self):
+        inst = make_explicit_instance()
+        gd = gamma.build_gamma_data(inst)
+        for face in gd.faces:
+            gens = [gd.generators[k] for k in face.generator_indices]
+            cls, witness, B = gamma.classify_face(inst, gens)
+            assert cls == face.classification
+            if cls == "DEFINITE":
+                assert B.shape == (inst.n, 0) and witness is not None
+                continue
+            assert witness is None and B.shape[1] >= 1
+            for g in gens:
+                assert np.linalg.norm(gamma._aggregate_A(inst, g) @ B) <= 1e-9

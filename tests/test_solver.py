@@ -373,3 +373,9 @@ class TestMembership:
         inst = model.QcqpInstance(
             1, q([[1.0]], [0], 0), (q([[1.0]], [0], -1.0),))
         assert not solver.dsdp_membership(inst, [3.0], 10.0)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 5.0], [0.0], [0.0, np.nan]])
+    def test_x_of_wrong_length_or_not_finite_rejected(self, x):
+        # n = 2 over the unit ball: [0, 0, 5] is not read as (0, 0)
+        with pytest.raises(ValueError):
+            solver.dsdp_membership(make_gtrs(0), x, 1.0)
