@@ -131,24 +131,17 @@ def _cmd_check(args) -> int:
         if witness is not None:
             _report_line("witness_x", [float(v) for v in witness[0]])
             _report_line("witness_t", witness[1])
-        _write_json(args.json, {"verdict": verdict, "witness": witness})
+        _write_json(args.json, {"verdict": verdict, "witness": witness, "reason": gd.reason})
         return EXIT_OK
     if which == "burer-ye":
         rep = exactness.check_burer_ye_diag(inst)
     elif which == "qmp":
-        rep = exactness.check_qmp_bounds(inst, gamma_polyhedral=model.is_diagonal_instance(inst) or gens is not None)
+        rep = exactness.check_qmp_bounds(inst, gens)
     else:
         fn = {"obj-strong": exactness.check_obj_strong,
               "obj-weak": exactness.check_obj_weak,
               "ch": exactness.check_ch_polyhedral}[which]
-        try:
-            gd = gamma.build_gamma_data(inst, gens)
-        except gamma.NotPointedError as exc:  # no extreme rays, so no faces
-            rep = exactness.ExactnessReport(condition=which.replace("-", "_"),
-                                            verdict="NOT_APPLICABLE",
-                                            details={"reason": str(exc)})
-        else:
-            rep = fn(inst, gd)
+        rep = fn(inst, gamma.build_gamma_data(inst, gens))
     _report_line("condition", rep.condition)
     _report_line("verdict", rep.verdict)
     for fr in rep.face_records:

@@ -45,20 +45,35 @@ def _nullspace(A: np.ndarray) -> np.ndarray:
     return Vt[rank:].T
 
 
+def _linear_terms(inst, x) -> np.ndarray:
+    """G(x) = [A_j x + b_j], one column per form, objective first: the
+    aggregate of (g_obj, gamma) has the linear term G(x) (g_obj, gamma) at x."""
+    return np.array([q.A @ x + q.b for q in (inst.objective, *inst.constraints)]).T
+
+
+def _slice_terms(G, B, vertices, rays):
+    """Slice linear terms projected onto V(F): B^T G (1, v) per slice vertex
+    v and B^T G (0, r) per slice ray r, for G = ``_linear_terms(inst, x)``."""
+    P = B.T @ G
+    return [P[:, 0] + P[:, 1:] @ v for v in vertices], [P[:, 1:] @ r for r in rays]
+
+
 def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> ExactnessReport:
     """Bookkeeping shared by the face-based checks.
 
+    NOT_APPLICABLE, with ``gd.reason``, when the face checks do not apply.
     Non-semidefinite faces are SKIPPED and faces with an empty slice PASS.
     Every other face is handed to decide(B, verts, rays), which sees the
-    V(F) basis B and the slice linear terms projected onto it (B^T v per
-    vertex, B^T r per ray) and returns (passed, vector): the vector is the
+    V(F) basis B and the slice linear terms at x = 0 projected onto it
+    (``_slice_terms``) and returns (passed, vector): the vector is the
     face's witness when it passes and its violating multiplier when it fails.
     """
     rep = ExactnessReport(condition=condition, verdict="HOLDS", provenance=gd.provenance)
-    if gd.assumption1_witness is None:
+    if gd.reason is not None:
         rep.verdict = "NOT_APPLICABLE"
-        rep.details["reason"] = "no positive definite aggregate combination"
+        rep.details["reason"] = gd.reason
         return rep
+    G = _linear_terms(inst, np.zeros(inst.n))
     for face in gd.faces:
         rec = FaceRecord(face.face_id, face.classification, "SKIPPED")
         rep.face_records.append(rec)
@@ -68,10 +83,7 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> Exactne
         if not face.slice_vertices:
             continue
         B = face.vf_basis
-        verts = [B.T @ (inst.objective.b + model.aggregate_constraints(inst, v).b)
-                 for v in face.slice_vertices]
-        rays = [B.T @ model.aggregate_constraints(inst, r).b for r in face.slice_rays]
-        passed, vec = decide(B, verts, rays)
+        passed, vec = decide(B, *_slice_terms(G, B, face.slice_vertices, face.slice_rays))
         if passed:
             rec.witness = vec
         else:
@@ -146,14 +158,18 @@ def check_obj_weak(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     return _face_walk("obj_weak", inst, gd, _weak_face)
 
 
+def _ch_null(verts, rays):
+    """Nullspace of the ch system: a row (v, -1) per vertex term v and
+    (r, 0) per ray term r, in the unknowns (V(F)-coordinates, r)."""
+    rows = [np.append(v, -1.0) for v in verts] + [np.append(r, 0.0) for r in rays]
+    return _nullspace(np.array(rows))
+
+
 def _ch_face(B, verts, rays):
     k = B.shape[1]
-    rows = [np.concatenate([v, [-1.0]]) for v in verts]
-    rows += [np.concatenate([r, [0.0]]) for r in rays]
-    null = _nullspace(np.array(rows))
-    for col in range(null.shape[1]):
-        if np.linalg.norm(null[:k, col]) > STRICT_TOL:
-            return True, B @ null[:k, col]
+    for col in _ch_null(verts, rays).T:
+        if np.linalg.norm(col[:k]) > STRICT_TOL:
+            return True, B @ col[:k]
     return False, None
 
 
@@ -230,8 +246,9 @@ def detect_qem(inst) -> int:
     return 1
 
 
-def check_qmp_bounds(inst, gamma_polyhedral: bool) -> ExactnessReport:
-    """Symmetry-based exactness bounds from the repeated-block structure."""
+def check_qmp_bounds(inst, supplied_generators=None) -> ExactnessReport:
+    """Symmetry-based exactness bounds from the repeated-block structure; the
+    polyhedral bounds apply to a diagonal instance or supplied generators."""
     k = detect_qem(inst)
     m = inst.m
     nb = sum(1 for q in inst.constraints if np.linalg.norm(q.b) > 1e-9)
@@ -239,7 +256,7 @@ def check_qmp_bounds(inst, gamma_polyhedral: bool) -> ExactnessReport:
     rep.details["k"] = k
     rep.details["m"] = m
     rep.details["nonzero_linear_terms"] = nb
-    if gamma_polyhedral:
+    if model.is_diagonal_instance(inst) or supplied_generators is not None:
         bound = min(nb + 1, m) if m > 0 else 0
         rep.details["ch_bound_polyhedral"] = bound
         if k >= bound:
@@ -261,73 +278,48 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     """Pointwise decomposition condition at a relaxation point (x_hat, t_hat).
 
     Identifies the cone face exposed by the aggregated constraint values at
-    the point (activity threshold STRICT_TOL) and searches the nullspace of the
-    induced linear system for a nonzero direction (x', t').
-    Returns (verdict, witness): verdict in {"IN_D", "PASS", "FAIL"}.
+    the point (activity threshold STRICT_TOL) and searches the nullspace of
+    the ch system of its slice terms at x_hat (``_ch_null``) for a direction
+    (x', t'), taking the first null vector.  Returns (verdict, witness):
+    verdict in {"NOT_APPLICABLE", "IN_D", "PASS", "FAIL"}, NOT_APPLICABLE
+    whenever ``gd.reason`` is set.
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     t_hat = float(t_hat)
     if not solver.dsdp_membership(inst, x_hat, t_hat):
         raise ValueError("(x, t) is not a relaxation point")
+    if gd.reason is not None:
+        return "NOT_APPLICABLE", None
     if model.epigraph_member(inst, x_hat, t_hat):
         return "IN_D", None
     # aggregated value per generator: g_obj*(q_obj(x)-t) + sum g_i q_i(x)
-    obj_gap = model.eval_form(inst.objective, x_hat) - t_hat
-    con_vals = np.array([model.eval_form(q, x_hat) for q in inst.constraints])
-    tight = []
-    for g in gd.generators:
-        val = g[0] * obj_gap + float(g[1:] @ con_vals)
-        scale = max(1.0, float(np.linalg.norm(g)))
-        if val >= -STRICT_TOL * scale:
-            tight.append(g)
-    if not tight:
+    vals = np.array([model.eval_form(inst.objective, x_hat) - t_hat,
+                     *(model.eval_form(q, x_hat) for q in inst.constraints)])
+    g = np.array(gd.generators)
+    tight = g[g @ vals >= -STRICT_TOL * np.maximum(1.0, np.linalg.norm(g, axis=1))]
+    if not len(tight):
         return "IN_D", None
     classification, _, B = gamma_mod.classify_face(inst, tight)
     if classification == "DEFINITE":
         return "IN_D", None
-    k = B.shape[1]
-    verts, rays = gamma_mod.face_slice_vrep(tight)
-    rows = []
-    for v in verts:
-        agg = model.aggregate_constraints(inst, v)
-        vec = (inst.objective.A + agg.A) @ x_hat + inst.objective.b + agg.b
-        rows.append(np.concatenate([B.T @ vec, [-1.0]]))
-    for r in rays:
-        agg = model.aggregate_constraints(inst, r)
-        vec = agg.A @ x_hat + agg.b
-        rows.append(np.concatenate([B.T @ vec, [0.0]]))
-    null = _nullspace(np.array(rows))
-    for col in range(null.shape[1]):
-        vec = null[:, col]
-        if np.linalg.norm(vec) > STRICT_TOL:
-            return "PASS", (B @ vec[:k], float(vec[k]))
-    return "FAIL", None
+    terms = _slice_terms(_linear_terms(inst, x_hat), B, *gamma_mod.face_slice_vrep(tight))
+    null = _ch_null(*terms)
+    if not null.shape[1]:
+        return "FAIL", None
+    return "PASS", (B @ null[:-1, 0], float(null[-1, 0]))
 
 
 def exactness_summary(inst, supplied_generators=None) -> dict:
     """Run the full per-instance pipeline and bundle every report; instances
     with n <= 3 also get the grid oracle's comparison."""
-    out = {"n": inst.n, "m": inst.m}
-    diagonal = model.is_diagonal_instance(inst)
-    out["diagonal"] = diagonal
-    try:
-        gd = gamma_mod.build_gamma_data(inst, supplied_generators)
-        reason = None if gd.assumption1_witness is not None else "definiteness assumption fails"
-    except gamma_mod.NotDiagonalError:
-        gd, reason = None, "no polyhedral cone data"
-    except gamma_mod.NotPointedError as exc:
-        gd, reason = None, str(exc)
-    out["gamma"] = gd
-    if reason is not None:
-        na = ExactnessReport(condition="all", verdict="NOT_APPLICABLE")
-        na.details["reason"] = reason
-        out["strong"] = out["weak"] = out["ch"] = na
-    else:
-        out["strong"] = check_obj_strong(inst, gd)
-        out["weak"] = check_obj_weak(inst, gd)
-        out["ch"] = check_ch_polyhedral(inst, gd)
-    out["burer_ye"] = check_burer_ye_diag(inst)
-    out["qmp"] = check_qmp_bounds(inst, gamma_polyhedral=diagonal or supplied_generators is not None)
+    gd = gamma_mod.build_gamma_data(inst, supplied_generators)
+    out = {"n": inst.n, "m": inst.m, "diagonal": model.is_diagonal_instance(inst),
+           "gamma": gd,
+           "strong": check_obj_strong(inst, gd),
+           "weak": check_obj_weak(inst, gd),
+           "ch": check_ch_polyhedral(inst, gd),
+           "burer_ye": check_burer_ye_diag(inst),
+           "qmp": check_qmp_bounds(inst, supplied_generators)}
     val, Z, sol = solver.solve_opt_sdp(inst)
     out["opt_sdp"] = val
     out["sdp_status"] = sol.status.name

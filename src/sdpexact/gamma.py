@@ -46,6 +46,7 @@ class GammaData:
     faces: tuple  # FaceDescriptor list, deterministic order
     provenance: str  # "DIAGONAL_AUTO" | "GENERATOR_SUPPLIED"
     assumption1_witness: np.ndarray | None
+    reason: str | None = None  # why the face checks do not apply; None if they do
 
 
 def build_gamma_hrep_diag(inst: model.QcqpInstance) -> np.ndarray:
@@ -227,12 +228,18 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
     """Full pipeline: H-rep (diagonal path) or supplied rays, faces, V(F).
 
     Each face is classified once (``classify_face``); the full generator
-    support is the last face, so its witness is Assumption 1's.
+    support is the last face, so its witness is Assumption 1's.  ``reason``
+    says why the face checks do not apply: the error of a non-diagonal
+    instance without generators or of a cone with a lineality space (no
+    generators, no faces), or no PD aggregate (Assumption 1 fails).
     """
     if supplied_generators is None:
-        rows = build_gamma_hrep_diag(inst)
-        gens = dd_extreme_rays(rows)
         provenance = "DIAGONAL_AUTO"
+        try:
+            rows = build_gamma_hrep_diag(inst)
+            gens = dd_extreme_rays(rows)
+        except (NotDiagonalError, NotPointedError) as exc:
+            return GammaData((), (), provenance, None, str(exc))
     else:
         gens = [np.asarray(g, dtype=float).reshape(-1) for g in supplied_generators]
         bad = [i for i, g in enumerate(gens) if not verify_generator(inst, g)]
@@ -246,10 +253,6 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
             rows = np.array(dd_extreme_rays(np.reshape(gens, (-1, inst.m + 1))))
         except NotPointedError:
             rows = None
-
-    if not gens:
-        return GammaData(generators=(), faces=(), provenance=provenance,
-                         assumption1_witness=None)
 
     if rows is not None and len(rows) > 0:
         supports = _face_lattice_from_rows(rows, gens)
@@ -276,9 +279,11 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
             )
         )
 
+    witness = faces[-1].witness if faces else None
     return GammaData(
         generators=tuple(gens),
         faces=tuple(faces),
         provenance=provenance,
-        assumption1_witness=faces[-1].witness,
+        assumption1_witness=witness,
+        reason=None if witness is not None else "definiteness assumption fails",
     )

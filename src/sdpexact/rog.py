@@ -165,8 +165,9 @@ def _gordan_stiemke(M1, M2, scale):
     with l >= 0 (where z_t jumps, the points on both sides lie on one line
     that misses the origin, by Dines's convexity of the joint range), and
     then Z = I + l1 z1 z1^T + l2 z2 z2^T has <M_i, Z> = 0 and Z >= I: the PD
-    side.  (None, None) once the angle interval is spent, after about 52
-    halvings.
+    side.  When tau is 0 within ``_is_pd_witness``'s tolerance there is
+    nothing to bracket, and Z = I is the witness, returned before any probe.
+    (None, None) once the angle interval is spent, after about 52 halvings.
     """
     # necessary for _psd_combination, which divides by max|.| <= 1 (the factor
     # 2 leaves room for rounding): only angles within it pay for the predicate
@@ -185,6 +186,10 @@ def _gordan_stiemke(M1, M2, scale):
         return u[0] * v[1] - u[1] * v[0]
 
     tau = -np.array([np.trace(M1), np.trace(M2)])
+    I = np.eye(len(M1))
+    tol = 1e-6 * scale * len(I) ** 0.5  # _is_pd_witness's tolerance at Z = I
+    if abs(tau[0]) <= tol and abs(tau[1]) <= tol and _is_pd_witness(M1, M2, I, scale):
+        return None, I
     lo = float(np.arctan2(tau[1], tau[0])) + 0.5 * np.pi
     hi = lo + np.pi
     alpha, z1, w1 = probe(lo)
@@ -194,7 +199,7 @@ def _gordan_stiemke(M1, M2, scale):
         det = cross(w1, w2)
         if det != 0.0:
             l1, l2 = cross(tau, w2) / det, cross(w1, tau) / det
-            Z = np.eye(len(M1)) + l1 * np.outer(z1, z1) + l2 * np.outer(z2, z2)
+            Z = I + l1 * np.outer(z1, z1) + l2 * np.outer(z2, z2)
             if min(l1, l2) >= 0.0 and _is_pd_witness(M1, M2, Z, scale):
                 return None, Z
         if hi - lo <= 4.0 * np.spacing(2.0 * np.pi):

@@ -103,6 +103,27 @@ class TestCheck:
         if verdict == "NOT_APPLICABLE":
             assert "lineality space" in json.loads(report.read_text())["details"]["reason"]
 
+    @pytest.mark.parametrize("which", ["obj-strong", "obj-weak", "ch", "ch-point"])
+    def test_not_diagonal_not_applicable(self, tmp_path, capsys, which):
+        # a rotated instance without generators has no polyhedral cone data:
+        # every face check reads NOT_APPLICABLE, which is no input error
+        c, s = np.cos(0.3), np.sin(0.3)
+        inst = model.congruence_transform(make_explicit_instance(), [[c, -s], [s, c]])
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps(model.instance_to_dict(inst)))
+        argv = ["check", which, str(path)] + (["--x", "0,0", "--t", "2"] * (which == "ch-point"))
+        assert cli.main(argv) == 0
+        assert "verdict: NOT_APPLICABLE" in capsys.readouterr().out.splitlines()
+
+    def test_ch_point_lineality_space(self, tmp_path, capsys):
+        path = tmp_path / "lineality.json"
+        path.write_text(json.dumps(model.instance_to_dict(make_lineality_instance())))
+        report = tmp_path / "report.json"
+        argv = ["check", "ch-point", str(path), "--x", "0,0.5", "--t", "0", "--json", str(report)]
+        assert cli.main(argv) == 0
+        assert "verdict: NOT_APPLICABLE" in capsys.readouterr().out.splitlines()
+        assert "lineality space" in json.loads(report.read_text())["reason"]
+
 
 class TestRog:
     def test_pair_verdict(self, capsys, tmp_path):

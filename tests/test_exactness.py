@@ -9,6 +9,9 @@ from conftest import (q, diag_family, make_explicit_instance, make_gtrs,
                       make_lineality_instance, make_separation_instance)
 
 
+_ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+
 @pytest.fixture(scope="module")
 def explicit_gamma():
     inst = make_explicit_instance()
@@ -225,8 +228,16 @@ class TestQem:
             4, q(np.diag([1.0, -1.0, 1.0, -1.0]), [0, 0, 0, 0], 0),
             (q(np.eye(4), [0, 0, 0, 0], -1.0),))
         assert exactness.detect_qem(inst) == 2
-        rep = exactness.check_qmp_bounds(inst, gamma_polyhedral=True)
+        rep = exactness.check_qmp_bounds(inst)
         assert rep.verdict == "HOLDS"
+
+    def test_polyhedral_bounds_need_diagonal_or_generators(self):
+        inst = model.congruence_transform(make_explicit_instance(), _ROTATION)
+        assert "ch_bound_general" in exactness.check_qmp_bounds(inst).details
+        gens = gamma.build_gamma_data(make_explicit_instance()).generators
+        rep = exactness.check_qmp_bounds(inst, supplied_generators=gens)
+        assert "ch_bound_polyhedral" in rep.details
+        assert "ch_bound_polyhedral" in exactness.check_qmp_bounds(make_explicit_instance()).details
 
     def test_no_structure_gives_one(self):
         assert exactness.detect_qem(make_explicit_instance()) == 1
@@ -253,6 +264,59 @@ class TestPointwise:
         with pytest.raises(ValueError):
             exactness.check_ch_general_pointwise(inst, gd, [0.0, 0.0], 0.5)
 
+    def test_pinned_pass_witness_zeroes_tight_rows(self, explicit_gamma):
+        # at x = 0, t = 2 only the generator (1, 1, 1) is tight; its aggregate
+        # is zero, so V(F) is the plane and its one row is (0, 0, -1)
+        inst, gd = explicit_gamma
+        x, t = np.zeros(2), 2.0
+        verdict, (xp, tp) = exactness.check_ch_general_pointwise(inst, gd, x, t)
+        assert verdict == "PASS"
+        assert abs(np.linalg.norm(xp) - 1.0) <= 1e-12 and tp == 0.0
+        rows = _tight_rows(inst, gd, x, t)
+        assert len(rows) == 1
+        for g0, lin in rows:
+            # a vertex row reads lin/g0 . x' = t', a ray row lin . x' = 0
+            assert abs(lin @ xp - (g0 * tp if g0 > gamma.RAY_TOL else 0.0)) <= 1e-12
+
+    def test_pinned_fail(self):
+        # a sampled relaxation point of diag_family(0, 150, 2, 1)[8]: two
+        # vertices are tight, and their rows over (V(F), t') have full rank
+        inst = diag_family(0, 9, 2, 1)[8]
+        gd = gamma.build_gamma_data(inst)
+        x = np.array([-0.23073617406507363, -0.228659010636634])
+        t = -0.03123208380832243
+        assert exactness.check_ch_general_pointwise(inst, gd, x, t) == ("FAIL", None)
+        rows = _tight_rows(inst, gd, x, t)
+        assert [g0 for g0, _ in rows] == [1.0, 1.0]
+        mix = np.mean([g for g in gd.generators if g[0] == 1.0], axis=0)
+        agg = model.aggregate_with_obj(inst, mix[0], mix[1:])
+        w, V = np.linalg.eigh(agg.A)
+        B = V[:, np.abs(w) <= 1e-7 * np.max(np.abs(w))]
+        system = np.array([np.append(B.T @ lin / g0, -1.0) for g0, lin in rows])
+        assert np.linalg.svd(system, compute_uv=False)[-1] > 1e-3
+
+    @pytest.mark.parametrize("inst,x,t", [
+        (make_lineality_instance(), [0.0, 0.5], 0.0),
+        (model.congruence_transform(make_explicit_instance(), _ROTATION), [0.0, 0.0], 2.0),
+    ])
+    def test_not_applicable_reads_reason(self, inst, x, t):
+        gd = gamma.build_gamma_data(inst)
+        assert gd.reason is not None and gd.faces == ()
+        assert exactness.check_ch_general_pointwise(inst, gd, x, t) == ("NOT_APPLICABLE", None)
+
+
+def _tight_rows(inst, gd, x, t):
+    """(g_obj, linear term of the aggregate at x) per generator whose
+    aggregated value at (x, t) is within STRICT_TOL of zero, recomputed
+    from the forms."""
+    rows = []
+    for g in gd.generators:
+        agg = model.aggregate_with_obj(inst, g[0], g[1:])
+        value = model.eval_form(agg, x) - g[0] * t
+        if value >= -exactness.STRICT_TOL * max(1.0, np.linalg.norm(g)):
+            rows.append((g[0], agg.A @ x + agg.b))
+    return rows
+
 
 class TestSummary:
     def test_explicit_summary_bundle(self):
@@ -265,6 +329,14 @@ class TestSummary:
         assert abs(out["opt_sdp"] - 2.0) <= 1e-4
         assert out["oracle"].exactness_flag
 
+    def test_not_diagonal_reads_reason(self):
+        inst = model.congruence_transform(make_explicit_instance(), _ROTATION)
+        out = exactness.exactness_summary(inst)
+        assert "not all diagonal" in out["gamma"].reason
+        for key in ("strong", "weak", "ch"):
+            assert out[key].verdict == "NOT_APPLICABLE"
+            assert out[key].details["reason"] == out["gamma"].reason
+
     def test_not_applicable_bundle(self):
         inst = model.QcqpInstance(2, q(np.diag([1.0, -1.0]), [0, 0], 0))
         out = exactness.exactness_summary(inst)
@@ -275,7 +347,8 @@ class TestSummary:
     def test_lineality_space_not_applicable(self):
         # the multiplier cone has no extreme rays, hence no faces to walk
         out = exactness.exactness_summary(make_lineality_instance())
-        assert out["gamma"] is None
+        assert "lineality space" in out["gamma"].reason
+        assert out["gamma"].generators == () and out["gamma"].faces == ()
         for key in ("strong", "weak", "ch"):
             assert out[key].verdict == "NOT_APPLICABLE"
             assert "lineality space" in out[key].details["reason"]

@@ -262,6 +262,17 @@ class TestCertificateProperty:
         M1, M2 = (m.astype(float) for m in pair)
         assert rog.verify_certificate(rog.check_pair(M1, M2), M1, M2)
 
+    def test_traceless_pair_gets_the_identity(self):
+        # a draw of the property above: tau = -(tr M1, tr M2) = 0 and the
+        # support points are collinear, so the bisection brackets nothing;
+        # Z = I is orthogonal to both and decides the pair alone
+        M1 = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+        M2 = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=float)
+        v = rog.check_pair(M1, M2)
+        assert v.status == "NOT_ROG_CERTIFIED" and v.diagnostics["route"] == "bisection"
+        assert np.array_equal(v.certificate["Z"], np.eye(4))
+        assert rog.verify_certificate(v, M1, M2)
+
 
 def _scaling_pairs():
     """Random, near-dependent and common-factor pairs, 8 of each."""
