@@ -48,7 +48,8 @@ def _nullspace(A: np.ndarray) -> np.ndarray:
 def _linear_terms(inst, x) -> np.ndarray:
     """G(x) = [A_j x + b_j], one column per form, objective first: the
     aggregate of (g_obj, gamma) has the linear term G(x) (g_obj, gamma) at x."""
-    return np.array([q.A @ x + q.b for q in (inst.objective, *inst.constraints)]).T
+    n = inst.n
+    return (inst.forms[:, :n, :n] @ x + inst.forms[:, :n, n]).T
 
 
 def _slice_terms(G, B, vertices, rays):
@@ -192,27 +193,26 @@ def check_burer_ye_diag(inst) -> ExactnessReport:
         rep.details["reason"] = "instance is not diagonal"
         return rep
     H = gamma_mod.build_gamma_hrep_diag(inst)
-    m = inst.m
+    m, n = inst.m, inst.n
     # rows of H applied at gamma_obj = 1: row[0] + row[1:] . gamma >= 0
     A_ub = -H[:, 1:]
     b_ub = H[:, 0].copy()
-    d_obj = np.diag(inst.objective.A)
-    d_cons = np.array([np.diag(q.A) for q in inst.constraints]).reshape(m, inst.n)
-    b_obj = inst.objective.b
-    b_cons = np.array([q.b for q in inst.constraints]).reshape(m, inst.n)
+    # diagonal entries and linear terms, one row per form, objective first
+    d = np.diagonal(inst.forms[:, :n, :n], axis1=1, axis2=2)
+    b = inst.forms[:, :n, n]
     if m == 0:
         # no multipliers: the condition is violated at coordinate j exactly
         # when both the diagonal entry and the linear term already vanish and
         # (1, ()) lies in the cone
-        if np.all(d_obj >= -STRICT_TOL):
-            for j in range(inst.n):
-                if abs(d_obj[j]) <= STRICT_TOL and abs(b_obj[j]) <= STRICT_TOL:
+        if np.all(d[0] >= -STRICT_TOL):
+            for j in range(n):
+                if abs(d[0, j]) <= STRICT_TOL and abs(b[0, j]) <= STRICT_TOL:
                     rep.verdict = "FAILS"
                     rep.details[f"coordinate_{j}"] = []
         return rep
-    for j in range(inst.n):
-        A_eq = np.vstack([d_cons[:, j], b_cons[:, j]])
-        b_eq = np.array([-d_obj[j], -b_obj[j]])
+    for j in range(n):
+        A_eq = np.vstack([d[1:, j], b[1:, j]])
+        b_eq = np.array([-d[0, j], -b[0, j]])
         bounds = [(None, None)] * m
         for i in range(inst.m_i):
             bounds[i] = (0, None)
@@ -229,7 +229,7 @@ def detect_qem(inst) -> int:
     """Largest divisor k of n with every quadratic matrix of the form
     kron(I_k, core) for a shared-size core block, to 1e-9 relative."""
     n = inst.n
-    mats = [inst.objective.A] + [q.A for q in inst.constraints]
+    mats = inst.forms[:, :n, :n]
 
     def fits(k: int) -> bool:
         s = n // k
@@ -251,7 +251,7 @@ def check_qmp_bounds(inst, supplied_generators=None) -> ExactnessReport:
     polyhedral bounds apply to a diagonal instance or supplied generators."""
     k = detect_qem(inst)
     m = inst.m
-    nb = sum(1 for q in inst.constraints if np.linalg.norm(q.b) > 1e-9)
+    nb = int(np.sum(np.linalg.norm(inst.forms[1:, :inst.n, inst.n], axis=1) > 1e-9))
     rep = ExactnessReport(condition="qmp", verdict="NOT_APPLICABLE")
     rep.details["k"] = k
     rep.details["m"] = m
@@ -293,8 +293,9 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     if model.epigraph_member(inst, x_hat, t_hat):
         return "IN_D", None
     # aggregated value per generator: g_obj*(q_obj(x)-t) + sum g_i q_i(x)
-    vals = np.array([model.eval_form(inst.objective, x_hat) - t_hat,
-                     *(model.eval_form(q, x_hat) for q in inst.constraints)])
+    z = np.append(x_hat, 1.0)
+    vals = inst.forms @ z @ z
+    vals[0] -= t_hat
     g = np.array(gd.generators)
     tight = g[g @ vals >= -STRICT_TOL * np.maximum(1.0, np.linalg.norm(g, axis=1))]
     if not len(tight):

@@ -57,17 +57,11 @@ def build_gamma_hrep_diag(inst: model.QcqpInstance) -> np.ndarray:
             "quadratic terms are not all diagonal; supply gamma generators "
             "or apply a congruence transform first"
         )
-    m = inst.m
-    rows = []
-    d_obj = np.diag(inst.objective.A)
-    d_cons = [np.diag(q.A) for q in inst.constraints]
-    for j in range(inst.n):
-        rows.append(np.concatenate(([d_obj[j]], [dc[j] for dc in d_cons])))
-    e = np.eye(m + 1)
-    rows.append(e[0])  # gamma_obj >= 0
-    for i in range(inst.m_i):
-        rows.append(e[1 + i])
-    return np.array(rows)
+    n = inst.n
+    diag_rows = np.diagonal(inst.forms[:, :n, :n], axis1=1, axis2=2).T
+    # gamma_obj >= 0 and gamma_i >= 0 on the inequality multipliers
+    sign_rows = np.eye(inst.m + 1)[: 1 + inst.m_i]
+    return np.vstack([diag_rows, sign_rows])
 
 
 def _active_set(rows: np.ndarray, r: np.ndarray) -> frozenset:
@@ -157,13 +151,8 @@ def verify_generator(inst: model.QcqpInstance, ray) -> bool:
         return False
     if np.any(ray[1 : 1 + inst.m_i] < -STRICT_TOL):
         return False
-    w = linalg.eig_sym(_aggregate_A(inst, ray)).eigenvalues
+    w = linalg.eig_sym(model.aggregate(inst, ray)[: inst.n, : inst.n]).eigenvalues
     return bool(w[0] >= -STRICT_TOL * _spectrum_scale(w))
-
-
-def _aggregate_A(inst: model.QcqpInstance, ray) -> np.ndarray:
-    ray = np.asarray(ray, dtype=float).reshape(-1)
-    return model.aggregate_with_obj(inst, ray[0], ray[1:]).A
 
 
 def _spectrum_scale(w) -> float:
@@ -181,7 +170,7 @@ def classify_face(inst: model.QcqpInstance, gens_on_face):
     eigenvectors with |lambda| <= ``linalg.rank_cut``.
     """
     mix = np.mean(gens_on_face, axis=0)
-    w, V = linalg.eig_sym(_aggregate_A(inst, mix))
+    w, V = linalg.eig_sym(model.aggregate(inst, mix)[: inst.n, : inst.n])
     if w[0] > STRICT_TOL * _spectrum_scale(w):
         return "DEFINITE", mix, np.zeros((inst.n, 0))
     return "SEMIDEFINITE", None, V[:, np.abs(w) <= linalg.rank_cut(w)]

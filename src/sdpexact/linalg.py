@@ -22,7 +22,8 @@ def sym(entries) -> np.ndarray:
     Raises ValueError if the input is not square, or if the skew part exceeds
     10 SYM_TOL relative to the Frobenius norm, with no floor, so the check is
     the same at every scale (a genuinely asymmetric input is a caller bug,
-    not something to silently average away).
+    not something to silently average away).  An exactly symmetric input
+    comes back as a copy.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim == 0:
@@ -31,6 +32,8 @@ def sym(entries) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("dim must be >= 1")
+    if (a == a.T).all():
+        return a.copy()
     if np.linalg.norm(a - a.T, "fro") > SYM_TOL * 10 * np.linalg.norm(a, "fro"):
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (a + a.T)

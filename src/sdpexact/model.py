@@ -3,7 +3,10 @@
 A quadratic form is the triple (A, b, c) representing
 x |-> x^T A x + 2 b^T x + c, together with its (n+1) x (n+1) homogeneous
 embedding [[A, b], [b^T, c]].  An instance bundles an objective form with
-inequality (<= 0) and equality (= 0) constraint forms.
+inequality (<= 0) and equality (= 0) constraint forms, and stacks their
+embeddings once, objective first, then inequalities, then equalities
+(``QcqpInstance.forms``): the lifted relaxation, the multiplier cone and
+the homogenized LMI set all read slices of that one array.
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ class QcqpInstance:
         for q in (self.objective, *self.inequalities, *self.equalities):
             if q.n != self.n:
                 raise ValueError("all forms must share dimension n")
+        # the (m+1) x (n+1) x (n+1) stack of embeddings, read-only because
+        # every relaxation, cone and LMI set of the instance shares it
+        forms = np.array([q.embed() for q in (self.objective, *self.constraints)])
+        forms.setflags(write=False)
+        object.__setattr__(self, "forms", forms)
 
     @property
     def m_i(self) -> int:
@@ -85,39 +93,22 @@ class QcqpInstance:
         # inequality forms first (indices [m_I]), then equalities
         return self.inequalities + self.equalities
 
-
-def aggregate_constraints(inst: QcqpInstance, gamma) -> QuadraticForm:
-    """Weighted sum of the constraint forms: (A(gamma), b(gamma), c(gamma))."""
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    if gamma.shape[0] != inst.m:
-        raise ValueError(f"gamma has length {gamma.shape[0]}, expected m={inst.m}")
-    A = np.zeros((inst.n, inst.n))
-    b = np.zeros(inst.n)
-    c = 0.0
-    for g, q in zip(gamma, inst.constraints):
-        A += g * q.A
-        b += g * q.b
-        c += g * q.c
-    return QuadraticForm(A, b, c)
+    @property
+    def senses(self) -> tuple:
+        """Sense of each constraint, in the order of ``forms[1:]``."""
+        return ("LE",) * self.m_i + ("EQ",) * self.m_e
 
 
-def aggregate_with_obj(inst: QcqpInstance, gamma_obj: float, gamma) -> QuadraticForm:
-    agg = aggregate_constraints(inst, gamma)
-    return QuadraticForm(
-        gamma_obj * inst.objective.A + agg.A,
-        gamma_obj * inst.objective.b + agg.b,
-        gamma_obj * inst.objective.c + agg.c,
-    )
-
-
-def homogenize(inst: QcqpInstance):
-    """Embeddings of the constraint forms with their senses.
-
-    Returns (list of (M, sense) with sense in {"LE", "EQ"}, M_obj embedding).
-    """
-    mats = [(q.embed(), "LE") for q in inst.inequalities]
-    mats += [(q.embed(), "EQ") for q in inst.equalities]
-    return mats, inst.objective.embed()
+def aggregate(inst: QcqpInstance, g) -> np.ndarray:
+    """Embedded aggregate g_0 F_0 + (g_1 F_1 + ... + g_m F_m) of the stacked
+    forms F = ``inst.forms``, for multipliers g = (g_obj, gamma) in R^{m+1}."""
+    g = np.asarray(g, dtype=float).reshape(-1)
+    if g.shape[0] != inst.m + 1:
+        raise ValueError(f"g has length {g.shape[0]}, expected m+1={inst.m + 1}")
+    acc = np.zeros_like(inst.forms[0])
+    for gi, F in zip(g[1:], inst.forms[1:]):
+        acc += gi * F
+    return g[0] * inst.forms[0] + acc
 
 
 def is_feasible(inst: QcqpInstance, x) -> bool:
@@ -154,11 +145,9 @@ def congruence_transform(inst: QcqpInstance, P) -> QcqpInstance:
 
 
 def is_diagonal_instance(inst: QcqpInstance) -> bool:
-    for q in (inst.objective, *inst.constraints):
-        off = q.A - np.diag(np.diag(q.A))
-        if np.max(np.abs(off), initial=0.0) > 1e-12:
-            return False
-    return True
+    n = inst.n
+    off = inst.forms[:, :n, :n][:, ~np.eye(n, dtype=bool)]
+    return bool(np.max(np.abs(off), initial=0.0) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

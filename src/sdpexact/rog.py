@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import linalg, model, oracles, solver
+from . import linalg, oracles, solver
 
 ANGLE_TOL = 1e-8  # on |cos| for "same direction"
 RESULTANT_TOL = 1e-9
@@ -46,9 +46,8 @@ class LmiSet:
 
     @classmethod
     def from_instance(cls, inst) -> "LmiSet":
-        """The homogenized constraints of a QCQP (``model.homogenize``)."""
-        mats, _ = model.homogenize(inst)
-        return cls(tuple(M for M, _ in mats), tuple(s for _, s in mats))
+        """The homogenized constraints of a QCQP: ``inst.forms[1:]``."""
+        return cls(tuple(inst.forms[1:]), inst.senses)
 
     @property
     def dim(self) -> int:
@@ -631,16 +630,15 @@ def detect_soc_cap(mset: LmiSet) -> RogVerdict:
         n_neg = int(np.sum(w < -1e-7 * scale))
         if n_neg != 1:
             continue
-        rest = [m for k, m in enumerate(mats) if k != cap_idx]
-        fam = check_common_factor(LmiSet(tuple(rest), ("LE",) * len(rest)))
-        if fam.status != "ROG_BY_SUFFICIENT_RULE" or "c" not in fam.certificate:
+        found = _common_factor([m for k, m in enumerate(mats) if k != cap_idx])
+        if found is None:
             continue
-        cofs = fam.certificate["cofactors"]
+        c, cofs = found
         if all(float(k @ L @ k) <= 1e-7 * scale * float(k @ k) for k in cofs):
             return RogVerdict(
                 status="ROG_BY_SUFFICIENT_RULE",
                 certificate={"kind": "SocCap", "cap_index": cap_idx,
-                             "c": fam.certificate["c"], "cofactors": cofs})
+                             "c": c, "cofactors": cofs})
     return RogVerdict(status="UNDECIDED", diagnostics={"reason": "no cap structure"})
 
 
@@ -727,6 +725,8 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
     rng = np.random.default_rng(seed)
     mats = mset.expanded()
     theta = _empty_slice_weights(mats)
+    cons = (*(solver.Constraint(M, "LE", 0.0) for M in mats),
+            solver.Constraint(np.eye(d), "EQ", 1.0))
     gaps = []
     records = []
     for k in range(trials):
@@ -736,8 +736,6 @@ def probe_random_objectives(mset: LmiSet, trials: int = 10, seed: int = 0,
             continue
         G = rng.standard_normal((d, d))
         C = 0.5 * (G + G.T)
-        cons = (*(solver.Constraint(M, "LE", 0.0) for M in mats),
-                solver.Constraint(np.eye(d), "EQ", 1.0))
         prog = solver.ConicProgram(dim=d, objective_matrix=C, constraints=cons)
         sol = solver.solve(prog, eps=eps, max_iter=max_iter)
         # v_sdp + PROBE_GAP_TOL may round up; step it down until its own
@@ -769,9 +767,12 @@ def clconv_report(inst, verdict: RogVerdict):
     semidefinite one closes it up to closure (CLCONV_EQUALS_CL_DSDP).
     """
     n = inst.n
-    mats = [inst.objective.embed(), *LmiSet.from_instance(inst).expanded()]
-    blocks = [M[:n, :n] for M in mats]
-    t_star, theta = _max_min_eig_over_simplex(blocks)
+    blocks = [M[:n, :n] for M in (inst.forms[0], *LmiSet.from_instance(inst).expanded())]
+    # the solve sees unit-norm blocks, so its cut and the one below on t
+    # mean the same at every scale; t is reported in the instance's units
+    scale = max(float(np.linalg.norm(A, 2)) for A in blocks) or 1.0
+    t_unit, theta = _max_min_eig_over_simplex([A / scale for A in blocks])
+    t_star = None if t_unit is None else t_unit * scale
     rog_ok = verdict.status in ("ROG_CERTIFIED", "ROG_BY_SUFFICIENT_RULE")
     if not rog_ok:
         return {"consequence": "NO_CONSEQUENCE", "t": t_star,
@@ -779,9 +780,9 @@ def clconv_report(inst, verdict: RogVerdict):
     if t_star is None:
         return {"consequence": "NO_CONSEQUENCE", "t": None,
                 "reason": "no nonzero simplex weights"}
-    if t_star > 1e-7:
+    if t_unit > 1e-7:
         return {"consequence": "CLCONV_EQUALS_DSDP", "t": t_star, "theta": theta}
-    if t_star > -1e-7:
+    if t_unit > -1e-7:
         return {"consequence": "CLCONV_EQUALS_CL_DSDP", "t": t_star, "theta": theta}
     return {"consequence": "NO_CONSEQUENCE", "t": t_star}
 
@@ -790,13 +791,13 @@ def _max_min_eig_over_simplex(blocks):
     """(t, theta): simplex weights and t = lambda_min(sum theta_j A_j).
 
     theta is the clipped, normalised dual of the minimax program min over
-    unit-trace PSD Z of max_j <A_j, Z> (shifted so the scalar stays
-    nonnegative); t is computed from theta, not read off the solver.
-    Weights summing to 1e-12 or less are no combination: (None, None).
+    unit-trace PSD Z of max_j <A_j, Z> (blocks of 2-norm at most 1, shifted
+    by 2 I so the scalar stays positive); t is computed from theta, not read
+    off the solver.  Weights summing to 1e-12 or less are no combination:
+    (None, None).
     """
     d = blocks[0].shape[0]
-    shift = max(float(np.linalg.norm(A, 2)) for A in blocks) + 1.0
-    shifted = [A + shift * np.eye(d) for A in blocks]
+    shifted = [A + 2.0 * np.eye(d) for A in blocks]
     cons = [solver.Constraint(scipy.linalg.block_diag(A, -1.0), "LE", 0.0) for A in shifted]
     cons.append(solver.Constraint(scipy.linalg.block_diag(np.eye(d), 0.0), "EQ", 1.0))
     C = scipy.linalg.block_diag(np.zeros((d, d)), 1.0)

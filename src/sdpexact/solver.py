@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linalg, model
+from . import linalg
 
 OVER_RELAXATION = 1.6
 PENALTY_CHECK_EVERY = 100
@@ -300,12 +300,11 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
 def relaxation_program(inst) -> ConicProgram:
     """Lifted program: Z in S^{n+1}, <M_i,Z> <= 0 / = 0, Z[n,n] = 1, Z PSD."""
     n = inst.n
-    mats, M_obj = model.homogenize(inst)
-    cons = [Constraint(M, sense, 0.0) for M, sense in mats]
+    cons = [Constraint(M, sense, 0.0) for M, sense in zip(inst.forms[1:], inst.senses)]
     corner = np.zeros((n + 1, n + 1))
     corner[n, n] = 1.0
     cons.append(Constraint(corner, "EQ", 1.0))
-    return ConicProgram(dim=n + 1, objective_matrix=M_obj, constraints=tuple(cons))
+    return ConicProgram(dim=n + 1, objective_matrix=inst.forms[0], constraints=tuple(cons))
 
 
 def solve_opt_sdp(inst):

@@ -13,8 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sdpexact import (exactness, gallery, gamma, model, oracles, ratio, rog,
-                      solver)
+from sdpexact import exactness, gallery, gamma, oracles, ratio, rog, solver
 from conftest import (make_explicit_instance, make_gtrs,
                       make_perspective_instance, make_separation_instance,
                       random_sym)
@@ -255,10 +254,7 @@ class TestCriterion08:
     def test_perspective_set_hull_closure(self, perspective_instance):
         with scorecard(8, "perspective set: hull closure via common factor"):
             inst = perspective_instance
-            mats, _ = model.homogenize(inst)
-            mset = rog.LmiSet(tuple(M for M, _ in mats),
-                              tuple(s for _, s in mats))
-            v = rog.check_common_factor(mset)
+            v = rog.check_common_factor(rog.LmiSet.from_instance(inst))
             assert v.status == "ROG_BY_SUFFICIENT_RULE"
             assert v.certificate["kind"] == "CommonFactor"
 

@@ -52,8 +52,7 @@ class TestObjWeak:
                 face = gd.faces[fr.face_id]
                 if face.slice_vertices and fr.witness is not None:
                     # witness makes every slice linear term nonpositive
-                    verts = [inst.objective.b +
-                             model.aggregate_constraints(inst, v).b
+                    verts = [model.aggregate(inst, np.append(1.0, v))[:-1, -1]
                              for v in face.slice_vertices]
                     for v in verts:
                         assert float(v @ fr.witness) <= 1e-7
@@ -140,9 +139,9 @@ def _face_instance(key):
 
 def _slice_terms(inst, face):
     """Linear terms b_obj + b(v) per slice vertex and b(r) per slice ray."""
-    verts = [inst.objective.b + model.aggregate_constraints(inst, v).b
+    verts = [model.aggregate(inst, np.append(1.0, v))[:-1, -1]
              for v in face.slice_vertices]
-    rays = [model.aggregate_constraints(inst, r).b for r in face.slice_rays]
+    rays = [model.aggregate(inst, np.append(0.0, r))[:-1, -1] for r in face.slice_rays]
     return verts, rays
 
 
@@ -289,8 +288,7 @@ class TestPointwise:
         rows = _tight_rows(inst, gd, x, t)
         assert [g0 for g0, _ in rows] == [1.0, 1.0]
         mix = np.mean([g for g in gd.generators if g[0] == 1.0], axis=0)
-        agg = model.aggregate_with_obj(inst, mix[0], mix[1:])
-        w, V = np.linalg.eigh(agg.A)
+        w, V = np.linalg.eigh(model.aggregate(inst, mix)[:-1, :-1])
         B = V[:, np.abs(w) <= 1e-7 * np.max(np.abs(w))]
         system = np.array([np.append(B.T @ lin / g0, -1.0) for g0, lin in rows])
         assert np.linalg.svd(system, compute_uv=False)[-1] > 1e-3
@@ -311,7 +309,8 @@ def _tight_rows(inst, gd, x, t):
     from the forms."""
     rows = []
     for g in gd.generators:
-        agg = model.aggregate_with_obj(inst, g[0], g[1:])
+        M = model.aggregate(inst, g)
+        agg = model.QuadraticForm(M[:-1, :-1], M[:-1, -1], M[-1, -1])
         value = model.eval_form(agg, x) - g[0] * t
         if value >= -exactness.STRICT_TOL * max(1.0, np.linalg.norm(g)):
             rows.append((g[0], agg.A @ x + agg.b))

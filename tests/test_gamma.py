@@ -128,9 +128,8 @@ class TestGenerators:
         inst = make_explicit_instance()
         gd = gamma.build_gamma_data(inst)
         assert gd.assumption1_witness is not None
-        agg = model.aggregate_with_obj(inst, gd.assumption1_witness[0],
-                                       gd.assumption1_witness[1:])
-        assert np.linalg.eigvalsh(agg.A)[0] > 0.0
+        agg = model.aggregate(inst, gd.assumption1_witness)
+        assert np.linalg.eigvalsh(agg[:-1, :-1])[0] > 0.0
 
     def test_no_witness_when_cone_trivial(self):
         # unconstrained indefinite objective: only the zero multiplier works
@@ -237,4 +236,4 @@ class TestComputedOnce:
                 continue
             assert witness is None and B.shape[1] >= 1
             for g in gens:
-                assert np.linalg.norm(gamma._aggregate_A(inst, g) @ B) <= 1e-9
+                assert np.linalg.norm(model.aggregate(inst, g)[:-1, :-1] @ B) <= 1e-9

@@ -29,6 +29,13 @@ class TestSym:
         with pytest.raises(ValueError):
             linalg.sym(np.array([[0.0, s], [0.0, 0.0]]))
 
+    def test_exactly_symmetric_input_is_copied(self):
+        A = random_sym(np.random.default_rng(3), 4)
+        A.setflags(write=False)
+        S = linalg.sym(A)
+        assert np.array_equal(S, A)
+        assert not np.shares_memory(S, A) and S.flags.writeable
+
     def test_accepts_zero_matrix(self):
         assert np.array_equal(linalg.sym(np.zeros((3, 3))), np.zeros((3, 3)))
 

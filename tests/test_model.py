@@ -58,10 +58,12 @@ class TestInstance:
             2, q(np.eye(2), [0, 0], 0),
             (q(np.eye(2), [0, 0], -1.0),),
             (q(np.diag([1.0, -1.0]), [0, 0], 0.0),))
-        mats, M_obj = model.homogenize(inst)
-        assert [s for _, s in mats] == ["LE", "EQ"]
-        assert M_obj.shape == (3, 3)
-        assert np.array_equal(mats[0][0], inst.inequalities[0].embed())
+        # forms stack the embeddings: objective, inequalities, equalities
+        assert inst.senses == ("LE", "EQ")
+        assert inst.forms.shape == (3, 3, 3)
+        for F, f in zip(inst.forms, (inst.objective, *inst.constraints)):
+            assert np.array_equal(F, f.embed())
+        assert not inst.forms.flags.writeable
 
 
 class TestAggregation:
@@ -72,28 +74,29 @@ class TestAggregation:
             3, q(random_sym(rng, 3), rng.standard_normal(3), 0.0),
             tuple(q(random_sym(rng, 3), rng.standard_normal(3),
                     rng.standard_normal()) for _ in range(3)))
-        g1 = rng.standard_normal(3)
-        g2 = rng.standard_normal(3)
+        g1 = rng.standard_normal(4)
+        g2 = rng.standard_normal(4)
         a, b = rng.standard_normal(2)
-        lhs = model.aggregate_constraints(inst, a * g1 + b * g2)
-        f1 = model.aggregate_constraints(inst, g1)
-        f2 = model.aggregate_constraints(inst, g2)
-        scale = max(1.0, np.linalg.norm(lhs.A))
-        assert np.linalg.norm(lhs.A - a * f1.A - b * f2.A) <= 1e-9 * scale
-        assert np.linalg.norm(lhs.b - a * f1.b - b * f2.b) <= 1e-9 * scale
-        assert abs(lhs.c - a * f1.c - b * f2.c) <= 1e-9 * max(1.0, abs(lhs.c))
+        lhs = model.aggregate(inst, a * g1 + b * g2)
+        f1 = model.aggregate(inst, g1)
+        f2 = model.aggregate(inst, g2)
+        r = lhs - a * f1 - b * f2
+        scale = max(1.0, np.linalg.norm(lhs[:3, :3]))
+        assert np.linalg.norm(r[:3, :3]) <= 1e-9 * scale
+        assert np.linalg.norm(r[:3, 3]) <= 1e-9 * scale
+        assert abs(r[3, 3]) <= 1e-9 * max(1.0, abs(lhs[3, 3]))
 
     def test_aggregate_with_obj(self):
         inst = make_explicit_instance()
-        agg = model.aggregate_with_obj(inst, 1.0, [1.0, 1.0])
+        agg = model.aggregate(inst, [1.0, 1.0, 1.0])
         # I + diag(-2,1) + diag(1,-2) = 0; constants 0 + 1 + 1 = 2
-        assert np.allclose(agg.A, 0.0)
-        assert agg.c == 2.0
+        assert np.allclose(agg[:2, :], 0.0)
+        assert agg[2, 2] == 2.0
 
     def test_gamma_length_checked(self):
         inst = make_explicit_instance()
         with pytest.raises(ValueError):
-            model.aggregate_constraints(inst, [1.0])
+            model.aggregate(inst, [1.0, 1.0])
 
 
 class TestFeasibility:

@@ -8,7 +8,7 @@ import scipy.optimize
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdpexact import linalg, oracles, rog, solver
+from sdpexact import gallery, linalg, model, oracles, rog, solver
 from conftest import (make_perspective_instance, make_separation_instance,
                       random_sym)
 
@@ -1031,3 +1031,21 @@ class TestClconv:
         v = rog.RogVerdict(status="NOT_ROG_CERTIFIED")
         rep = rog.clconv_report(inst, v)
         assert rep["consequence"] == "NO_CONSEQUENCE"
+
+    @pytest.mark.parametrize("name", [name for name in gallery.names()
+                                      if gallery.load(name)["kind"] == "qcqp"])
+    def test_consequence_is_scale_free(self, name):
+        # every form scaled by s: the slice, its ROG verdict and the definite
+        # combinations of the blocks are the same at every s
+        inst = gallery.load(name)["instance"]
+
+        def consequence(s):
+            f = lambda q: model.QuadraticForm(s * q.A, s * q.b, s * q.c)
+            scaled = model.QcqpInstance(inst.n, f(inst.objective),
+                                        tuple(map(f, inst.inequalities)),
+                                        tuple(map(f, inst.equalities)))
+            v = rog.check_set(rog.LmiSet.from_instance(scaled))
+            return rog.clconv_report(scaled, v)["consequence"]
+
+        at_one = consequence(1.0)
+        assert [consequence(s) for s in (1e-6, 1e-3, 1e3, 1e6)] == [at_one] * 4
