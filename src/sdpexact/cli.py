@@ -144,6 +144,8 @@ def _cmd_check(args) -> int:
         rep = fn(inst, gamma.build_gamma_data(inst, gens))
     _report_line("condition", rep.condition)
     _report_line("verdict", rep.verdict)
+    if "lp_calls" in rep.details:
+        _report_line("lp_calls", rep.details["lp_calls"])
     for fr in rep.face_records:
         _report_line(f"face_{fr.face_id}", f"{fr.classification} {fr.sub_verdict}")
     _write_json(args.json, rep)

@@ -5,6 +5,14 @@ linear-algebraic condition on the slice {gamma : (1, gamma) in F} and the
 shared kernel V(F).  Verdicts are HOLDS / FAILS / NOT_APPLICABLE; FAILS
 carries the violating multiplier, HOLDS carries per-face witnesses where the
 condition is existential.
+
+The strong, weak and Burer-Ye conditions are small polyhedral feasibility
+questions.  Each is first put as "is f in cone(columns of E)?" and settled
+by one NNLS solve (``_cone_split``) whose answer is checked against the
+input either way: an evaluated nonnegative combination, or a Farkas vector
+with a stated margin.  The HiGHS LP of the same question is kept as the
+arbiter and runs only when neither certificate holds; each report counts
+those runs in ``details["lp_calls"]``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,10 @@ import scipy.optimize
 from . import gamma as gamma_mod
 from . import model, oracles, solver
 from .gamma import STRICT_TOL
+
+HIGHS_TOL = 1e-7  # HiGHS's primal feasibility tolerance, which the arbiter LPs run with
+HIGHS_SMALL = 1e-9  # HiGHS drops constraint matrix entries of at most this magnitude
+ROUND = 64 * np.finfo(float).eps  # rounding allowance, relative to the magnitudes a product adds
 
 
 @dataclass
@@ -59,6 +71,54 @@ def _slice_terms(G, B, vertices, rays):
     return [P[:, 0] + P[:, 1:] @ v for v in vertices], [P[:, 1:] @ r for r in rays]
 
 
+def _highs_matrix(A):
+    """A as HiGHS solves it: entries of magnitude at most HIGHS_SMALL are
+    zero, so the certificates and the arbiter LP decide the same system."""
+    return np.where(np.abs(A) > HIGHS_SMALL, A, 0.0)
+
+
+def _cone_split(E, f):
+    """Decide whether f lies in cone(columns of E) by NNLS (Lawson-Hanson).
+
+    Returns (x, y).  x >= 0 is the NNLS combination, for the caller to
+    evaluate against its own test (None if NNLS stops at its iteration
+    cap).  y is the residual f - E x, recomputed from the input, when it is
+    a Farkas vector, and None otherwise.  With S = |f| + |E| x, which bounds
+    |y| and every product y enters up to rounding, a Farkas vector has
+
+        E^T y <= ROUND max(|E|^T S) entrywise           (rounding allowance)
+        f.y > HIGHS_TOL (||y||_1 + ||E^T y||_1) + ROUND |f|.S     (margin)
+
+    The margin makes y decide the arbiter's LP as HiGHS decides it: a point
+    x' that HiGHS accepts has x' >= -HIGHS_TOL and |E x' - f| <= HIGHS_TOL
+    entrywise, so f.y = (E^T y).x' + y.(f - E x') is at most
+    HIGHS_TOL (||E^T y||_1 + ||y||_1) once the entries of E^T y within the
+    allowance read as zero, and no such x' exists.  At the NNLS optimum
+    E^T y <= 0 and f.y = ||y||^2 (Karush-Kuhn-Tucker), so y certifies every
+    f that lies clearly outside the cone.  Callers pass E as HiGHS solves
+    it (``_highs_matrix``).
+    """
+    try:
+        x, _ = scipy.optimize.nnls(E, f)
+    except RuntimeError:
+        return None, None
+    y = f - E @ x
+    Ety = E.T @ y
+    size = np.abs(f) + np.abs(E) @ x
+    if (np.all(Ety <= ROUND * (np.abs(E).T @ size).max())
+            and f @ y > HIGHS_TOL * (np.abs(y).sum() + np.abs(Ety).sum())
+            + ROUND * (np.abs(f) @ size)):
+        return x, y
+    return x, None
+
+
+def _solves(E, x, f) -> bool:
+    """E x = f to rounding: no residual entry above ROUND times the largest
+    entry of |E| |x| + |f|, the accuracy of a backward-stable solve."""
+    return x is not None and bool(
+        np.abs(E @ x - f).max() <= ROUND * (np.abs(E) @ np.abs(x) + np.abs(f)).max())
+
+
 def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> ExactnessReport:
     """Bookkeeping shared by the face-based checks.
 
@@ -66,10 +126,13 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> Exactne
     Non-semidefinite faces are SKIPPED and faces with an empty slice PASS.
     Every other face is handed to decide(B, verts, rays), which sees the
     V(F) basis B and the slice linear terms at x = 0 projected onto it
-    (``_slice_terms``) and returns (passed, vector): the vector is the
-    face's witness when it passes and its violating multiplier when it fails.
+    (``_slice_terms``) and returns (passed, vector, lp_calls): the vector is
+    the face's witness when it passes and its violating multiplier when it
+    fails, and lp_calls (summed into ``details["lp_calls"]``) counts the
+    arbiter LPs it ran.
     """
-    rep = ExactnessReport(condition=condition, verdict="HOLDS", provenance=gd.provenance)
+    rep = ExactnessReport(condition=condition, verdict="HOLDS", provenance=gd.provenance,
+                          details={"lp_calls": 0})
     if gd.reason is not None:
         rep.verdict = "NOT_APPLICABLE"
         rep.details["reason"] = gd.reason
@@ -84,7 +147,8 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> Exactne
         if not face.slice_vertices:
             continue
         B = face.vf_basis
-        passed, vec = decide(B, *_slice_terms(G, B, face.slice_vertices, face.slice_rays))
+        passed, vec, lps = decide(B, *_slice_terms(G, B, face.slice_vertices, face.slice_rays))
+        rep.details["lp_calls"] += lps
         if passed:
             rec.witness = vec
         else:
@@ -98,15 +162,32 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> Exactne
 def _strong_face(B, verts, rays):
     k = B.shape[1]
     nv, nr = len(verts), len(rays)
-    # variables: lambda (nv), mu (nr), s+ (k), s- (k)
+    T = _highs_matrix(np.array(verts + rays).reshape(nv + nr, k).T)
+    E = np.vstack([T, np.repeat([1.0, 0.0], [nv, nr])])
+    x, y = _cone_split(E, np.append(np.zeros(k), 1.0))
+    if x is not None and x[:nv].sum() > 0.0:
+        x = x / x[:nv].sum()
+        if np.abs(T @ x).sum() <= STRICT_TOL:
+            return False, x, 0
+    if y is not None:
+        # z = -y[:k] has z.v_j >= y[k] > 0 and z.r_j >= 0.  With t = HIGHS_TOL,
+        # a point HiGHS accepts has lambda, mu, s+, s- >= -t, sum(lambda) >= 1 - t
+        # and each row of w - s+ + s- = 0 within t, for w = sum lambda_j v_j +
+        # sum mu_j r_j, so its objective is at least ||w||_1 - 3 k t, and
+        # ||w||_1 >= z.w / ||z||_inf >= (min_j z.v_j (1 - t) - t sum_j |a_j|)
+        # / ||z||_inf, where a_j = z.T_j runs over every term
+        a = -(y[:k] @ T)
+        bound = ((a[:nv].min() * (1.0 - HIGHS_TOL) - HIGHS_TOL * np.abs(a).sum())
+                 / np.abs(y[:k]).max() - 3 * k * HIGHS_TOL)
+        if bound > STRICT_TOL:
+            return True, None, 0
+    # arbiter: min ||sum lambda_j v_j + sum mu_j r_j||_1 over the simplex and
+    # mu >= 0, with variables lambda (nv), mu (nr), s+ (k), s- (k)
     n_var = nv + nr + 2 * k
     c = np.concatenate([np.zeros(nv + nr), np.ones(2 * k)])
     A_eq = np.zeros((k + 1, n_var))
     b_eq = np.zeros(k + 1)
-    for j, v in enumerate(verts):
-        A_eq[:k, j] = v
-    for j, r in enumerate(rays):
-        A_eq[:k, nv + j] = r
+    A_eq[:k, :nv + nr] = T
     A_eq[:k, nv + nr: nv + nr + k] = -np.eye(k)
     A_eq[:k, nv + nr + k:] = np.eye(k)
     A_eq[k, :nv] = 1.0
@@ -114,16 +195,22 @@ def _strong_face(B, verts, rays):
     res = scipy.optimize.linprog(c, A_eq=A_eq, b_eq=b_eq,
                                  bounds=[(0, None)] * n_var, method="highs")
     if res.status == 0 and res.fun <= STRICT_TOL:
-        return False, res.x[:nv + nr]
-    return True, None
+        return False, res.x[:nv + nr], 1
+    return True, None, 1
 
 
 def check_obj_strong(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     """Zero excluded from the projected slice image on every semidefinite face.
 
-    Per face: phase-1 LP searching for a convex combination of slice vertices
-    plus a conic combination of slice rays whose linear term projects to zero
-    on V(F); the face passes iff the minimal slack stays above STRICT_TOL.
+    A face fails when the L1 distance from 0 to conv(slice vertex terms) +
+    cone(slice ray terms), projected onto V(F), is at most STRICT_TOL.  One
+    NNLS solve of "(0, 1) in cone{(v, 1), (r, 0)}" settles most faces: its
+    combination, normalised to weights summing to 1, fails the face when it
+    misses 0 by at most STRICT_TOL in L1, and its Farkas vector z passes the
+    face when min_j z.v_j / ||z||_inf, less HiGHS's tolerance terms, bounds
+    the distance above STRICT_TOL (weak duality for the L1 LP).  Otherwise
+    the L1 LP decides as the arbiter; a failing face carries the LP's or the
+    combination's (lambda, mu).
     """
     return _face_walk("obj_strong", inst, gd, _strong_face)
 
@@ -131,20 +218,31 @@ def check_obj_strong(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
 def _weak_face(B, verts, rays):
     k = B.shape[1]
     if k == 0:
-        return False, None
+        return False, None, 0
     R = np.array(verts + rays)
     null = _nullspace(R)
     if null.shape[1]:
-        return True, B @ null[:, 0]
+        return True, B @ null[:, 0], 0
     # R has full column rank, so d != 0 exactly when R d != 0: with R d <= 0
-    # that is 1^T R d < 0, normalised to -1^T R d = 1
+    # that is 1^T R d < 0, normalised to f.d = 1 for f = -R^T 1.  Either the
+    # NNLS residual rho has R rho <= 0 and d = rho / f.rho, or f = R^T alpha
+    # with alpha >= 0, which for R as given reads R^T (1 + alpha) = 0
+    # (Stiemke) and leaves no d
+    R, f = _highs_matrix(R), _highs_matrix(-R.sum(axis=0))
+    alpha, rho = _cone_split(R.T, f)
+    if rho is not None:
+        return True, B @ (rho / (f @ rho)), 0
+    # with t = HIGHS_TOL, a d that HiGHS accepts has R d <= t and f.d >= 1 - t,
+    # while f.d = alpha.(R d) <= t sum(alpha) up to rounding: no such d when
+    # t (1 + sum(alpha)) <= 1/2
+    if _solves(R.T, alpha, f) and HIGHS_TOL * (1.0 + alpha.sum()) <= 0.5:
+        return False, None, 0
     res = scipy.optimize.linprog(
         np.zeros(k), A_ub=R, b_ub=np.zeros(R.shape[0]),
-        A_eq=-R.sum(axis=0, keepdims=True), b_eq=[1.0],
-        bounds=[(None, None)] * k, method="highs")
+        A_eq=f[None, :], b_eq=[1.0], bounds=[(None, None)] * k, method="highs")
     if res.status == 0:
-        return True, B @ res.x
-    return False, None
+        return True, B @ res.x, 1
+    return False, None, 1
 
 
 def check_obj_weak(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
@@ -152,9 +250,14 @@ def check_obj_weak(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     every slice linear term nonpositive.
 
     With R the projected slice terms (one row per vertex and ray), a face
-    passes when R has a nonzero kernel vector, and otherwise iff the one LP
-    R d <= 0, -1^T R d = 1 (d free) is feasible; a face with dim V(F) = 0
-    has no nonzero direction and fails.
+    passes when R has a nonzero kernel vector; a face with dim V(F) = 0 has
+    no nonzero direction and fails.  Otherwise the question is whether
+    R d <= 0, -1^T R d = 1 has a solution, and one NNLS solve of
+    "-R^T 1 in cone(rows of R)" settles it: its Farkas residual rho gives
+    d = rho / (-1^T R rho), the LP's own feasible point, and the witness
+    B d; a bounded member alpha gives R^T (1 + alpha) = 0, a positive
+    (Stiemke) certificate that no d exists.  Otherwise the LP decides as
+    the arbiter.
     """
     return _face_walk("obj_weak", inst, gd, _weak_face)
 
@@ -170,8 +273,8 @@ def _ch_face(B, verts, rays):
     k = B.shape[1]
     for col in _ch_null(verts, rays).T:
         if np.linalg.norm(col[:k]) > STRICT_TOL:
-            return True, B @ col[:k]
-    return False, None
+            return True, B @ col[:k], 0
+    return False, None, 0
 
 
 def check_ch_polyhedral(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
@@ -184,19 +287,37 @@ def check_ch_polyhedral(inst, gd: gamma_mod.GammaData) -> ExactnessReport:
     return _face_walk("ch", inst, gd, _ch_face)
 
 
+def _unit_rows(A, b):
+    """[A | b] with every nonzero row divided by its 2-norm, and A as HiGHS
+    solves it (``_highs_matrix``)."""
+    norms = np.linalg.norm(np.column_stack([A, b]), axis=1)
+    norms[norms == 0.0] = 1.0
+    return _highs_matrix(A / norms[:, None]), b / norms
+
+
 def check_burer_ye_diag(inst) -> ExactnessReport:
     """Diagonal sufficient condition: no (1, gamma) in the cone may zero both
-    the j-th aggregated diagonal entry and the j-th aggregated linear term."""
-    rep = ExactnessReport(condition="burer_ye", verdict="HOLDS", provenance="DIAGONAL_AUTO")
+    the j-th aggregated diagonal entry and the j-th aggregated linear term.
+
+    Per coordinate j the system A_eq gamma = b_eq (the two zeros), A_ub gamma
+    <= b_ub (the cone's H-rows at gamma_obj = 1), gamma_i >= 0 on inequality
+    multipliers, has every row of [A | b] scaled to unit norm, so the verdict
+    does not depend on the scale of the forms.  In standard form (free
+    multipliers split, a slack per H-row) one NNLS solve settles it: a
+    combination that solves the system to rounding is a violating gamma
+    (FAILS, listed under ``details["coordinate_j"]``), a Farkas vector clears
+    the coordinate.  Otherwise the feasibility LP decides as the arbiter.
+    """
+    rep = ExactnessReport(condition="burer_ye", verdict="HOLDS", provenance="DIAGONAL_AUTO",
+                          details={"lp_calls": 0})
     if not model.is_diagonal_instance(inst):
         rep.verdict = "NOT_APPLICABLE"
         rep.details["reason"] = "instance is not diagonal"
         return rep
     H = gamma_mod.build_gamma_hrep_diag(inst)
-    m, n = inst.m, inst.n
+    m, n, m_i = inst.m, inst.n, inst.m_i
     # rows of H applied at gamma_obj = 1: row[0] + row[1:] . gamma >= 0
-    A_ub = -H[:, 1:]
-    b_ub = H[:, 0].copy()
+    A_ub, b_ub = _unit_rows(-H[:, 1:], H[:, 0])
     # diagonal entries and linear terms, one row per form, objective first
     d = np.diagonal(inst.forms[:, :n, :n], axis1=1, axis2=2)
     b = inst.forms[:, :n, n]
@@ -210,18 +331,29 @@ def check_burer_ye_diag(inst) -> ExactnessReport:
                     rep.verdict = "FAILS"
                     rep.details[f"coordinate_{j}"] = []
         return rep
+    bounds = [(0, None)] * m_i + [(None, None)] * (m - m_i)
+    # standard form: columns gamma_I, gamma_E+, gamma_E-, one slack per H-row
+    split = np.hstack([np.eye(m), -np.eye(m)[:, m_i:]])
     for j in range(n):
-        A_eq = np.vstack([d[1:, j], b[1:, j]])
-        b_eq = np.array([-d[0, j], -b[0, j]])
-        bounds = [(None, None)] * m
-        for i in range(inst.m_i):
-            bounds[i] = (0, None)
-        res = scipy.optimize.linprog(np.zeros(m), A_ub=A_ub, b_ub=b_ub,
-                                     A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                                     method="highs")
-        if res.status == 0:
-            rep.verdict = "FAILS"
-            rep.details[f"coordinate_{j}"] = list(res.x)
+        A_eq, b_eq = _unit_rows(np.vstack([d[1:, j], b[1:, j]]), -np.array([d[0, j], b[0, j]]))
+        E = np.block([[A_eq @ split, np.zeros((2, len(b_ub)))],
+                      [A_ub @ split, np.eye(len(b_ub))]])
+        f = np.concatenate([b_eq, b_ub])
+        x, y = _cone_split(E, f)
+        if y is not None:
+            continue
+        if _solves(E, x, f):
+            gamma = split @ x[:split.shape[1]]
+        else:
+            rep.details["lp_calls"] += 1
+            res = scipy.optimize.linprog(np.zeros(m), A_ub=A_ub, b_ub=b_ub,
+                                         A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                                         method="highs")
+            if res.status != 0:
+                continue
+            gamma = res.x
+        rep.verdict = "FAILS"
+        rep.details[f"coordinate_{j}"] = list(gamma)
     return rep
 
 

@@ -77,6 +77,12 @@ class TestCheck:
         assert rc == 0
         assert f"verdict: {verdict}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("which", ["obj-strong", "obj-weak", "burer-ye"])
+    def test_prints_arbiter_lp_count(self, instance_file, capsys, which):
+        # the explicit instance is settled by certificates alone
+        assert cli.main(["check", which, instance_file]) == 0
+        assert "lp_calls: 0" in capsys.readouterr().out.splitlines()
+
     def test_ch_point(self, instance_file, capsys):
         rc = cli.main(["check", "ch-point", instance_file, "--x", "0,0", "--t", "2"])
         assert rc == 0

@@ -63,6 +63,7 @@ def _reference_weak_face(B, verts, rays):
     the rest in [-1, 1], and pass iff any LP is feasible."""
     k = B.shape[1]
     rows = np.array(verts + rays)
+    lps = 0
     for j in range(k):
         for sign in (1.0, -1.0):
             bounds = [(-1.0, 1.0)] * k
@@ -70,9 +71,10 @@ def _reference_weak_face(B, verts, rays):
             res = scipy.optimize.linprog(
                 np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
                 bounds=bounds, method="highs")
+            lps += 1
             if res.status == 0:
-                return True, B @ res.x
-    return False, None
+                return True, B @ res.x, lps
+    return False, None, lps
 
 
 # d2 instances 0-39 and d3 instances 0-19; d2 instance 23 has a semidefinite
@@ -219,6 +221,172 @@ class TestBurerYe:
         inst = model.QcqpInstance(2, q([[0.0, 1.0], [1.0, 0.0]], [0, 0], 0))
         rep = exactness.check_burer_ye_diag(inst)
         assert rep.verdict == "NOT_APPLICABLE"
+
+
+def _reference_strong_lp(B, verts, rays):
+    """The strong test as one L1 LP, min ||sum lambda_j v_j + sum mu_j r_j||_1
+    over the simplex and mu >= 0: fail iff the optimum is <= STRICT_TOL."""
+    k = B.shape[1]
+    nv, nr = len(verts), len(rays)
+    n_var = nv + nr + 2 * k
+    A_eq = np.zeros((k + 1, n_var))
+    for j, t in enumerate(verts + rays):
+        A_eq[:k, j] = t
+    A_eq[:k, nv + nr:nv + nr + k] = -np.eye(k)
+    A_eq[:k, nv + nr + k:] = np.eye(k)
+    A_eq[k, :nv] = 1.0
+    res = scipy.optimize.linprog(
+        np.concatenate([np.zeros(nv + nr), np.ones(2 * k)]), A_eq=A_eq,
+        b_eq=np.append(np.zeros(k), 1.0), bounds=[(0, None)] * n_var, method="highs")
+    failed = res.status == 0 and res.fun <= exactness.STRICT_TOL
+    return not failed, (res.x[:nv + nr] if failed else None), 1
+
+
+def _reference_weak_lp(B, verts, rays):
+    """The weak test as a kernel test, then one LP R d <= 0, -1^T R d = 1."""
+    k = B.shape[1]
+    if k == 0:
+        return False, None, 0
+    R = np.array(verts + rays)
+    null = exactness._nullspace(R)
+    if null.shape[1]:
+        return True, B @ null[:, 0], 0
+    res = scipy.optimize.linprog(
+        np.zeros(k), A_ub=R, b_ub=np.zeros(R.shape[0]),
+        A_eq=-R.sum(axis=0, keepdims=True), b_eq=[1.0],
+        bounds=[(None, None)] * k, method="highs")
+    return res.status == 0, (B @ res.x if res.status == 0 else None), 1
+
+
+def _reference_burer_ye(inst):
+    """Coordinates j at which the Burer-Ye LP, rows as given, is feasible."""
+    H = gamma.build_gamma_hrep_diag(inst)
+    n, m = inst.n, inst.m
+    d = np.diagonal(inst.forms[:, :n, :n], axis1=1, axis2=2)
+    b = inst.forms[:, :n, n]
+    bounds = [(0, None)] * inst.m_i + [(None, None)] * inst.m_e
+    out = set()
+    for j in range(n):
+        res = scipy.optimize.linprog(
+            np.zeros(m), A_ub=-H[:, 1:], b_ub=H[:, 0],
+            A_eq=np.vstack([d[1:, j], b[1:, j]]), b_eq=[-d[0, j], -b[0, j]],
+            bounds=bounds, method="highs")
+        if res.status == 0:
+            out.add(f"coordinate_{j}")
+    return out
+
+
+def _coordinates(rep):
+    return {key for key in rep.details if key.startswith("coordinate_")}
+
+
+def _scaled(inst, s):
+    """inst with every form multiplied by s."""
+    def scale(form):
+        return model.QuadraticForm(s * form.A, s * form.b, s * form.c)
+    return model.QcqpInstance(inst.n, scale(inst.objective), tuple(map(scale, inst.inequalities)),
+                              tuple(map(scale, inst.equalities)))
+
+
+# the set the certificates are checked on: WEAK_FAMILY, the diagonal gallery
+# and criterion-06 seeds 0-9
+CERTIFICATE_SET = (WEAK_FAMILY + [gallery.load(key)["instance"] for key in DIAGONAL_GALLERY]
+                   + [make_gtrs(seed) for seed in range(10)])
+
+
+def _with_gamma(insts):
+    return [(inst, gamma.build_gamma_data(inst)) for inst in insts]
+
+
+@pytest.fixture(scope="module", params=[1e-6, 1.0, 1e6], ids=["1e-6", "1", "1e6"])
+def certificate_set(request):
+    return _with_gamma(_scaled(inst, request.param) for inst in CERTIFICATE_SET)
+
+
+class TestCertificates:
+    """The NNLS certificates decide every face and coordinate as the LPs do,
+    and leave no LP to run at unit scale."""
+
+    def test_sub_verdicts_match_lp_formulations(self, certificate_set):
+        for k, (inst, gd) in enumerate(certificate_set):
+            for check, ref, name in ((exactness.check_obj_strong, _reference_strong_lp, "obj_strong"),
+                                     (exactness.check_obj_weak, _reference_weak_lp, "obj_weak")):
+                rep, want = check(inst, gd), exactness._face_walk(name, inst, gd, ref)
+                assert [r.sub_verdict for r in rep.face_records] == \
+                    [r.sub_verdict for r in want.face_records], (k, name)
+                assert rep.verdict == want.verdict, (k, name)
+            assert _coordinates(exactness.check_burer_ye_diag(inst)) == _reference_burer_ye(inst), k
+
+    def test_no_lp_at_unit_scale(self, monkeypatch):
+        pairs = _with_gamma(CERTIFICATE_SET)
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return linprog(*args, **kw)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted)
+        for k, (inst, gd) in enumerate(pairs):
+            reps = (exactness.check_obj_strong(inst, gd), exactness.check_obj_weak(inst, gd),
+                    exactness.check_burer_ye_diag(inst))
+            assert [rep.details["lp_calls"] for rep in reps] == [0, 0, 0], k
+        assert calls == []
+
+    def test_empty_vf_fails_without_lp(self):
+        # d2 instance 23 has a semidefinite face whose V(F) is empty
+        inst = WEAK_FAMILY[23]
+        gd = gamma.build_gamma_data(inst)
+        empty = [f.face_id for f in gd.faces if f.classification == "SEMIDEFINITE"
+                 and f.slice_vertices and f.vf_basis.shape[1] == 0]
+        assert empty
+        for check in (exactness.check_obj_strong, exactness.check_obj_weak):
+            rep = check(inst, gd)
+            assert rep.details["lp_calls"] == 0
+            assert all(rep.face_records[i].sub_verdict == "FAIL" for i in empty)
+
+    def test_ray_product_rounding_passes_without_lp(self, monkeypatch):
+        # face 8 of d3 instance 1 passes strong on a Farkas vector whose ray
+        # product is about -2e-17: read as zero, no LP runs; read as negative,
+        # the arbiter must decide the same faces
+        inst = diag_family(5, 2, 3, 2)[1]
+        gd = gamma.build_gamma_data(inst)
+        rep = exactness.check_obj_strong(inst, gd)
+        assert rep.details["lp_calls"] == 0 and rep.face_records[8].sub_verdict == "PASS"
+        monkeypatch.setattr(exactness, "ROUND", 0.0)
+        strict = exactness.check_obj_strong(inst, gd)
+        assert strict.details["lp_calls"] >= 1
+        assert [r.sub_verdict for r in strict.face_records] == \
+            [r.sub_verdict for r in rep.face_records]
+
+    @pytest.mark.parametrize("distance,verdict,lps", [
+        (0.5 * exactness.STRICT_TOL, "FAILS", 0),
+        (1.5 * exactness.STRICT_TOL, "HOLDS", 1),
+    ])
+    def test_face_at_strict_tol(self, distance, verdict, lps):
+        # one vertex whose linear term is `distance`: the combination settles
+        # a miss below STRICT_TOL, and just above it only the LP can tell
+        inst = model.QcqpInstance(1, q([[0.0]], [distance], 0.0), (q([[1.0]], [0.0], -1.0),))
+        face = gamma.FaceDescriptor(0, (0,), "SEMIDEFINITE", None, np.eye(1),
+                                    (np.zeros(1),), ())
+        gd = gamma.GammaData((np.array([1.0, 0.0]),), (face,), "DIAGONAL_AUTO", None)
+        rep = exactness.check_obj_strong(inst, gd)
+        assert (rep.verdict, rep.details["lp_calls"]) == (verdict, lps)
+        assert rep.verdict == exactness._face_walk("obj_strong", inst, gd,
+                                                   _reference_strong_lp).verdict
+
+    def test_burer_ye_scale_free(self):
+        # at s = 1e-6 the LP with rows as given read FAILS on these inputs
+        # (HiGHS's absolute tolerance against right-hand sides of order 1e-6);
+        # with unit rows they read as at s = 1
+        d2 = diag_family(0, 150, 2, 1)
+        insts = [make_gtrs(seed) for seed in (24, 29, 31, 44, 48)] + \
+            [d2[i] for i in (79, 114, 116, 147)]
+        for k, inst in enumerate(insts):
+            unit = exactness.check_burer_ye_diag(inst)
+            small = exactness.check_burer_ye_diag(_scaled(inst, 1e-6))
+            assert unit.verdict == "HOLDS" and small.verdict == "HOLDS", k
+            assert _reference_burer_ye(_scaled(inst, 1e-6)), k
 
 
 class TestQem:
