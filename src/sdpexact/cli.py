@@ -123,8 +123,6 @@ def _cmd_check(args) -> int:
         if args.x is None or args.t is None:
             raise InputError("ch-point requires --x and --t")
         x = [float(v) for v in args.x.split(",")]
-        if len(x) != inst.n:
-            raise InputError(f"--x has {len(x)} entries, the instance has n = {inst.n}")
         gd = gamma.build_gamma_data(inst, gens)
         verdict, witness = exactness.check_ch_general_pointwise(inst, gd, x, args.t)
         _report_line("verdict", verdict)

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from . import gamma as gamma_mod
-from . import model, oracles, solver
+from . import linalg, model, oracles, solver
 from .gamma import STRICT_TOL
 
 HIGHS_TOL = 1e-7  # HiGHS's primal feasibility tolerance, which the arbiter LPs run with
@@ -425,8 +425,7 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     if model.epigraph_member(inst, x_hat, t_hat):
         return "IN_D", None
     # aggregated value per generator: g_obj*(q_obj(x)-t) + sum g_i q_i(x)
-    z = np.append(x_hat, 1.0)
-    vals = inst.forms @ z @ z
+    vals = np.array([linalg.form_values(F, x_hat) for F in inst.forms])
     vals[0] -= t_hat
     g = np.array(gd.generators)
     tight = g[g @ vals >= -STRICT_TOL * np.maximum(1.0, np.linalg.norm(g, axis=1))]

@@ -60,6 +60,28 @@ def rank_cut(w) -> float:
     return RANK_TOL * float(np.max(np.abs(w)))
 
 
+def form_values(F, xs):
+    """z^T F z on coordinate arrays xs that broadcast together: an open mesh
+    (np.ix_), the rows of a (dim, N) array of point columns, or one point.
+
+    With len(xs) = dim, z = xs (a homogeneous form); with len(xs) = dim - 1,
+    z = (xs, 1), so F = [[A, b], [b^T, c]] gives x^T A x + 2 b^T x + c.  The
+    sum is c + sum_i (A_ii x_i + 2 b_i) x_i + sum_{i<j} 2 A_ij x_i x_j, zero
+    cross terms skipped, so a diagonal form costs O(dim) array operations.
+    """
+    d = len(xs)
+    if F.shape[0] not in (d, d + 1):
+        raise ValueError(f"{d} coordinates for a form of order {F.shape[0]}")
+    v = F[d, d] if F.shape[0] > d else 0.0
+    for i, xi in enumerate(xs):
+        lin = 2.0 * F[i, d] if F.shape[0] > d else 0.0
+        v = v + (F[i, i] * xi + lin) * xi
+        for j in range(i + 1, d):
+            if F[i, j]:
+                v = v + (2.0 * F[i, j] * xi) * xs[j]
+    return v
+
+
 def binary_quadratic_resultant(q1, q2) -> float:
     """Resultant of two binary quadratic forms.
 

@@ -51,10 +51,14 @@ class QuadraticForm:
 
 
 def eval_form(q: QuadraticForm, x) -> float:
+    return float(linalg.form_values(q.embed(), _point(x, q.n)))
+
+
+def _point(x, n: int, finite: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != q.n:
-        raise ValueError(f"x has length {x.shape[0]}, form has dimension {q.n}")
-    return float(x @ q.A @ x + 2.0 * q.b @ x + q.c)
+    if x.shape[0] != n or (finite and not np.all(np.isfinite(x))):
+        raise ValueError(f"x must have {n} {'finite ' * finite}entries, got {x.tolist()}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -111,18 +115,37 @@ def aggregate(inst: QcqpInstance, g) -> np.ndarray:
     return g[0] * inst.forms[0] + acc
 
 
+def scan(inst: QcqpInstance, xs, slack: float):
+    """Feasibility mask and objective values on the coordinate arrays xs.
+
+    xs is an open mesh (np.ix_), the rows of an (n, N) array of point
+    columns, or one point (``linalg.form_values``); both results have the
+    broadcast shape.  A point is feasible when every inequality form is at
+    most `slack` and every equality form is within `slack` of zero.
+    """
+    vals = linalg.form_values(inst.forms[0], xs)
+    ok = np.ones(np.shape(vals), dtype=bool)
+    for F in inst.forms[1:1 + inst.m_i]:
+        ok &= linalg.form_values(F, xs) <= slack
+    for F in inst.forms[1 + inst.m_i:]:
+        ok &= np.abs(linalg.form_values(F, xs)) <= slack
+    return ok, vals
+
+
 def is_feasible(inst: QcqpInstance, x) -> bool:
-    for q in inst.inequalities:
-        if eval_form(q, x) > FEAS_TOL:
-            return False
-    for q in inst.equalities:
-        if abs(eval_form(q, x)) > FEAS_TOL:
-            return False
-    return True
+    """Whether x satisfies every constraint within FEAS_TOL; ValueError
+    unless x has n finite entries."""
+    return bool(scan(inst, _point(x, inst.n, finite=True), FEAS_TOL)[0])
 
 
 def epigraph_member(inst: QcqpInstance, x, t) -> bool:
-    return is_feasible(inst, x) and eval_form(inst.objective, x) <= float(t) + FEAS_TOL
+    """Whether x is feasible with q_obj(x) <= t + FEAS_TOL; ValueError unless
+    x has n finite entries and t is finite."""
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    ok, val = scan(inst, _point(x, inst.n, finite=True), FEAS_TOL)
+    return bool(ok and val <= t + FEAS_TOL)
 
 
 def congruence_transform(inst: QcqpInstance, P) -> QcqpInstance:

@@ -27,53 +27,16 @@ class CompareReport:
 
 
 def _feasibility_slack(inst, resolution: float) -> float:
-    curv = max(
-        (np.linalg.norm(q.A, 2) for q in inst.constraints), default=0.0
-    )
+    n = inst.n
+    curv = np.max(np.linalg.norm(inst.forms[1:, :n, :n], 2, axis=(1, 2)), initial=0.0)
+    lin = np.max(np.linalg.norm(inst.forms[1:, :n, n], axis=1), initial=0.0)
     # equality-constrained sets are measure zero; scale the accept band with
     # the grid cell so tight constraints keep representatives
-    return max(1e-8, curv * inst.n * resolution**2 * 4.0 + 2.0 * resolution * max(
-        (np.linalg.norm(q.b) for q in inst.constraints), default=0.0))
+    return max(1e-8, curv * n * resolution**2 * 4.0 + 2.0 * resolution * lin)
 
 
 def _axes(box, resolution: float):
     return [np.arange(lo, hi + resolution / 2, resolution) for lo, hi in box]
-
-
-def _form_values(q, xs):
-    """x^T A x + 2 b^T x + c on coordinate arrays xs that broadcast together,
-    as c + sum_i (A_ii x_i + 2 b_i) x_i + sum_{i<j} 2 A_ij x_i x_j; zero
-    cross terms are skipped."""
-    v = q.c
-    for i, xi in enumerate(xs):
-        v = v + (q.A[i, i] * xi + 2.0 * q.b[i]) * xi
-        for j in range(i + 1, len(xs)):
-            if q.A[i, j]:
-                v = v + (2.0 * q.A[i, j] * xi) * xs[j]
-    return v
-
-
-def homogeneous_values(M, xs):
-    """z^T M z on coordinate arrays xs: the form with A = M, b = 0, c = 0."""
-    return _form_values(model.QuadraticForm(M, np.zeros(len(xs)), 0.0), xs)
-
-
-def _scan(inst, xs, slack: float):
-    """Feasibility mask and objective values on the coordinate arrays xs.
-
-    xs holds one array per variable, either an open mesh (np.ix_) or the
-    columns of a point matrix; both results have their broadcast shape.  A
-    point is feasible when every inequality form is at most `slack` and
-    every equality form is within `slack` of zero; callers pass
-    _feasibility_slack at their grid resolution.
-    """
-    vals = _form_values(inst.objective, xs)
-    ok = np.ones(np.shape(vals), dtype=bool)
-    for q in inst.inequalities:
-        ok &= _form_values(q, xs) <= slack
-    for q in inst.equalities:
-        ok &= np.abs(_form_values(q, xs)) <= slack
-    return ok, vals
 
 
 _SLAB_POINTS = 1 << 18  # grid points evaluated at once: 2 MiB per float array
@@ -95,7 +58,7 @@ def grid_opt(inst, box):
     best, arg = np.inf, None
     for lo in range(0, axes[0].size, rows):
         slab = [axes[0][lo:lo + rows], *axes[1:]]
-        ok, vals = _scan(inst, np.ix_(*slab), slack)
+        ok, vals = model.scan(inst, np.ix_(*slab), slack)
         vals = np.where(ok, vals, np.inf)
         idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[idx] < best:  # strict, so ties keep the earlier slab's point
@@ -124,8 +87,8 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0,
     z = z[nrm > 1e-9] / nrm[nrm > 1e-9][:, None]
     viol = np.zeros(z.shape[0])
     for M in Mlist:
-        viol = np.maximum(viol, homogeneous_values(M, z.T))
-    all_vals = homogeneous_values(C, z.T)
+        viol = np.maximum(viol, linalg.form_values(M, z.T))
+    all_vals = linalg.form_values(C, z.T)
 
     best_val = np.inf
     best_vec = None
@@ -180,8 +143,8 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0,
         if nrm < 1e-9:
             continue
         v = res.x / nrm
-        if all(float(v @ M @ v) <= SPHERE_SLACK for M in Mlist):
-            cand = float(v @ C @ v)
+        if all(linalg.form_values(M, v) <= SPHERE_SLACK for M in Mlist):
+            cand = float(linalg.form_values(C, v))
             if cand < best_val:
                 best_val = cand
                 best_vec = v
@@ -242,7 +205,7 @@ def conv_membership_sample(inst, x, t, n_samples: int = 2000):
     fill = -r + 2.0 * r * rng.random((n_samples, inst.n))
     grids = np.meshgrid(*_axes([(-r, r)] * inst.n, step), indexing="ij")
     pts = np.vstack([np.stack([g.reshape(-1) for g in grids], axis=1), fill])
-    ok, vals = _scan(inst, pts.T, _feasibility_slack(inst, step))
+    ok, vals = model.scan(inst, pts.T, _feasibility_slack(inst, step))
     if not np.any(ok):
         return "NOT_SHOWN"
     N = int(ok.sum())

@@ -114,17 +114,12 @@ def build_rtls(data_rows, rhs, radius: float) -> RatioProblem:
 
 
 def rtls_grid_value(data_rows, rhs, radius: float) -> float:
-    """Brute-force ratio value over the ball (dimension <= 2, grid step 0.01)."""
-    A = np.asarray(data_rows, dtype=float)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
-    q = A.shape[1]
-    if q > 2:
+    """Brute-force ratio value over the ball (dimension <= 2, grid step 0.01),
+    on an open mesh over ``build_rtls``'s own matrices."""
+    p = build_rtls(data_rows, rhs, radius)
+    if p.dim > 3:
         raise ValueError("grid limited to 2 variables")
-    axes = [np.arange(-radius, radius + 0.005, 0.01) for _ in range(q)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    pts = pts[np.sum(pts**2, axis=1) <= radius**2 + 1e-12]
-    resid = pts @ A.T - b
-    num = np.sum(resid**2, axis=1)
-    den = np.sum(pts**2, axis=1) + 1.0
-    return float(np.min(num / den))
+    xs = np.ix_(*[np.arange(-radius, radius + 0.005, 0.01)] * (p.dim - 1))
+    inside = linalg.form_values(p.mset.matrices[0], xs) <= 1e-12
+    ratios = linalg.form_values(p.M_obj, xs) / linalg.form_values(p.B, xs)
+    return float(np.min(ratios[inside]))

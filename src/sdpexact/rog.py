@@ -535,7 +535,7 @@ def _match(M1, M2, target):
     ring = np.outer(pos[:, 0], np.cos(th)) + np.outer(pos[:, -1], np.sin(th))
     X = np.hstack([ring + neg[:, [j]] for j in range(neg.shape[1])])
     k = int(np.argmax(np.abs(target)))
-    vals = oracles.homogeneous_values((M1, M2)[k], X) * np.sign(target[k])
+    vals = linalg.form_values((M1, M2)[k], X) * np.sign(target[k])
     j = int(np.argmax(vals / np.sum(X * X, axis=0)))
     if vals[j] <= 0.0:
         return None

@@ -316,27 +316,25 @@ def solve_opt_sdp(inst):
 def dsdp_membership(inst, x, t) -> bool:
     """Whether (x, t) belongs to the projected feasible region of the relaxation.
 
-    Solves a feasibility program with the last row/column of Z pinned to
-    (x, 1) and the objective row relaxed to <M_obj, Z> <= t, to accuracy
-    1e-6; the point belongs when the primal residual is at most 1e-5.
-    ValueError unless x has exactly n finite entries.
+    Some Z = [[X, x], [x^T, 1]] is PSD exactly when Y = X - x x^T is (Schur
+    complement), and <F_k, Z> = <A_k, Y> + q_k(x).  So the point belongs when
+    some PSD Y of order n has <A_k, Y> <= -q_k(x) (= for equality rows) and
+    <A_obj, Y> <= t - q_obj(x).  That program, with objective tr Y to keep
+    iterates tame, is solved to accuracy 1e-6; the point belongs when the
+    primal residual is at most 1e-5.  ValueError unless x has exactly n
+    finite entries and t is finite.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    n = inst.n
-    if x.shape[0] != n or not np.all(np.isfinite(x)):
-        raise ValueError(f"x must have {n} finite entries, got {x.tolist()}")
-    rel = relaxation_program(inst)
-    *cons, corner = rel.constraints
-    cons.append(Constraint(rel.objective_matrix, "LE", float(t)))
-    for j in range(n):
-        E = np.zeros((n + 1, n + 1))
-        E[j, n] = 0.5
-        E[n, j] = 0.5
-        cons.append(Constraint(E, "EQ", float(x[j])))
-    cons.append(corner)
-    # Bounded surrogate objective: minimize tr Z to keep iterates tame.
-    prog = ConicProgram(dim=n + 1, objective_matrix=np.eye(n + 1), constraints=tuple(cons))
-    sol = solve(prog, eps=1e-6)
+    n, t = inst.n, float(t)
+    if x.shape[0] != n or not np.all(np.isfinite(x)) or not np.isfinite(t):
+        raise ValueError(f"membership needs x with {n} finite entries and a finite t, "
+                         f"got x = {x.tolist()}, t = {t}")
+    q = np.array([linalg.form_values(F, x) for F in inst.forms])
+    q[0] -= t
+    cons = [Constraint(F[:n, :n], sense, -qk)
+            for F, sense, qk in zip(inst.forms, ("LE", *inst.senses), q)]
+    sol = solve(ConicProgram(dim=n, objective_matrix=np.eye(n), constraints=tuple(cons)),
+                eps=1e-6)
     if sol.status in (SolveStatus.OPTIMAL, SolveStatus.MAX_ITER):
         return sol.primal_residual <= 1e-5
     return False

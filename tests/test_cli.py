@@ -84,10 +84,10 @@ class TestCheck:
         assert "lp_calls: 0" in capsys.readouterr().out.splitlines()
 
     def test_ch_point(self, instance_file, capsys):
+        # (0, 0, 2) is on the relaxation's boundary: t = opt_sdp
         rc = cli.main(["check", "ch-point", instance_file, "--x", "0,0", "--t", "2"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "verdict:" in out
+        assert "verdict: PASS" in capsys.readouterr().out.splitlines()
 
     def test_ch_point_requires_coordinates(self, instance_file, capsys):
         assert cli.main(["check", "ch-point", instance_file]) == 2
@@ -247,9 +247,10 @@ BAD_DIAG = {"kind": "diag", "data": 5}
     ["rog", "probe", "diag:1,-1,1,1,1", "diag:1,1,1,-1,1"],
     ["rog", "pair", "diag:1e400,1", "diag:1,1"],
     ["check", "ch-point", "{explicit}", "--x", "0", "--t", "2"],
+    ["check", "ch-point", "{explicit}", "--x", "0,0", "--t", "nan"],
 ], ids=["solve-bad-matrix", "ratio-bad-matrix", "non-numeric", "ragged",
         "dimension-mismatch", "asymmetric", "probe-5x5", "non-finite",
-        "point-length"])
+        "point-length", "point-value-nan"])
 def test_malformed_input_exits_2(argv, instance_file, tmp_path, capsys):
     instance = tmp_path / "instance.json"
     instance.write_text(json.dumps({"n": 2, "objective": {"A": BAD_DIAG}}))

@@ -43,6 +43,17 @@ class TestSym:
         assert linalg.sym(3.0).shape == (1, 1)
 
 
+class TestFormValues:
+    def test_coordinate_count_checked(self):
+        # dim coordinates read as z, dim - 1 as (x, 1); nothing else
+        F = np.eye(3)
+        assert linalg.form_values(F, [1.0, 2.0, 3.0]) == 14.0
+        assert linalg.form_values(F, [1.0, 2.0]) == 6.0
+        for xs in ([1.0], [1.0] * 4):
+            with pytest.raises(ValueError):
+                linalg.form_values(F, xs)
+
+
 class TestEig:
     def test_diagonal_matrix_sorted(self):
         spec = linalg.eig_sym(np.diag([3.0, 1.0, 2.0]))

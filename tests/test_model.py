@@ -113,6 +113,20 @@ class TestFeasibility:
         assert model.epigraph_member(inst, [1.0, 1.0], 5.0)
         assert not model.epigraph_member(inst, [1.0, 1.0], 1.9)
 
+    @pytest.mark.parametrize("x", [[np.nan, np.nan], [np.inf, 0.0], [0.0], [0.0, 0.0, 1.0]])
+    def test_point_of_wrong_length_or_not_finite_rejected(self, x):
+        # a NaN compares false with every bound, so it must not read feasible
+        inst = make_explicit_instance()
+        with pytest.raises(ValueError):
+            model.is_feasible(inst, x)
+        with pytest.raises(ValueError):
+            model.epigraph_member(inst, x, 5.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_epigraph_value_not_finite_rejected(self, t):
+        with pytest.raises(ValueError):
+            model.epigraph_member(make_explicit_instance(), [1.0, 1.0], t)
+
 
 class TestCongruence:
     def test_eval_invariance(self):

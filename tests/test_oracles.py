@@ -9,7 +9,7 @@ import scipy.optimize
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdpexact import model, oracles, solver
+from sdpexact import linalg, model, oracles, solver
 from conftest import q, make_explicit_instance, make_gtrs, random_sym
 
 
@@ -31,31 +31,38 @@ def scan_cases(draw):
         tuple(form() for _ in range(draw(st.integers(1, 2)))),
         tuple(form() for _ in range(draw(st.integers(1, 2)))))
     r = draw(st.sampled_from((1.0, 2.0)))
-    extra = draw(hnp.arrays(np.int64, (draw(st.integers(0, 20)), n),
-                            elements=st.integers(-8, 8))) * (r / 8.0)
-    return inst, [(-r, r)] * n, draw(st.sampled_from((0.25, 0.5))), extra
+    def points(dim):
+        return draw(hnp.arrays(np.int64, (draw(st.integers(0, 20)), dim),
+                               elements=st.integers(-8, 8))) * (r / 8.0)
+
+    # extra points x, and homogeneous points z with no trailing 1
+    return (inst, [(-r, r)] * n, draw(st.sampled_from((0.25, 0.5))),
+            points(n), points(n + 1))
 
 
 class TestScan:
     @given(scan_cases())
-    def test_mask_matches_per_point_eval_form(self, case):
-        inst, box, res, extra = case
+    def test_mask_matches_per_point_values(self, case):
+        inst, box, res, extra, hom = case
         slack = oracles._feasibility_slack(inst, res)
         axes = oracles._axes(box, res)
         mesh = np.array(list(itertools.product(*axes)))  # C order
-        # an open mesh, and the columns of a point matrix
+        # an open mesh, and the columns of a point matrix, against z^T F z
+        # per point with z = (x, 1); every value is exact
         for xs, pts in ((np.ix_(*axes), mesh), (extra.T, extra)):
-            ok, vals = oracles._scan(inst, xs, slack)
+            ok, vals = model.scan(inst, xs, slack)
             assert ok.shape == vals.shape == np.broadcast_shapes(
                 *(np.shape(x) for x in xs))
-            want = [all(model.eval_form(g, p) <= slack for g in inst.inequalities)
-                    and all(abs(model.eval_form(g, p)) <= slack
-                            for g in inst.equalities)
-                    for p in pts]
-            assert ok.reshape(-1).tolist() == want
-            assert np.allclose(vals.reshape(-1),
-                               [model.eval_form(inst.objective, p) for p in pts],
-                               rtol=0.0, atol=1e-12)
+            z = np.hstack([pts, np.ones((len(pts), 1))])
+            F = np.einsum("pi,kij,pj->kp", z, inst.forms, z)
+            want = ((F[1:1 + inst.m_i] <= slack).all(axis=0)
+                    & (np.abs(F[1 + inst.m_i:]) <= slack).all(axis=0))
+            assert ok.reshape(-1).tolist() == want.tolist()
+            assert vals.reshape(-1).tolist() == F[0].tolist()
+        # homogeneous point columns: z^T F z itself
+        want = np.einsum("pi,kij,pj->kp", hom, inst.forms, hom)
+        for F, w in zip(inst.forms, want):
+            assert np.reshape(linalg.form_values(F, hom.T), -1).tolist() == w.tolist()
 
 
 class TestGrid:

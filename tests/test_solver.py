@@ -362,7 +362,43 @@ class TestRelaxation:
                 assert val <= model.eval_form(inst.objective, x) + 1e-4
 
 
+def _reference_membership(inst, x, t):
+    """The lifted order-(n+1) membership program: the last row and column of
+    Z pinned to (x, 1) by n + 1 EQ rows, <M_obj, Z> <= t, objective tr Z,
+    with the thresholds of ``solver.dsdp_membership``."""
+    n = inst.n
+    rel = solver.relaxation_program(inst)
+    *cons, corner = rel.constraints
+    cons.append(solver.Constraint(rel.objective_matrix, "LE", float(t)))
+    for j in range(n):
+        E = np.zeros((n + 1, n + 1))
+        E[j, n] = E[n, j] = 0.5
+        cons.append(solver.Constraint(E, "EQ", float(x[j])))
+    cons.append(corner)
+    prog = solver.ConicProgram(dim=n + 1, objective_matrix=np.eye(n + 1),
+                               constraints=tuple(cons))
+    sol = solver.solve(prog, eps=1e-6)
+    if sol.status in (solver.SolveStatus.OPTIMAL, solver.SolveStatus.MAX_ITER):
+        return sol.primal_residual <= 1e-5
+    return False
+
+
 class TestMembership:
+    def test_agrees_with_lifted_program(self):
+        # each instance's Shor optimum x* at t = opt_sdp (the boundary) and
+        # above it, and x* moved off the projection
+        inst_list = [make_explicit_instance(), make_gtrs(0), make_gtrs(3),
+                     model.QcqpInstance(1, q([[1.0]], [0], 0), (q([[1.0]], [0], -1.0),))]
+        got = []
+        for inst in inst_list:
+            val, Z, _ = solver.solve_opt_sdp(inst)
+            x = Z[:-1, -1]
+            for pt in ((x, val), (x, val + 0.1), (x + 2.0, val + 10.0)):
+                got.append((solver.dsdp_membership(inst, *pt), _reference_membership(inst, *pt)))
+        # x* + 2 leaves the ball of the last three instances
+        want = [True, True, True] + [True, True, False] * 3
+        assert got == [(w, w) for w in want]
+
     def test_relaxation_points(self):
         inst = make_explicit_instance()
         assert solver.dsdp_membership(inst, [0.0, 0.0], 2.0)
@@ -379,3 +415,8 @@ class TestMembership:
         # n = 2 over the unit ball: [0, 0, 5] is not read as (0, 0)
         with pytest.raises(ValueError):
             solver.dsdp_membership(make_gtrs(0), x, 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_t_not_finite_rejected(self, t):
+        with pytest.raises(ValueError):
+            solver.dsdp_membership(make_gtrs(0), [0.0, 0.0], t)
