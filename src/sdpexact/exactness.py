@@ -1,10 +1,12 @@
 """Face-based exactness conditions for the lifted relaxation.
 
-Each check walks the semidefinite faces of the multiplier cone and decides a
-linear-algebraic condition on the slice {gamma : (1, gamma) in F} and the
-shared kernel V(F).  Verdicts are HOLDS / FAILS / NOT_APPLICABLE; FAILS
-carries the violating multiplier, HOLDS carries per-face witnesses where the
-condition is existential.
+Each check walks the semidefinite faces of the multiplier cone that are
+maximal for their shared kernel V(F) (``gamma.build_gamma_data``; a condition
+that passes on such a face passes on every face inside it with the same V(F))
+and decides a linear-algebraic condition on the slice {gamma : (1, gamma) in
+F} and V(F).  Verdicts are HOLDS / FAILS / NOT_APPLICABLE; FAILS carries the
+violating multiplier, HOLDS carries per-face witnesses where the condition is
+existential.
 
 The strong, weak and Burer-Ye conditions are small polyhedral feasibility
 questions.  Each is first put as "is f in cone(columns of E)?" and settled
@@ -46,7 +48,6 @@ class ExactnessReport:
     verdict: str  # "HOLDS" | "FAILS" | "NOT_APPLICABLE"
     face_records: list = field(default_factory=list)
     provenance: str = ""
-    threshold: float = STRICT_TOL
     details: dict = field(default_factory=dict)
 
 
@@ -120,10 +121,12 @@ def _solves(E, x, f) -> bool:
 
 
 def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> ExactnessReport:
-    """Bookkeeping shared by the face-based checks.
+    """Bookkeeping shared by the face-based checks, over ``gd.faces``: the
+    faces maximal for their V(F), so the verdict is the AND over them.
 
     NOT_APPLICABLE, with ``gd.reason``, when the face checks do not apply.
-    Non-semidefinite faces are SKIPPED and faces with an empty slice PASS.
+    Non-semidefinite faces (only the full support, when Assumption 1 holds)
+    are SKIPPED and faces with an empty slice PASS.
     Every other face is handed to decide(B, verts, rays), which sees the
     V(F) basis B and the slice linear terms at x = 0 projected onto it
     (``_slice_terms``) and returns (passed, vector, lp_calls): the vector is

@@ -6,6 +6,14 @@ aggregated matrix gamma_obj*A_obj + A(gamma) is PSD.  For instances whose
 quadratic terms are all diagonal the PSD condition reduces to n linear rows,
 so the cone is polyhedral with an explicit H-representation; otherwise the
 caller must supply a generator list and the analysis is relative to it.
+
+The face conditions pass on a face whenever they pass on a larger face with
+the same shared kernel V(F), so only the faces maximal for their V(F) are
+built: the closed supports of one kernel closure over the generators'
+aggregates (``_closed_supports``), with no face lattice.  Every PSD test
+(the kernel, definiteness, closure membership, ``verify_generator``) cuts
+at STRICT_TOL times the reference scale sum_g sum_j |g_j| ||A_j||_2 of the
+generators it reads.
 """
 
 from __future__ import annotations
@@ -141,9 +149,18 @@ def dd_extreme_rays(rows) -> list:
     return out
 
 
+def _references(inst: model.QcqpInstance, gens) -> np.ndarray:
+    """sum_j |g_j| ||A_j||_2 for each generator g of gens.  Their sum, the
+    reference scale of gens, bounds the spectral norm of the summed
+    aggregate and scales with the forms; every PSD cut below is STRICT_TOL
+    times it."""
+    norms = np.linalg.svd(inst.forms[:, : inst.n, : inst.n], compute_uv=False)[:, 0]
+    return np.abs(np.reshape(gens, (-1, inst.m + 1))) @ norms
+
+
 def verify_generator(inst: model.QcqpInstance, ray) -> bool:
     """ray lies in the cone: signs hold and no eigenvalue of its aggregate is
-    below -STRICT_TOL times the spectrum scale."""
+    below -STRICT_TOL times its reference scale."""
     ray = np.asarray(ray, dtype=float).reshape(-1)
     if ray.shape[0] != inst.m + 1:
         return False
@@ -152,28 +169,24 @@ def verify_generator(inst: model.QcqpInstance, ray) -> bool:
     if np.any(ray[1 : 1 + inst.m_i] < -STRICT_TOL):
         return False
     w = linalg.eig_sym(model.aggregate(inst, ray)[: inst.n, : inst.n]).eigenvalues
-    return bool(w[0] >= -STRICT_TOL * _spectrum_scale(w))
-
-
-def _spectrum_scale(w) -> float:
-    """The spectrum scale max(1, max |lambda|) of the eigenvalues w."""
-    return max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    return bool(w[0] >= -STRICT_TOL * _references(inst, ray).sum())
 
 
 def classify_face(inst: model.QcqpInstance, gens_on_face):
     """(classification, witness, V(F)) of the face spanned by gens_on_face,
-    from one eigendecomposition of the aggregate of the generator mean.
+    from one eigendecomposition of the sum of their aggregates.
 
-    The aggregates are PSD, so the mean is PD iff some conic combination is
-    (DEFINITE, with the mean as witness and an empty V(F)), and the shared
-    kernel of the aggregates is the kernel of the mean's aggregate: the
-    eigenvectors with |lambda| <= ``linalg.rank_cut``.
+    The aggregates are PSD, so the sum is PD iff some conic combination is
+    (DEFINITE, with the generator mean as witness and an empty V(F)), and
+    the shared kernel of the aggregates is the kernel of the sum.  Both
+    tests cut at STRICT_TOL times the generators' reference scale.
     """
-    mix = np.mean(gens_on_face, axis=0)
-    w, V = linalg.eig_sym(model.aggregate(inst, mix)[: inst.n, : inst.n])
-    if w[0] > STRICT_TOL * _spectrum_scale(w):
-        return "DEFINITE", mix, np.zeros((inst.n, 0))
-    return "SEMIDEFINITE", None, V[:, np.abs(w) <= linalg.rank_cut(w)]
+    gens = np.reshape(gens_on_face, (-1, inst.m + 1))
+    w, V = linalg.eig_sym(model.aggregate(inst, gens.sum(axis=0))[: inst.n, : inst.n])
+    cut = STRICT_TOL * _references(inst, gens).sum()
+    if w[0] > cut:
+        return "DEFINITE", gens.mean(axis=0), np.zeros((inst.n, 0))
+    return "SEMIDEFINITE", None, V[:, np.abs(w) <= cut]
 
 
 def face_slice_vrep(gens_on_face):
@@ -189,44 +202,56 @@ def face_slice_vrep(gens_on_face):
     return vertices, rays
 
 
-def _face_lattice_from_rows(rows: np.ndarray, gens):
-    """All distinct generator supports obtained by tightening H-rows.
+def _closed_supports(inst: model.QcqpInstance, gens) -> dict:
+    """Every closed generator support, mapped to its ``classify_face``.
 
-    Breadth-first over row intersections starting from the full support;
-    faces with identical supports are merged; the empty support (zero face)
-    is dropped.
+    The closure of a support S is every g whose aggregate A_g vanishes on
+    V(S), read off tr(V(S)^T A_g V(S)) = <A_g, V(S) V(S)^T>, the functional
+    that exposes the face, at the cut of S.  A closed support spans the
+    largest face of cone(gens) with its V(F).  The closed supports are the
+    closures of the single generators and the joins (closures of unions) of
+    those, found by joining each new one with every generator's closure.
     """
-    n_rows = rows.shape[0]
-    gen_active = [_active_set(rows, g) for g in gens]
-    full = frozenset(range(len(gens)))
-    seen = {}
-    queue = [full]
-    while queue:
-        sup = queue.pop()
-        if not sup or sup in seen:
-            continue
-        seen[sup] = True
-        for i in range(n_rows):
-            child = frozenset(k for k in sup if i in gen_active[k])
-            if child and child != sup and child not in seen:
-                queue.append(child)
-    return sorted(seen.keys(), key=lambda s: (len(s), sorted(s)))
+    G = np.reshape(gens, (-1, inst.m + 1))
+    agg = np.einsum("gj,jab->gab", G, inst.forms[:, : inst.n, : inst.n])
+    refs = _references(inst, G)
+    known = {}
+
+    def close(sup):
+        """(classify_face, closure) of the support sup, computed once."""
+        if sup not in known:
+            idx = sorted(sup)
+            face = classify_face(inst, G[idx])
+            exposed = np.einsum("ia,gij,ja->g", face[2], agg, face[2])
+            cut = STRICT_TOL * refs[idx].sum()
+            known[sup] = face, frozenset(np.flatnonzero(exposed <= cut).tolist())
+        return known[sup]
+
+    atoms = {close(frozenset([k]))[1] for k in range(len(G))}
+    closed, todo = set(atoms), list(atoms)
+    while todo:
+        sup = todo.pop()
+        for atom in atoms:
+            join = close(sup | atom)[1]
+            if join not in closed:
+                closed.add(join)
+                todo.append(join)
+    return {sup: close(sup)[0] for sup in closed}
 
 
 def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> GammaData:
-    """Full pipeline: H-rep (diagonal path) or supplied rays, faces, V(F).
-
-    Each face is classified once (``classify_face``); the full generator
-    support is the last face, so its witness is Assumption 1's.  ``reason``
-    says why the face checks do not apply: the error of a non-diagonal
-    instance without generators or of a cone with a lineality space (no
-    generators, no faces), or no PD aggregate (Assumption 1 fails).
+    """Generators (double description on the diagonal path, else the
+    supplied rays, verified) and the faces that decide: the closed supports
+    (``_closed_supports``), ordered by size, so the full support is last and
+    its witness is Assumption 1's.  ``reason`` says why the face checks do
+    not apply: the error of a non-diagonal instance without generators or of
+    a cone with a lineality space (no generators, no faces), or no PD
+    aggregate (Assumption 1 fails).
     """
     if supplied_generators is None:
         provenance = "DIAGONAL_AUTO"
         try:
-            rows = build_gamma_hrep_diag(inst)
-            gens = dd_extreme_rays(rows)
+            gens = dd_extreme_rays(build_gamma_hrep_diag(inst))
         except (NotDiagonalError, NotPointedError) as exc:
             return GammaData((), (), provenance, None, str(exc))
     else:
@@ -235,44 +260,11 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
         if bad:
             raise ValueError(f"supplied generators at indices {bad} fail verification")
         provenance = "GENERATOR_SUPPLIED"
-        # facet normals of cone(gens) recovered by dualizing twice; if the
-        # generated cone is not full-dimensional the lattice degrades to
-        # {singletons, full set}.
-        try:
-            rows = np.array(dd_extreme_rays(np.reshape(gens, (-1, inst.m + 1))))
-        except NotPointedError:
-            rows = None
-
-    if rows is not None and len(rows) > 0:
-        supports = _face_lattice_from_rows(rows, gens)
-    else:
-        supports = [frozenset([k]) for k in range(len(gens))]
-        if len(gens) > 1:
-            supports.append(frozenset(range(len(gens))))
-        supports.sort(key=lambda s: (len(s), sorted(s)))
-
-    faces = []
-    for fid, sup in enumerate(supports):
-        face_gens = [gens[k] for k in sorted(sup)]
-        classification, witness, vf = classify_face(inst, face_gens)
-        vertices, rays_v = face_slice_vrep(face_gens)
-        faces.append(
-            FaceDescriptor(
-                face_id=fid,
-                generator_indices=tuple(sorted(sup)),
-                classification=classification,
-                witness=witness,
-                vf_basis=vf,
-                slice_vertices=tuple(vertices),
-                slice_rays=tuple(rays_v),
-            )
-        )
-
+    closed = _closed_supports(inst, gens)
+    faces = tuple(
+        FaceDescriptor(fid, tuple(sorted(sup)), *closed[sup],
+                       *map(tuple, face_slice_vrep([gens[k] for k in sorted(sup)])))
+        for fid, sup in enumerate(sorted(closed, key=lambda s: (len(s), sorted(s)))))
     witness = faces[-1].witness if faces else None
-    return GammaData(
-        generators=tuple(gens),
-        faces=tuple(faces),
-        provenance=provenance,
-        assumption1_witness=witness,
-        reason=None if witness is not None else "definiteness assumption fails",
-    )
+    return GammaData(tuple(gens), faces, provenance, witness,
+                     None if witness is not None else "definiteness assumption fails")

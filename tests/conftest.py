@@ -78,6 +78,23 @@ def diag_family(seed, count, n, extra):
     return out
 
 
+# d2 instances 0-39 (seed 0, n = 2, one further constraint) and d3 instances
+# 0-19 (seed 5, n = 3, two)
+WEAK_FAMILY = diag_family(0, 40, 2, 1) + diag_family(5, 20, 3, 2)
+
+DIAGONAL_GALLERY = ("centered", "diag_sign_definite", "explicit_sdp",
+                    "gtrs_indefinite", "qmp_k2", "rog_vs_ch", "swiss_cheese_2x2",
+                    "trs_1d")
+
+
+def scaled(inst, s):
+    """inst with every form multiplied by s."""
+    def scale(form):
+        return model.QuadraticForm(s * form.A, s * form.b, s * form.c)
+    return model.QcqpInstance(inst.n, scale(inst.objective), tuple(map(scale, inst.inequalities)),
+                              tuple(map(scale, inst.equalities)))
+
+
 def random_sym(rng, d):
     G = rng.standard_normal((d, d))
     return 0.5 * (G + G.T)

@@ -5,8 +5,8 @@ import pytest
 import scipy.optimize
 
 from sdpexact import exactness, gallery, gamma, model, oracles, solver
-from conftest import (q, diag_family, make_explicit_instance, make_gtrs,
-                      make_lineality_instance, make_separation_instance)
+from conftest import (DIAGONAL_GALLERY, WEAK_FAMILY, q, diag_family, make_explicit_instance,
+                      make_gtrs, make_lineality_instance, make_separation_instance, scaled)
 
 
 _ROTATION = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
@@ -77,14 +77,8 @@ def _reference_weak_face(B, verts, rays):
     return False, None, lps
 
 
-# d2 instances 0-39 and d3 instances 0-19; d2 instance 23 has a semidefinite
-# face whose aggregate is zero up to rounding, so its V(F) is empty
-WEAK_FAMILY = diag_family(0, 40, 2, 1) + diag_family(5, 20, 3, 2)
-
-
 class TestWeakFace:
     def test_sub_verdicts_match_pinned_lps(self):
-        empty_vf = 0
         for k, inst in enumerate(WEAK_FAMILY):
             gd = gamma.build_gamma_data(inst)
             rep = exactness.check_obj_weak(inst, gd)
@@ -92,9 +86,6 @@ class TestWeakFace:
             assert [r.sub_verdict for r in rep.face_records] == \
                 [r.sub_verdict for r in ref.face_records], k
             assert rep.verdict == ref.verdict, k
-            empty_vf += any(f.classification == "SEMIDEFINITE" and f.slice_vertices
-                            and f.vf_basis.shape[1] == 0 for f in gd.faces)
-        assert empty_vf >= 1
 
     def test_at_most_one_lp_per_face(self, monkeypatch):
         calls = []
@@ -126,11 +117,6 @@ class TestChPolyhedral:
         gd = gamma.build_gamma_data(inst)
         rep = exactness.check_ch_polyhedral(inst, gd)
         assert rep.verdict == "HOLDS"
-
-
-DIAGONAL_GALLERY = ("centered", "diag_sign_definite", "explicit_sdp",
-                    "gtrs_indefinite", "qmp_k2", "rog_vs_ch", "swiss_cheese_2x2",
-                    "trs_1d")
 
 
 def _face_instance(key):
@@ -280,14 +266,6 @@ def _coordinates(rep):
     return {key for key in rep.details if key.startswith("coordinate_")}
 
 
-def _scaled(inst, s):
-    """inst with every form multiplied by s."""
-    def scale(form):
-        return model.QuadraticForm(s * form.A, s * form.b, s * form.c)
-    return model.QcqpInstance(inst.n, scale(inst.objective), tuple(map(scale, inst.inequalities)),
-                              tuple(map(scale, inst.equalities)))
-
-
 # the set the certificates are checked on: WEAK_FAMILY, the diagonal gallery
 # and criterion-06 seeds 0-9
 CERTIFICATE_SET = (WEAK_FAMILY + [gallery.load(key)["instance"] for key in DIAGONAL_GALLERY]
@@ -300,7 +278,7 @@ def _with_gamma(insts):
 
 @pytest.fixture(scope="module", params=[1e-6, 1.0, 1e6], ids=["1e-6", "1", "1e6"])
 def certificate_set(request):
-    return _with_gamma(_scaled(inst, request.param) for inst in CERTIFICATE_SET)
+    return _with_gamma(scaled(inst, request.param) for inst in CERTIFICATE_SET)
 
 
 class TestCertificates:
@@ -334,25 +312,28 @@ class TestCertificates:
         assert calls == []
 
     def test_empty_vf_fails_without_lp(self):
-        # d2 instance 23 has a semidefinite face whose V(F) is empty
-        inst = WEAK_FAMILY[23]
-        gd = gamma.build_gamma_data(inst)
-        empty = [f.face_id for f in gd.faces if f.classification == "SEMIDEFINITE"
-                 and f.slice_vertices and f.vf_basis.shape[1] == 0]
-        assert empty
-        for check in (exactness.check_obj_strong, exactness.check_obj_weak):
+        # a semidefinite face with a slice vertex and an empty V(F) has no
+        # nonzero direction and projects every term onto 0: strong and weak
+        # fail it with no LP, as the pinned LPs do
+        inst = model.QcqpInstance(1, q([[0.0]], [1.0], 0.0), (q([[1.0]], [0.0], -1.0),))
+        face = gamma.FaceDescriptor(0, (0,), "SEMIDEFINITE", None, np.zeros((1, 0)),
+                                    (np.zeros(1),), ())
+        gd = gamma.GammaData((np.array([1.0, 0.0]),), (face,), "DIAGONAL_AUTO", None)
+        for check, ref, name in ((exactness.check_obj_strong, _reference_strong_lp, "obj_strong"),
+                                 (exactness.check_obj_weak, _reference_weak_face, "obj_weak")):
             rep = check(inst, gd)
-            assert rep.details["lp_calls"] == 0
-            assert all(rep.face_records[i].sub_verdict == "FAIL" for i in empty)
+            assert (rep.verdict, rep.details["lp_calls"]) == ("FAILS", 0)
+            assert exactness._face_walk(name, inst, gd, ref).verdict == "FAILS"
 
     def test_ray_product_rounding_passes_without_lp(self, monkeypatch):
-        # face 8 of d3 instance 1 passes strong on a Farkas vector whose ray
-        # product is about -2e-17: read as zero, no LP runs; read as negative,
-        # the arbiter must decide the same faces
+        # the face of d3 instance 1 on generators (0, 4) passes strong on a
+        # Farkas vector whose ray product is about -2e-17: read as zero, no LP
+        # runs; read as negative, the arbiter must decide the same faces
         inst = diag_family(5, 2, 3, 2)[1]
         gd = gamma.build_gamma_data(inst)
+        fid = next(f.face_id for f in gd.faces if f.generator_indices == (0, 4))
         rep = exactness.check_obj_strong(inst, gd)
-        assert rep.details["lp_calls"] == 0 and rep.face_records[8].sub_verdict == "PASS"
+        assert rep.details["lp_calls"] == 0 and rep.face_records[fid].sub_verdict == "PASS"
         monkeypatch.setattr(exactness, "ROUND", 0.0)
         strict = exactness.check_obj_strong(inst, gd)
         assert strict.details["lp_calls"] >= 1
@@ -384,9 +365,9 @@ class TestCertificates:
             [d2[i] for i in (79, 114, 116, 147)]
         for k, inst in enumerate(insts):
             unit = exactness.check_burer_ye_diag(inst)
-            small = exactness.check_burer_ye_diag(_scaled(inst, 1e-6))
+            small = exactness.check_burer_ye_diag(scaled(inst, 1e-6))
             assert unit.verdict == "HOLDS" and small.verdict == "HOLDS", k
-            assert _reference_burer_ye(_scaled(inst, 1e-6)), k
+            assert _reference_burer_ye(scaled(inst, 1e-6)), k
 
 
 class TestQem:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from sdpexact import gamma, linalg, model
-from conftest import q, diag_family, make_explicit_instance, make_gtrs
+from sdpexact import exactness, gallery, gamma, linalg, model
+from conftest import (DIAGONAL_GALLERY, WEAK_FAMILY, q, diag_family, make_explicit_instance,
+                      make_gtrs, scaled)
 
 EXPECTED_EXPLICIT_RAYS = [
     np.array([1.0, 0.0, 0.0]),
@@ -140,12 +141,13 @@ class TestGenerators:
 
 class TestFaces:
     def test_explicit_face_lattice(self):
+        # only the faces maximal for their V(F): the zero aggregate (3,) with
+        # V(F) = R^2, (1, 3) and (2, 3) with the two coordinate axes, and the
+        # full support, which is definite
         gd = gamma.build_gamma_data(make_explicit_instance())
-        assert len(gd.faces) == 9
-        supports = {f.generator_indices for f in gd.faces}
-        for k in range(4):
-            assert (k,) in supports
-        assert (0, 1, 2, 3) in supports
+        assert [f.generator_indices for f in gd.faces] == [(3,), (1, 3), (2, 3), (0, 1, 2, 3)]
+        assert [f.classification for f in gd.faces] == ["SEMIDEFINITE"] * 3 + ["DEFINITE"]
+        assert [f.vf_basis.shape[1] for f in gd.faces] == [2, 1, 1, 0]
 
     def test_vf_on_full_kernel_face(self):
         inst = make_explicit_instance()
@@ -197,29 +199,36 @@ class TestFaces:
 
 
 class TestComputedOnce:
-    """Each face is classified, and its V(F) found, from one eigendecomposition,
-    and Assumption 1 is read off the last face (the full generator support)."""
+    """Each support is classified, and its V(F) found, from one
+    eigendecomposition, no support twice, and Assumption 1 is read off the
+    last face (the full generator support)."""
 
     @pytest.fixture
-    def eig_calls(self, monkeypatch):
-        seen = []
-        eig_sym = linalg.eig_sym
+    def calls(self, monkeypatch):
+        eigs, supports = [], []
+        eig_sym, classify_face = linalg.eig_sym, gamma.classify_face
 
-        def counted(S):
-            seen.append(S)
+        def counted_eig(S):
+            eigs.append(S)
             return eig_sym(S)
 
-        monkeypatch.setattr(linalg, "eig_sym", counted)
-        return seen
+        def counted_classify(inst, gens):
+            supports.append(np.asarray(gens).tobytes())
+            return classify_face(inst, gens)
+
+        monkeypatch.setattr(linalg, "eig_sym", counted_eig)
+        monkeypatch.setattr(gamma, "classify_face", counted_classify)
+        return eigs, supports
 
     @pytest.mark.parametrize("make", [make_explicit_instance, lambda: make_gtrs(0),
                                       lambda: diag_family(5, 1, 3, 2)[0]])
-    def test_one_eigendecomposition_per_face(self, eig_calls, make):
+    def test_one_eigendecomposition_per_face(self, calls, make):
+        eigs, supports = calls
         inst = make()
-        eig_calls.clear()
+        eigs.clear()
         gd = gamma.build_gamma_data(inst)
         assert len(gd.faces) >= 2
-        assert len(eig_calls) == len(gd.faces)
+        assert len(eigs) == len(supports) == len(set(supports)) >= len(gd.faces)
         full = gd.faces[-1]
         assert full.generator_indices == tuple(range(len(gd.generators)))
         assert gd.assumption1_witness is full.witness
@@ -237,3 +246,72 @@ class TestComputedOnce:
             assert witness is None and B.shape[1] >= 1
             for g in gens:
                 assert np.linalg.norm(model.aggregate(inst, g)[:-1, :-1] @ B) <= 1e-9
+
+
+def _lattice_gamma_data(inst):
+    """Gamma data as the face lattice gave it: every support reached by
+    tightening H-rows (breadth first), each classified with the DEFINITE cut
+    floored at max(1, max |lambda|) and V(F) cut at ``linalg.rank_cut``."""
+    rows = gamma.build_gamma_hrep_diag(inst)
+    gens = gamma.dd_extreme_rays(rows)
+    active = [{i for i, v in enumerate(rows @ g)
+               if abs(v) <= gamma.RAY_TOL * max(1.0, np.linalg.norm(g))} for g in gens]
+    seen, queue = set(), [frozenset(range(len(gens)))]
+    while queue:
+        sup = queue.pop()
+        if sup and sup not in seen:
+            seen.add(sup)
+            queue += [frozenset(k for k in sup if i in active[k]) for i in range(len(rows))]
+    faces = []
+    for fid, sup in enumerate(sorted(seen, key=lambda s: (len(s), sorted(s)))):
+        on = [gens[k] for k in sorted(sup)]
+        mix = np.mean(on, axis=0)
+        w, V = linalg.eig_sym(model.aggregate(inst, mix)[:-1, :-1])
+        definite = w[0] > gamma.STRICT_TOL * max(1.0, np.abs(w).max())
+        faces.append(gamma.FaceDescriptor(
+            fid, tuple(sorted(sup)), "DEFINITE" if definite else "SEMIDEFINITE",
+            mix if definite else None,
+            V[:, :0] if definite else V[:, np.abs(w) <= linalg.rank_cut(w)],
+            *map(tuple, gamma.face_slice_vrep(on))))
+    witness = faces[-1].witness
+    return gamma.GammaData(tuple(gens), tuple(faces), "DIAGONAL_AUTO", witness,
+                           None if witness is not None else "definiteness assumption fails")
+
+
+def _verdicts(inst, gd):
+    return tuple(check(inst, gd).verdict for check in (
+        exactness.check_obj_strong, exactness.check_obj_weak, exactness.check_ch_polyhedral))
+
+
+# d2 instances with a generator whose aggregate is zero up to rounding: the
+# floored cut read its face SEMIDEFINITE with an empty V(F), failing all three
+KNIFE_EDGE = (23, 86, 89, 111, 147)
+
+
+class TestKernelClosure:
+    """Walking only the faces maximal for their V(F) decides as the whole
+    face lattice did, except where the lattice's floored cut misread a face."""
+
+    def test_verdicts_match_face_lattice(self):
+        insts = (WEAK_FAMILY + [gallery.load(key)["instance"] for key in DIAGONAL_GALLERY]
+                 + [make_gtrs(seed) for seed in range(10)] + diag_family(1, 10, 5, 6))
+        for k, inst in enumerate(insts):
+            want = (("HOLDS", "HOLDS", "FAILS") if k == 23
+                    else _verdicts(inst, _lattice_gamma_data(inst)))
+            assert _verdicts(inst, gamma.build_gamma_data(inst)) == want, k
+
+    def test_knife_edge_instances(self):
+        d2 = diag_family(0, 150, 2, 1)
+        for k in KNIFE_EDGE:
+            assert _verdicts(d2[k], _lattice_gamma_data(d2[k])) == ("FAILS",) * 3, k
+            want = ("HOLDS", "HOLDS", "FAILS")
+            assert _verdicts(d2[k], gamma.build_gamma_data(d2[k])) == want, k
+
+    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    def test_keys_scale_free(self, s):
+        def key(inst):
+            gd = gamma.build_gamma_data(inst)
+            return (gd.reason,) + _verdicts(inst, gd)
+
+        for k, inst in enumerate(WEAK_FAMILY):
+            assert key(scaled(inst, s)) == key(inst), k
