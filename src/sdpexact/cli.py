@@ -142,8 +142,6 @@ def _cmd_check(args) -> int:
         rep = fn(inst, gamma.build_gamma_data(inst, gens))
     _report_line("condition", rep.condition)
     _report_line("verdict", rep.verdict)
-    if "lp_calls" in rep.details:
-        _report_line("lp_calls", rep.details["lp_calls"])
     for fr in rep.face_records:
         _report_line(f"face_{fr.face_id}", f"{fr.classification} {fr.sub_verdict}")
     _write_json(args.json, rep)
@@ -346,7 +344,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InputError and the library's own input checks
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except rog.ConstructionFailed as exc:
+    except RuntimeError as exc:  # rog.ConstructionFailed, or an NNLS without a certificate
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

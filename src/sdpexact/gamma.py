@@ -80,8 +80,12 @@ def _active_set(rows: np.ndarray, r: np.ndarray) -> frozenset:
 
 def dd_extreme_rays(rows) -> list:
     """Extreme rays of the pointed cone {x : rows @ x >= 0} by incremental
-    double description; rows is a 2-D array with one H-row per row."""
+    double description; rows is a 2-D array with one H-row per row.  Each
+    nonzero row is scaled to unit norm first, which leaves the rays alone
+    and puts RAY_TOL on the same footing at every scale of the rows."""
     rows = np.asarray(rows, dtype=float)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows / np.where(norms > 0.0, norms, 1.0)
     dim = rows.shape[1]
     if dim > 12:
         raise ValueError("ambient dimension cap (12) exceeded")

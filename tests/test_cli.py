@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdpexact import cli, gallery, model, rog
-from conftest import make_explicit_instance, make_lineality_instance
+from conftest import make_explicit_instance, make_gtrs, make_lineality_instance, scaled
 
 GALLERY_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
                      / "bench" / "gallery_reference.json")
@@ -78,10 +78,17 @@ class TestCheck:
         assert f"verdict: {verdict}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("which", ["obj-strong", "obj-weak", "burer-ye"])
-    def test_prints_arbiter_lp_count(self, instance_file, capsys, which):
-        # the explicit instance is settled by certificates alone
-        assert cli.main(["check", which, instance_file]) == 0
-        assert "lp_calls: 0" in capsys.readouterr().out.splitlines()
+    def test_output_is_scale_free(self, tmp_path, capsys, which):
+        # centered and criterion-06 seed 24 with every form scaled by 1e-6
+        # print what they print at unit scale
+        for k, inst in enumerate((gallery.load("centered")["instance"], make_gtrs(24))):
+            outs = []
+            for s in (1.0, 1e-6):
+                path = tmp_path / f"{k}_{s}.json"
+                path.write_text(json.dumps(model.instance_to_dict(scaled(inst, s))))
+                assert cli.main(["check", which, str(path)]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] and "verdict: " in outs[0], k
 
     def test_ch_point(self, instance_file, capsys):
         # (0, 0, 2) is on the relaxation's boundary: t = opt_sdp

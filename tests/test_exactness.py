@@ -1,10 +1,12 @@
 """Face-based exactness checks against instances with known behavior."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from sdpexact import exactness, gallery, gamma, model, oracles, solver
+from sdpexact import cli, exactness, gallery, gamma, model, oracles, solver
 from conftest import (DIAGONAL_GALLERY, WEAK_FAMILY, q, diag_family, make_explicit_instance,
                       make_gtrs, make_lineality_instance, make_separation_instance, scaled)
 
@@ -58,12 +60,11 @@ class TestObjWeak:
                         assert float(v @ fr.witness) <= 1e-7
 
 
-def _reference_weak_face(B, verts, rays):
+def _reference_weak_face(B, verts, rays, scale):
     """The weak test as 2 dim V(F) LPs: pin one V(F)-coordinate to +-1, box
     the rest in [-1, 1], and pass iff any LP is feasible."""
     k = B.shape[1]
     rows = np.array(verts + rays)
-    lps = 0
     for j in range(k):
         for sign in (1.0, -1.0):
             bounds = [(-1.0, 1.0)] * k
@@ -71,10 +72,9 @@ def _reference_weak_face(B, verts, rays):
             res = scipy.optimize.linprog(
                 np.zeros(k), A_ub=rows, b_ub=np.zeros(rows.shape[0]),
                 bounds=bounds, method="highs")
-            lps += 1
             if res.status == 0:
-                return True, B @ res.x, lps
-    return False, None, lps
+                return True, B @ res.x
+    return False, None
 
 
 class TestWeakFace:
@@ -88,6 +88,7 @@ class TestWeakFace:
             assert rep.verdict == ref.verdict, k
 
     def test_at_most_one_lp_per_face(self, monkeypatch):
+        # each face is one NNLS solve: no LP runs
         calls = []
         linprog = scipy.optimize.linprog
 
@@ -101,9 +102,7 @@ class TestWeakFace:
             gd = gamma.build_gamma_data(inst)
             calls.clear()
             exactness.check_obj_weak(inst, gd)
-            eligible = sum(f.classification == "SEMIDEFINITE" and bool(f.slice_vertices)
-                           for f in gd.faces)
-            assert len(calls) <= eligible, k
+            assert calls == [], k
 
 
 class TestChPolyhedral:
@@ -208,8 +207,22 @@ class TestBurerYe:
         rep = exactness.check_burer_ye_diag(inst)
         assert rep.verdict == "NOT_APPLICABLE"
 
+    @pytest.mark.parametrize("diag,lin,coords", [
+        ([1.0, 0.0], [0.0, 0.0], {"coordinate_1"}),
+        ([0.0, 0.0], [0.0, 0.0], {"coordinate_0", "coordinate_1"}),
+        ([1.0, 0.0], [0.0, 1.0], set()),
+        ([1.0e-9, 0.0], [0.0, 0.0], {"coordinate_1"}),
+        ([-1.0, 0.0], [0.0, 0.0], set()),
+    ])
+    def test_no_multipliers(self, diag, lin, coords):
+        # with no constraints (1, ()) is in the cone iff the objective is
+        # PSD, and coordinate j fails when its diagonal entry and linear
+        # term both vanish; the general standard form decides this too
+        inst = model.QcqpInstance(2, q(np.diag(diag), lin, 0.0))
+        assert _coordinates(exactness.check_burer_ye_diag(inst)) == coords
 
-def _reference_strong_lp(B, verts, rays):
+
+def _reference_strong_lp(B, verts, rays, scale):
     """The strong test as one L1 LP, min ||sum lambda_j v_j + sum mu_j r_j||_1
     over the simplex and mu >= 0: fail iff the optimum is <= STRICT_TOL."""
     k = B.shape[1]
@@ -225,23 +238,23 @@ def _reference_strong_lp(B, verts, rays):
         np.concatenate([np.zeros(nv + nr), np.ones(2 * k)]), A_eq=A_eq,
         b_eq=np.append(np.zeros(k), 1.0), bounds=[(0, None)] * n_var, method="highs")
     failed = res.status == 0 and res.fun <= exactness.STRICT_TOL
-    return not failed, (res.x[:nv + nr] if failed else None), 1
+    return not failed, (res.x[:nv + nr] if failed else None)
 
 
-def _reference_weak_lp(B, verts, rays):
+def _reference_weak_lp(B, verts, rays, scale):
     """The weak test as a kernel test, then one LP R d <= 0, -1^T R d = 1."""
     k = B.shape[1]
     if k == 0:
-        return False, None, 0
+        return False, None
     R = np.array(verts + rays)
     null = exactness._nullspace(R)
     if null.shape[1]:
-        return True, B @ null[:, 0], 0
+        return True, B @ null[:, 0]
     res = scipy.optimize.linprog(
         np.zeros(k), A_ub=R, b_ub=np.zeros(R.shape[0]),
         A_eq=-R.sum(axis=0, keepdims=True), b_eq=[1.0],
         bounds=[(None, None)] * k, method="highs")
-    return res.status == 0, (B @ res.x if res.status == 0 else None), 1
+    return res.status == 0, (B @ res.x if res.status == 0 else None)
 
 
 def _reference_burer_ye(inst):
@@ -278,83 +291,89 @@ def _with_gamma(insts):
 
 @pytest.fixture(scope="module", params=[1e-6, 1.0, 1e6], ids=["1e-6", "1", "1e6"])
 def certificate_set(request):
-    return _with_gamma(scaled(inst, request.param) for inst in CERTIFICATE_SET)
+    """(inst, gamma data) pairs of CERTIFICATE_SET scaled by s, each with
+    its unscaled pair, which the LP references read."""
+    return list(zip(_with_gamma(scaled(inst, request.param) for inst in CERTIFICATE_SET),
+                    _with_gamma(CERTIFICATE_SET)))
 
 
 class TestCertificates:
-    """The NNLS certificates decide every face and coordinate as the LPs do,
-    and leave no LP to run at unit scale."""
+    """One NNLS solve per face and coordinate decides as the LP formulations
+    do on the unscaled instance, at every scale, and no LP runs."""
 
     def test_sub_verdicts_match_lp_formulations(self, certificate_set):
-        for k, (inst, gd) in enumerate(certificate_set):
+        for k, ((inst, gd), (unit, unit_gd)) in enumerate(certificate_set):
             for check, ref, name in ((exactness.check_obj_strong, _reference_strong_lp, "obj_strong"),
                                      (exactness.check_obj_weak, _reference_weak_lp, "obj_weak")):
-                rep, want = check(inst, gd), exactness._face_walk(name, inst, gd, ref)
+                rep, want = check(inst, gd), exactness._face_walk(name, unit, unit_gd, ref)
                 assert [r.sub_verdict for r in rep.face_records] == \
                     [r.sub_verdict for r in want.face_records], (k, name)
                 assert rep.verdict == want.verdict, (k, name)
-            assert _coordinates(exactness.check_burer_ye_diag(inst)) == _reference_burer_ye(inst), k
+            assert _coordinates(exactness.check_burer_ye_diag(inst)) == _reference_burer_ye(unit), k
 
     def test_no_lp_at_unit_scale(self, monkeypatch):
         pairs = _with_gamma(CERTIFICATE_SET)
-        calls = []
-        linprog = scipy.optimize.linprog
 
-        def counted(*args, **kw):
-            calls.append(1)
-            return linprog(*args, **kw)
+        def refused(*args, **kw):
+            raise AssertionError("an exactness check ran an LP")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", counted)
-        for k, (inst, gd) in enumerate(pairs):
-            reps = (exactness.check_obj_strong(inst, gd), exactness.check_obj_weak(inst, gd),
-                    exactness.check_burer_ye_diag(inst))
-            assert [rep.details["lp_calls"] for rep in reps] == [0, 0, 0], k
-        assert calls == []
+        monkeypatch.setattr(scipy.optimize, "linprog", refused)
+        for inst, gd in pairs:
+            exactness.check_obj_strong(inst, gd)
+            exactness.check_obj_weak(inst, gd)
+            exactness.check_burer_ye_diag(inst)
 
     def test_empty_vf_fails_without_lp(self):
         # a semidefinite face with a slice vertex and an empty V(F) has no
         # nonzero direction and projects every term onto 0: strong and weak
-        # fail it with no LP, as the pinned LPs do
+        # fail it, as the pinned LPs do
         inst = model.QcqpInstance(1, q([[0.0]], [1.0], 0.0), (q([[1.0]], [0.0], -1.0),))
         face = gamma.FaceDescriptor(0, (0,), "SEMIDEFINITE", None, np.zeros((1, 0)),
                                     (np.zeros(1),), ())
         gd = gamma.GammaData((np.array([1.0, 0.0]),), (face,), "DIAGONAL_AUTO", None)
         for check, ref, name in ((exactness.check_obj_strong, _reference_strong_lp, "obj_strong"),
                                  (exactness.check_obj_weak, _reference_weak_face, "obj_weak")):
-            rep = check(inst, gd)
-            assert (rep.verdict, rep.details["lp_calls"]) == ("FAILS", 0)
+            assert check(inst, gd).verdict == "FAILS"
             assert exactness._face_walk(name, inst, gd, ref).verdict == "FAILS"
 
     def test_ray_product_rounding_passes_without_lp(self, monkeypatch):
         # the face of d3 instance 1 on generators (0, 4) passes strong on a
-        # Farkas vector whose ray product is about -2e-17: read as zero, no LP
-        # runs; read as negative, the arbiter must decide the same faces
+        # Farkas vector whose products with E's columns are about +8e-17:
+        # read within the rounding allowance they are zero; with no
+        # allowance neither certificate holds and the split raises
         inst = diag_family(5, 2, 3, 2)[1]
         gd = gamma.build_gamma_data(inst)
         fid = next(f.face_id for f in gd.faces if f.generator_indices == (0, 4))
-        rep = exactness.check_obj_strong(inst, gd)
-        assert rep.details["lp_calls"] == 0 and rep.face_records[fid].sub_verdict == "PASS"
+        assert exactness.check_obj_strong(inst, gd).face_records[fid].sub_verdict == "PASS"
         monkeypatch.setattr(exactness, "ROUND", 0.0)
-        strict = exactness.check_obj_strong(inst, gd)
-        assert strict.details["lp_calls"] >= 1
-        assert [r.sub_verdict for r in strict.face_records] == \
-            [r.sub_verdict for r in rep.face_records]
+        with pytest.raises(RuntimeError):
+            exactness.check_obj_strong(inst, gd)
 
-    @pytest.mark.parametrize("distance,verdict,lps", [
-        (0.5 * exactness.STRICT_TOL, "FAILS", 0),
-        (1.5 * exactness.STRICT_TOL, "HOLDS", 1),
-    ])
-    def test_face_at_strict_tol(self, distance, verdict, lps):
-        # one vertex whose linear term is `distance`: the combination settles
-        # a miss below STRICT_TOL, and just above it only the LP can tell
-        inst = model.QcqpInstance(1, q([[0.0]], [distance], 0.0), (q([[1.0]], [0.0], -1.0),))
+    @staticmethod
+    def _one_term_face(objective_term, constraint_term):
+        """A face with one vertex, gamma = 0, whose projected term is the
+        objective's linear term; the constraint's linear term enters G only."""
+        inst = model.QcqpInstance(1, q([[0.0]], [objective_term], 0.0),
+                                  (q([[1.0]], [constraint_term], -1.0),))
         face = gamma.FaceDescriptor(0, (0,), "SEMIDEFINITE", None, np.eye(1),
                                     (np.zeros(1),), ())
-        gd = gamma.GammaData((np.array([1.0, 0.0]),), (face,), "DIAGONAL_AUTO", None)
+        return inst, gamma.GammaData((np.array([1.0, 0.0]),), (face,), "DIAGONAL_AUTO", None)
+
+    @pytest.mark.parametrize("d", [1e-100, 0.5 * exactness.STRICT_TOL, 1.5 * exactness.STRICT_TOL,
+                                   -1.0, 1e100])
+    def test_face_at_strict_tol(self, d):
+        # the cut is relative to ||G||: a nonzero term alone is no noise
+        inst, gd = self._one_term_face(d, 0.0)
+        assert exactness.check_obj_strong(inst, gd).verdict == "HOLDS"
+        assert exactness._face_walk("obj_strong", scaled(inst, 1.0 / abs(d)), gd,
+                                    _reference_strong_lp).verdict == "HOLDS"
+
+    def test_face_at_strict_tol_rounding_noise(self):
+        # a term at rounding level against ||G|| = 1 reads as zero
+        inst, gd = self._one_term_face(1e-17, 1.0)
         rep = exactness.check_obj_strong(inst, gd)
-        assert (rep.verdict, rep.details["lp_calls"]) == (verdict, lps)
-        assert rep.verdict == exactness._face_walk("obj_strong", inst, gd,
-                                                   _reference_strong_lp).verdict
+        assert rep.verdict == "FAILS"
+        assert rep.face_records[0].violating_multiplier == pytest.approx([1.0])
 
     def test_burer_ye_scale_free(self):
         # at s = 1e-6 the LP with rows as given read FAILS on these inputs
@@ -368,6 +387,42 @@ class TestCertificates:
             small = exactness.check_burer_ye_diag(scaled(inst, 1e-6))
             assert unit.verdict == "HOLDS" and small.verdict == "HOLDS", k
             assert _reference_burer_ye(scaled(inst, 1e-6)), k
+
+
+def _scale_key(inst):
+    """reason, the four verdicts, the per-face sub-verdicts of the three face
+    checks, and each face's class with its dim V(F)."""
+    gd = gamma.build_gamma_data(inst)
+    reps = [check(inst, gd) for check in (exactness.check_obj_strong, exactness.check_obj_weak,
+                                          exactness.check_ch_polyhedral)]
+    return (gd.reason, [rep.verdict for rep in reps], exactness.check_burer_ye_diag(inst).verdict,
+            [[r.sub_verdict for r in rep.face_records] for rep in reps],
+            [(f.classification, f.vf_basis.shape[1]) for f in gd.faces])
+
+
+# the knife-edge d2 and d3 instances, d2 8 and criterion-06 seed 24: inputs
+# whose keys move with s wherever a cut is absolute
+_D2, _D3 = diag_family(0, 150, 2, 1), diag_family(5, 80, 3, 2)
+FIVE_SCALE_SET = ([_D2[i] for i in (8, 23, 85, 86, 89, 90, 111, 115, 145, 147)]
+                  + [_D3[i] for i in (31, 32, 53)] + [make_gtrs(24)])
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_five_scales(self, s):
+        for k, inst in enumerate(FIVE_SCALE_SET):
+            assert _scale_key(scaled(inst, s)) == _scale_key(inst), k
+
+    def test_nnls_without_certificate_raises(self, monkeypatch, tmp_path):
+        # an NNLS point that is no KKT point leaves neither certificate: the
+        # check raises, and the command line reports a verification failure
+        monkeypatch.setattr(scipy.optimize, "nnls", lambda E, f: (np.zeros(E.shape[1]), 0.0))
+        inst, gd = _face_instance("centered")
+        with pytest.raises(RuntimeError, match="KKT"):
+            exactness.check_obj_strong(inst, gd)
+        path = tmp_path / "centered.json"
+        path.write_text(json.dumps(model.instance_to_dict(inst)))
+        assert cli.main(["check", "obj-strong", str(path)]) == cli.EXIT_VERIFICATION
 
 
 class TestQem:

@@ -283,8 +283,11 @@ def _verdicts(inst, gd):
         exactness.check_obj_strong, exactness.check_obj_weak, exactness.check_ch_polyhedral))
 
 
-# d2 instances with a generator whose aggregate is zero up to rounding: the
-# floored cut read its face SEMIDEFINITE with an empty V(F), failing all three
+# d2 instances with a generator whose aggregate is zero up to rounding.  The
+# floored cut reads its face SEMIDEFINITE with an empty V(F), failing all
+# three, when the rounding leaves the aggregate a negative eigenvalue; which
+# instances it misreads depends on the generators' last bits (86 and 147 with
+# double description on unit H-rows)
 KNIFE_EDGE = (23, 86, 89, 111, 147)
 
 
@@ -302,9 +305,13 @@ class TestKernelClosure:
 
     def test_knife_edge_instances(self):
         d2 = diag_family(0, 150, 2, 1)
+        want = ("HOLDS", "HOLDS", "FAILS")
         for k in KNIFE_EDGE:
-            assert _verdicts(d2[k], _lattice_gamma_data(d2[k])) == ("FAILS",) * 3, k
-            want = ("HOLDS", "HOLDS", "FAILS")
+            lattice = _lattice_gamma_data(d2[k])
+            misread = any(f.classification == "SEMIDEFINITE" and f.vf_basis.shape[1] == 0
+                          for f in lattice.faces)
+            assert misread == (k in (86, 147)), k
+            assert _verdicts(d2[k], lattice) == (("FAILS",) * 3 if misread else want), k
             assert _verdicts(d2[k], gamma.build_gamma_data(d2[k])) == want, k
 
     @pytest.mark.parametrize("s", [1e-3, 1e3])
