@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import gamma as gamma_mod
 from . import linalg, model, oracles, solver
@@ -84,6 +83,8 @@ def _cone_split(E, f, scale):
     Neither means NNLS stopped short of its KKT point, and raises
     RuntimeError, as ``nnls`` itself does at its iteration cap.
     """
+    import scipy.optimize
+
     E, f = E / scale, f / scale
     x, _ = scipy.optimize.nnls(E, f)
     y = f - E @ x
@@ -114,6 +115,10 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> Exactne
         rep.details["reason"] = gd.reason
         return rep
     G = _linear_terms(inst, np.zeros(inst.n))
+    # ||G||_F taken on G / max|G|, so no entry squares to 0 or to inf; when
+    # G = 0 every term is 0, which any positive scale decides alike
+    g = np.abs(G).max()
+    norm_G = g * np.linalg.norm(G / g) if g > 0.0 else 1.0
     for face in gd.faces:
         rec = FaceRecord(face.face_id, face.classification, "SKIPPED")
         rep.face_records.append(rec)
@@ -123,9 +128,8 @@ def _face_walk(condition: str, inst, gd: gamma_mod.GammaData, decide) -> Exactne
         if not face.slice_vertices:
             continue
         B, verts, rays = face.vf_basis, face.slice_vertices, face.slice_rays
-        # 0 only when every term is 0, which any positive scale decides alike
-        scale = np.linalg.norm(G) * max([np.hypot(1.0, np.linalg.norm(v)) for v in verts]
-                                        + [np.linalg.norm(r) for r in rays]) or 1.0
+        scale = norm_G * max([np.hypot(1.0, np.linalg.norm(v)) for v in verts]
+                             + [np.linalg.norm(r) for r in rays])
         passed, vec = decide(B, *_slice_terms(G, B, verts, rays), scale)
         if passed:
             rec.witness = vec

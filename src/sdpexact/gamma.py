@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, model
 
@@ -83,6 +82,8 @@ def dd_extreme_rays(rows) -> list:
     double description; rows is a 2-D array with one H-row per row.  Each
     nonzero row is scaled to unit norm first, which leaves the rays alone
     and puts RAY_TOL on the same footing at every scale of the rows."""
+    import scipy.linalg
+
     rows = np.asarray(rows, dtype=float)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows / np.where(norms > 0.0, norms, 1.0)

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg, model
 
@@ -77,6 +76,8 @@ def sphere_min_rank_one(Mset, C, samples: int = 200000, seed: int = 0,
     can only lower the value, v_full <= v_early <= stop_at, so whether the
     value exceeds stop_at reads the same as after the full polish.
     """
+    import scipy.optimize
+
     Mlist = [linalg.sym(M) for M in Mset]
     C = linalg.sym(C)
     d = C.shape[0]
@@ -163,6 +164,8 @@ def _combination_miss(G, target) -> float:
     scaled to sum 1 and the combination is evaluated, so the miss bounds
     the hull LP's optimum whatever the least-squares residual was.
     """
+    import scipy.optimize
+
     w = max(1.0, float(np.abs(G).max()))
     sum_row = np.full(G.shape[1], w)
     sum_row[-1] = 0.0
@@ -192,6 +195,8 @@ def conv_membership_sample(inst, x, t, n_samples: int = 2000):
     solved only when that combination misses by more than MEMBERSHIP_TOL.
     Raises ValueError unless x has n finite entries and t is finite.
     """
+    import scipy.optimize
+
     if inst.n > 3:
         raise ValueError("membership oracle limited to n <= 3")
     x = np.asarray(x, dtype=float).reshape(-1)

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, oracles, solver
 
@@ -455,6 +454,8 @@ def null_set_lines_3d(M1, M2):
     four lines exist; a dependent pair or one admitting a PSD combination or
     a common factor raises ValueError.
     """
+    import scipy.linalg
+
     M1, M2 = linalg.sym(M1), linalg.sym(M2)
     if M1.shape != (3, 3) or M2.shape != (3, 3):
         raise ValueError("dimension must be 3")
@@ -796,6 +797,8 @@ def _max_min_eig_over_simplex(blocks):
     off the solver.  Weights summing to 1e-12 or less are no combination:
     (None, None).
     """
+    import scipy.linalg
+
     d = blocks[0].shape[0]
     shifted = [A + 2.0 * np.eye(d) for A in blocks]
     cons = [solver.Constraint(scipy.linalg.block_diag(A, -1.0), "LE", 0.0) for A in shifted]

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 
@@ -142,6 +141,8 @@ def _norm(x: np.ndarray) -> float:
 
 def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSolution:
     """Solve min <C,Z> s.t. constraints, Z PSD."""
+    import scipy.linalg
+
     if eps <= 0:
         raise ValueError("eps must be positive")
     if max_iter < 1:

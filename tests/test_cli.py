@@ -388,11 +388,50 @@ class TestFlags:
         assert seeds == [5]
 
 
-def test_import_loads_no_scipy_stats():
-    # every command pays for what `import sdpexact.cli` loads
-    code = ("import sys, sdpexact.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+# CI's battery pair 5 (seed 3): a 3x3 pair that is NOT_ROG
+_PAIR5 = ("dense:1.067,-1.052,0.535;-1.052,0.043,0.222;0.535,0.222,0.768",
+          "dense:0.155,1.564,-0.036;1.564,-1.078,0.656;-0.036,0.656,0.658")
+
+_FOOTPRINT = """
+import contextlib, io, json, pkgutil, sys
+import numpy as np
+import sdpexact, sdpexact.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+steps = {}
+for info in pkgutil.iter_modules(sdpexact.__path__):
+    __import__("sdpexact." + info.name)
+steps["import"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["examples", "list"]) == 0
+    steps["examples list"] = loaded()
+    assert cli.main(["rog", "pair", *sys.argv[1:]]) == 0
+    steps["rog pair"] = loaded()
+from sdpexact import rog, solver
+M1, M2 = (cli.parse_matrix_literal(a) for a in sys.argv[1:])
+verdict = rog.check_pair(M1, M2)
+assert verdict.status == "NOT_ROG_CERTIFIED", verdict.status
+assert rog.verify_certificate(verdict, M1, M2)
+wit = rog.construct_rank2_witness_3d(M1, M2)
+assert rog.verify_extreme_rank2(wit["Z"], M1, M2)
+steps["pair decision and witness"] = loaded()
+solver.solve(solver.ConicProgram(dim=2, objective_matrix=np.eye(2), constraints=(
+    solver.Constraint(np.eye(2), "EQ", 1.0),)))
+steps["solve"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_import_footprint_loads_no_scipy():
+    # numpy is all that importing the package, `examples list` and the pair
+    # path (decision, certificate check, 3x3 witness) load; scipy loads in
+    # the functions that call it, so one solve brings in scipy.linalg
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout == "[]\n"
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, *_PAIR5], env=env,
+                         capture_output=True, text=True, check=True)
+    steps = json.loads(out.stdout)
+    for step in ("import", "examples list", "rog pair", "pair decision and witness"):
+        assert steps[step] == [], step
+    assert "scipy.linalg" in steps["solve"]

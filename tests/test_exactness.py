@@ -359,8 +359,8 @@ class TestCertificates:
                                     (np.zeros(1),), ())
         return inst, gamma.GammaData((np.array([1.0, 0.0]),), (face,), "DIAGONAL_AUTO", None)
 
-    @pytest.mark.parametrize("d", [1e-100, 0.5 * exactness.STRICT_TOL, 1.5 * exactness.STRICT_TOL,
-                                   -1.0, 1e100])
+    @pytest.mark.parametrize("d", [1e-300, -1e-300, 1e-100, 0.5 * exactness.STRICT_TOL,
+                                   1.5 * exactness.STRICT_TOL, -1.0, 1e100])
     def test_face_at_strict_tol(self, d):
         # the cut is relative to ||G||: a nonzero term alone is no noise
         inst, gd = self._one_term_face(d, 0.0)
