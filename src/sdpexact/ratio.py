@@ -9,7 +9,7 @@ assumed, and failures downgrade the claim to a lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,15 +38,14 @@ def _dual_certificate(p: RatioProblem, sol: solver.SdpSolution) -> dict:
 
     theta = sol.y[:k] (one per LMI, LE ones >= 0) and lam = sol.y[k] (the
     normalization row); the hypothesis holds when M_obj + sum theta_j M_j
-    + lam B is PSD to within 1e-7.
+    + lam B is PSD to within 1e-7 times the largest 2-norm of its terms.
     """
     k = len(p.mset.matrices)
     theta, lam = sol.y[:k], float(sol.y[k])
-    M = p.M_obj + lam * p.B
-    for th, Mj in zip(theta, p.mset.matrices):
-        M = M + th * Mj
-    lmin = float(np.linalg.eigvalsh(M)[0])
-    if lmin >= -1e-7:
+    terms = [p.M_obj, lam * p.B, *(th * Mj for th, Mj in zip(theta, p.mset.matrices))]
+    scale = max(np.linalg.norm(T, 2) for T in terms)
+    lmin = float(np.linalg.eigvalsh(sum(terms))[0])
+    if lmin >= -1e-7 * scale:
         return {"found": True, "theta": theta, "lam": lam, "lambda_min": lmin}
     return {"found": False, "lambda_min": lmin}
 
@@ -59,12 +58,20 @@ def solve_ratio(p: RatioProblem) -> dict:
     rank-one recovery and both checkable hypotheses succeed, else
     LOWER_BOUND_ONLY.
     """
+    # The solve sees M_obj / a and B / b (a, b their 2-norms; the solver
+    # equilibrates the LMI rows), so it reads the same at every scale of the
+    # problem; its value, Z and multipliers are scaled back.
+    a = float(np.linalg.norm(p.M_obj, 2)) or 1.0
+    b = float(np.linalg.norm(p.B, 2)) or 1.0
     cons = [solver.Constraint(M, s, 0.0)
             for M, s in zip(p.mset.matrices, p.mset.senses)]
-    cons.append(solver.Constraint(p.B, "EQ", 1.0))
-    prog = solver.ConicProgram(dim=p.dim, objective_matrix=p.M_obj,
+    cons.append(solver.Constraint(p.B / b, "EQ", 1.0))
+    prog = solver.ConicProgram(dim=p.dim, objective_matrix=p.M_obj / a,
                                constraints=tuple(cons))
     sol = solver.solve(prog, eps=1e-8, max_iter=400000)
+    y = a * sol.y
+    y[-1] /= b
+    sol = replace(sol, Z=sol.Z / b, y=y, objective_value=a / b * sol.objective_value)
     rv = rog.check_set(p.mset)
     hyp = {
         "rog": {"status": rv.status, "certificate": rv.certificate},

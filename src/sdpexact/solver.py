@@ -4,15 +4,16 @@ First-order operator splitting: the iterate alternates between projection
 onto the affine constraint set (a dense linear solve whose normal matrix is
 factorized once) and projection onto the product cone PSD x R_+ (eigenvalue
 clipping plus slack clipping), with scaled dual updates, over-relaxation,
-and adaptive penalty rebalancing.
+adaptive penalty rebalancing, and safeguarded Anderson acceleration.
 
 Matrix variables are stored in scaled vector form (off-diagonal entries
 multiplied by sqrt(2)) so that the Frobenius inner product is the ordinary
-dot product.  Each affine row and its right-hand side are divided by the
+dot product.  An LE row's slack has the coefficient |svec(M_k)| (1 when
+M_k = 0), and each affine row and its right-hand side are divided by the
 row norm before the normal matrix is factorized, so the factorization, its
-tiny ridge and the primal residual of an EQ row mean the same at every
-scale of its matrix and right-hand side (an LE row's slack keeps the
-coefficient 1); the row multipliers are un-scaled on exit.
+tiny ridge and the primal residual of every row mean the same at every
+scale of its matrix and right-hand side; the row multipliers are un-scaled
+on exit.
 
 Each iteration is kept lean for the small (d <= 5) programs this package
 solves, where call overhead rather than arithmetic sets the pace.  The
@@ -26,10 +27,30 @@ multiplying a constant 1 after [v; u].  One product thus writes both t and
 the cone input T, a reshaped view of the same buffer, with no smat.  The
 cone step is one LAPACK ``dsyevd`` call with in-place clipping, and the
 clipped matrix returns as svec through one more product, Sv vec(M) =
-svec(M); then u' = t - v'.  The affine multipliers are back-solved (LAPACK
-``dpotrs``) only on the convergence check iterations, every 25th and the
-last, which are the only iterations that read them.  The penalty rho at
-exit is reported with the solution.
+svec(M); then u' = t - v'.  The step writes its image straight into a row
+of a ring buffer.
+
+That buffer holds the last AA_MEMORY images f_i = F(z_i) of the step's map
+F: z = [v; u] -> [v'; u'] with their residuals g_i = f_i - z_i, for type-II
+Anderson acceleration (Walker and Ni 2011): on the odd iterations of each
+CHECK_EVERY block, the next iterate is f + sum beta_i (f_i - f) for the
+newest image f, with beta the ridge-regularized least-squares fit of the
+residual differences (one Gram product and one LAPACK ``dposv``).  The
+ridge scales with |g|^2 plus the differences' own squared norm, so nearly
+parallel residuals give a step close to the plain one.  The safeguard
+(Zhang, O'Donoghue and Boyd 2020) keeps a mixed point only when its own
+residual, read on the next iteration, is at most AA_SAFEGUARD times the
+plain point's; otherwise the iteration restarts
+from the plain image with no history and skips mixed steps, more of them
+while rejections keep coming, and records no history while it skips.  A
+penalty change also clears the history.  The check iterations, every
+CHECK_EVERY-th and the last, and the iteration before each take plain
+steps, so every status, the multipliers and the returned PSD Z come from
+an unmixed step.  A check reads the primal residual first, the dual
+residual only once that passes, and back-solves the affine multipliers
+(LAPACK ``dpotrs``) only once both pass, except where the penalty rule or
+the final status needs them.  The penalty rho at exit is reported with the
+solution.
 """
 
 from __future__ import annotations
@@ -46,6 +67,11 @@ from . import linalg
 OVER_RELAXATION = 1.6
 PENALTY_CHECK_EVERY = 100
 PENALTY_RATIO = 10.0
+CHECK_EVERY = 5
+AA_MEMORY = 8  # images (and residuals) the Anderson step combines
+AA_RIDGE = 1e-8  # relative ridge of its least-squares fit
+AA_SAFEGUARD = 0.99  # a mixed point's residual must be at most this times the plain one's
+AA_MAX_BACKOFF = 64  # most mixed steps skipped after a rejection
 
 
 class SolveStatus(enum.Enum):
@@ -179,10 +205,13 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
             status=SolveStatus.UNBOUNDED_LIKELY, iterations=0,
         )
 
-    # Rows of the affine system: <M_k, Z> (+ s_j for LE rows) = rhs_k.
+    # Rows of the affine system: <M_k, Z> (+ |svec(M_k)| s_j for LE rows) =
+    # rhs_k; the slack's coefficient scales with its row (1 for M_k = 0).
     A = np.zeros((ncon, nvar))
     A[:, :nz] = svec(np.array([con.matrix for con in cons]), d)
-    A[le_idx, nz + np.arange(p)] = 1.0
+    slack = np.linalg.norm(A[le_idx, :nz], axis=1)
+    slack[slack == 0.0] = 1.0
+    A[le_idx, nz + np.arange(p)] = slack
     rhs = np.array([con.rhs for con in cons])
 
     # Unit-norm rows; an all-zero EQ row keeps its (zero) scale.
@@ -200,7 +229,7 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
     chol, info = lapack.dpotrf(gram, overwrite_a=1, clean=0)  # upper, as potrs expects
     if info:
         raise np.linalg.LinAlgError("Gram matrix of the affine rows is not positive definite")
-    potrs, eig = lapack.dpotrs, lapack.dsyevd
+    potrs, posv, eig = lapack.dpotrs, lapack.dposv, lapack.dsyevd
 
     scale_b = max(1.0, _norm(rhs))
     scale_c = max(1.0, _norm(c))
@@ -223,45 +252,110 @@ def solve(prog: ConicProgram, eps: float = 1e-7, max_iter: int = 50000) -> SdpSo
     KL[:, :-1] = lift(K)
     rho = 1.0
     KL[:, -1] = a * (qL - PcL / rho)
-
-    vu = np.zeros(2 * nvar + 1)  # [v; u; 1]
-    vu[-1] = 1.0
-    v, u = vu[:nvar], vu[nvar:-1]
     buf = np.empty(nvar + d * d)  # [t; vec(T)]
     t, T = buf[:nvar], buf[nvar:].reshape(d, d)
     M = np.empty((d, d))
 
+    # Rows 0..mem-1 of H hold the last images F(z_i) of the map
+    # F: [v; u] -> [v'; u'], row mem the iterate after a mixed step, each
+    # ending in the constant 1; R holds the residuals F(z_i) - z_i.  After a
+    # clear, rows are refilled from 0, so the pairs held are rows 0..m-1.
+    mem = AA_MEMORY
+    H = np.zeros((mem + 1, 2 * nvar + 1))
+    H[:, -1] = 1.0
+    R = np.empty((mem, 2 * nvar))
+    rows = [(h, h[:-1], h[:nvar], h[:nz], h[nz:nvar], h[nvar:-1], g)
+            for h, g in zip(H, [*R, None])]
+    t_slack, M_flat = t[nz:], M.reshape(-1)
+    z, zz, v, _, _, u, _ = rows[mem]  # [v; u] = 0
+    j, m = -1, 0  # last row written, pairs held
+    g_ref = 0.0  # the plain point's squared residual while a mixed point awaits its test
+    backoff = wait = 0  # mixed steps to skip after rejections; no history while waiting
+
     # every exit is a check iteration, which sets mu, pri and dua
     for it in range(1, max_iter + 1):
-        check = it % 25 == 0 or it == max_iter
-        if check:
-            mu, _ = potrs(chol, rhs - A @ (v - u - c / rho), overwrite_b=True)
-            v_prev = v.copy()
-        np.dot(KL, vu, out=buf)
+        j = j + 1 if j + 1 < mem else 0
+        new = rows[j]
+        f, fz, fv, fvs, fs, fu, g = new
+        np.dot(KL, z, out=buf)
         w, V, _ = eig(T, lower=1)
         np.maximum(w, 0.0, out=w)
         np.dot(V * w, V.T, out=M)
-        np.dot(Sv, M.ravel(), out=v[:nz])
-        np.maximum(t[nz:], 0.0, out=v[nz:])
-        np.subtract(t, v, out=u)
+        np.dot(Sv, M_flat, out=fvs)
+        np.maximum(t_slack, 0.0, out=fs)
+        np.subtract(t, fv, out=fu)
+        if not wait:
+            np.subtract(fz, zz, out=g)
+            if m < mem:
+                m += 1
 
-        if check:
-            pri = _norm(A @ v - rhs) / scale_b
-            dua = rho * _norm(v - v_prev) / scale_c
-            gap_now = abs(float(c @ v) - float(rhs @ (rho * mu))) / max(
-                1.0, abs(float(c @ v))
-            )
-            if pri <= eps and dua <= eps and gap_now <= max(eps, 1e-7) * 10:
-                break
-        if it % PENALTY_CHECK_EVERY == 0:
-            if pri > PENALTY_RATIO * dua and np.isfinite(pri):
-                rho *= 2.0
-                u /= 2.0
-            elif dua > PENALTY_RATIO * pri and np.isfinite(dua):
-                rho /= 2.0
-                u *= 2.0
-            KL[:, -1] = a * (qL - PcL / rho)
+        if g_ref:
+            # the input was a mixed point: keep it only if its residual is
+            # at most AA_SAFEGUARD times the plain point's; else restart from
+            # the plain image, and skip more mixed steps while rejections
+            # keep coming
+            if g @ g > g_ref:
+                backoff = min(2 * backoff + 1, AA_MAX_BACKOFF)
+                wait = backoff
+                H[mem] = H[j - 1 if j else mem - 1]
+                new = rows[mem]
+                j, m = -1, 0
+            elif backoff:
+                backoff -= 1
+            g_ref = 0.0
+        elif it % CHECK_EVERY == 0 or it == max_iter:
+            # lazily: dua once pri passes, mu once both do, and both where
+            # the penalty rule or the final status reads them
+            final = it == max_iter
+            pri = _norm(A @ fv - rhs) / scale_b
+            if pri <= eps or final or it % PENALTY_CHECK_EVERY == 0:
+                dua = rho * _norm(fv - v) / scale_c
+                if (pri <= eps and dua <= eps) or final:
+                    mu, _ = potrs(chol, rhs - A @ (v - u - c / rho), overwrite_b=True)
+                    cv = float(c @ fv)
+                    gap_now = abs(cv - float(rhs @ (rho * mu))) / max(1.0, abs(cv))
+                    if final or gap_now <= max(eps, 1e-7) * 10:
+                        break
+            if it % PENALTY_CHECK_EVERY == 0:
+                rho_was = rho
+                if pri > PENALTY_RATIO * dua and np.isfinite(pri):
+                    rho *= 2.0
+                    fu /= 2.0
+                elif dua > PENALTY_RATIO * pri and np.isfinite(dua):
+                    rho /= 2.0
+                    fu *= 2.0
+                if rho != rho_was:  # a new map: restart the history
+                    KL[:, -1] = a * (qL - PcL / rho)
+                    H[mem] = f
+                    new = rows[mem]
+                    j, m = -1, 0
+        elif it % CHECK_EVERY % 2 and it + 1 < max_iter:
+            if wait:
+                wait -= 1
+                if not wait:  # record a new history from this image on
+                    H[mem] = f
+                    new = rows[mem]
+                    j, m = -1, 0
+            elif m > 1 and (gg := g @ g) > 0.0:
+                # type-II Anderson step anchored at the plain image f: with
+                # D the rows g_i - g, beta minimises |g + D^T beta|^2 +
+                # AA_RIDGE (|g|^2 + |D|^2) |beta|^2 and z = f + sum beta_i
+                # (F(z_i) - f) (solved here for -beta); D's row of f is 0
+                D = R[:m] - g
+                gram = D @ D.T
+                gram.flat[:: m + 1] += AA_RIDGE * (gg + np.vdot(D, D))
+                _, beta, info = posv(gram, D @ g, overwrite_a=1, overwrite_b=1)
+                if not info:
+                    zm = H[mem]
+                    np.dot(beta, H[:m], out=zm)
+                    np.subtract(f, zm, out=zm)
+                    zm += beta.sum() * f
+                    zm[-1] = 1.0
+                    new = rows[mem]
+                    g_ref = AA_SAFEGUARD**2 * gg
+        z, zz, v, _, _, u, _ = new
 
+    v = fv
     y_eq = rho * mu / row_norm  # multipliers of the given rows (max b^T y)
     # Reported per-constraint multipliers follow the aggregation convention
     # C + sum(lambda_k M_k) PSD, i.e. lambda = -y; LE multipliers come out >= 0.

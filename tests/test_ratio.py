@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdpexact import ratio, rog
+from sdpexact import gallery, ratio, rog, solver
 
 
 class TestRayleigh:
@@ -87,3 +87,21 @@ class TestRtls:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ratio.build_rtls(np.eye(2), [1.0, 1.0, 1.0], 1.0)
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("scale_B", [True, False])
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_rtls_small_at_every_scale(self, s, scale_B):
+        # s M_obj and s ball, with B scaled too or not: the ratio is then
+        # 0.419956 or s times it, and the claim stays EXACT, its dual
+        # certificate cut relative to the pencil's own scale
+        ent = gallery.load("rtls_small")
+        p = ratio.build_rtls(ent["data"], ent["rhs"], ent["radius"])
+        s_B = s if scale_B else 1.0
+        scaled = ratio.RatioProblem(s * p.M_obj, s_B * p.B,
+                                    rog.LmiSet((s * p.mset.matrices[0],), ("LE",)))
+        out = ratio.solve_ratio(scaled)
+        assert out["solution"].status == solver.SolveStatus.OPTIMAL
+        assert abs(out["value"] * s_B / s - 0.419956) <= 1e-6
+        assert out["claim"] == "EXACT"

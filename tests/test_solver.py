@@ -1,9 +1,11 @@
 """Conic solver: vectorization, known optima, KKT residuals, membership."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from sdpexact import linalg, model, solver
+from sdpexact import gallery, linalg, model, ratio, solver
 from conftest import q, make_explicit_instance, make_gtrs, random_sym
 
 
@@ -112,7 +114,7 @@ class TestKnownOptima:
                          solver.Constraint(np.eye(1), "EQ", 1.0)))
         sol = solver.solve(prog)
         assert sol.status == solver.SolveStatus.OPTIMAL
-        assert sol.iterations == 50
+        assert sol.iterations == 5
         assert np.allclose(sol.Z, [[1.0]], rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
@@ -134,17 +136,19 @@ class TestKnownOptima:
                 solver.solve(prog)
 
     def test_final_penalty_reported(self):
-        # min Z33 over three diagonal LE rows and Z11 + Z22 = 1 runs past
-        # the first penalty check and ends with the penalty doubled
+        # min 100 Z33 over three diagonal LE rows and Z11 + Z22 = 1 (optimum
+        # Z33 = 4) runs past the first penalty check and ends with the
+        # penalty raised
         rows = ([4.0, 4.0, -1.0], [1.0, 4.0, -1.0], [4.0, 1.0, -1.0])
         prog = solver.ConicProgram(
-            dim=3, objective_matrix=np.diag([0.0, 0.0, 1.0]),
+            dim=3, objective_matrix=np.diag([0.0, 0.0, 100.0]),
             constraints=tuple(solver.Constraint(np.diag(r), "LE", 0.0) for r in rows)
             + (solver.Constraint(np.diag([1.0, 1.0, 0.0]), "EQ", 1.0),))
         sol = solver.solve(prog)
         assert sol.status == solver.SolveStatus.OPTIMAL
+        assert abs(sol.objective_value - 400.0) <= 1e-5
         assert sol.iterations > solver.PENALTY_CHECK_EVERY
-        assert sol.rho != 1.0
+        assert sol.rho > 1.0
 
     def test_infeasible_detected(self):
         prog = solver.ConicProgram(
@@ -215,33 +219,51 @@ class TestDualCertificate:
             assert min(y_le, default=0.0) >= -eps * max(1.0, np.max(np.abs(sol.y))), k
 
 
+def _scaled(prog, s):
+    """The same program with every row s M_k, s b_k."""
+    return solver.ConicProgram(
+        dim=prog.dim, objective_matrix=prog.objective_matrix,
+        constraints=tuple(solver.Constraint(s * con.matrix, con.sense, s * con.rhs)
+                          for con in prog.constraints))
+
+
 class TestRowEquilibration:
     @pytest.mark.parametrize("s", [1e-6, 1e6])
     def test_scaled_rows_solve_as_at_unit_scale(self, s):
-        # s M_k, s b_k describe the same feasible set; unit-norm EQ rows
-        # make the iteration, and so the iteration count, scale-free (an LE
-        # row's slack coefficient stays 1, so LE rows are not)
-        for k in range(0, 100, 7):
-            prog = _criterion10_program(k)
-            scaled = solver.ConicProgram(
-                dim=prog.dim, objective_matrix=prog.objective_matrix,
-                constraints=tuple(solver.Constraint(s * con.matrix, con.sense, s * con.rhs)
-                                  for con in prog.constraints))
+        # s M_k, s b_k describe the same feasible set; unit-norm rows, with
+        # an LE row's slack coefficient |svec(M_k)|, make the iteration, and
+        # so the iteration count, scale-free
+        for k, le_rows in itertools.product(range(0, 100, 7), (False, True)):
+            prog = _criterion10_program(k, le_rows)
             ref = solver.solve(prog)
-            sol = solver.solve(scaled)
-            assert sol.status == ref.status == solver.SolveStatus.OPTIMAL, k
-            assert sol.iterations == ref.iterations, k
-            assert np.max(np.abs(sol.Z - ref.Z)) <= 1e-6, k
+            sol = solver.solve(_scaled(prog, s))
+            assert sol.status == ref.status == solver.SolveStatus.OPTIMAL, (k, le_rows)
+            assert sol.iterations == ref.iterations, (k, le_rows)
+            assert np.max(np.abs(sol.Z - ref.Z)) <= 1e-6, (k, le_rows)
             # multipliers come back in the units of the given rows
-            assert np.allclose(s * sol.y, ref.y, rtol=1e-6, atol=1e-6), k
+            assert np.allclose(s * sol.y, ref.y, rtol=1e-6, atol=1e-6), (k, le_rows)
 
 
 def _textbook_solve(prog, eps=1e-7, max_iter=50000):
-    """The solver's ADMM iteration written out step by step: the affine
-    projection x = P (v - u - c / rho) + q with P = I - A^T (A A^T)^-1 A,
-    over-relaxation, eigenvalue and slack clipping, and the u update, with
-    the solver's row equilibration, 25-step check, penalty rule and
-    statuses. Returns (status, iterations, Z)."""
+    """The solver's iteration written out step by step.
+
+    One ADMM step F maps z = [v; u] to [v'; u']: the affine projection
+    x = P (v - u - c / rho) + q with P = I - A^T (A A^T)^-1 A, over-relaxation,
+    eigenvalue and slack clipping, and the u update.  Around it, type-II
+    Anderson acceleration: a history of the last AA_MEMORY pairs
+    (F(z_i), g_i = F(z_i) - z_i).  On the odd steps of each CHECK_EVERY
+    block (not the step before the last), the next iterate is
+    f + sum beta_i (F(z_i) - f) for this step's image f and residual g, with
+    beta the ridge-regularized least-squares fit of g by the differences
+    g_i - g.  The step after it keeps that mixed point only if its residual
+    is at most AA_SAFEGUARD times g; else it goes back to f, clears the
+    history and skips the next b' = min(2 b + 1, AA_MAX_BACKOFF) mixed steps
+    (b the previous such count, lowered by one for each kept mixed point),
+    recording no history while skipping.  With the solver's row
+    equilibration (an LE slack's coefficient is its row's norm), check
+    cadence, penalty rule, which also clears the history, and statuses.
+    Returns (status, iterations, Z).
+    """
     d, cons = prog.dim, prog.constraints
     nz = d * (d + 1) // 2
     le = [k for k, con in enumerate(cons) if con.sense == "LE"]
@@ -250,7 +272,7 @@ def _textbook_solve(prog, eps=1e-7, max_iter=50000):
     for k, con in enumerate(cons):
         A[k, :nz] = solver.svec(con.matrix, d)
     for j, k in enumerate(le):
-        A[k, nz + j] = 1.0
+        A[k, nz + j] = np.linalg.norm(A[k, :nz]) or 1.0
     b = np.array([con.rhs for con in cons])
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0.0] = 1.0
@@ -264,29 +286,64 @@ def _textbook_solve(prog, eps=1e-7, max_iter=50000):
     scale_b = max(1.0, np.linalg.norm(b))
     scale_c = max(1.0, np.linalg.norm(c))
     a, rho = solver.OVER_RELAXATION, 1.0
-    v, u = np.zeros(nvar), np.zeros(nvar)
-    for it in range(1, max_iter + 1):
-        w_in = v - u - c / rho
-        x = P @ w_in + q
+
+    def admm_step(z):
+        v, u = z[:nvar], z[nvar:]
+        x = P @ (v - u - c / rho) + q
         t = a * x + (1.0 - a) * v + u
         lam, V = np.linalg.eigh(solver.smat(t[:nz], d))
         clipped = V @ np.diag(np.maximum(lam, 0.0)) @ V.T
         v_new = np.concatenate([solver.svec(clipped, d), np.maximum(t[nz:], 0.0)])
-        u = t - v_new
-        if it % 25 == 0 or it == max_iter:
-            mu = np.linalg.solve(G, b - A @ w_in)
+        return np.concatenate([v_new, t - v_new])
+
+    z = np.zeros(2 * nvar)
+    history = []
+    pending = None  # (plain image, its squared residual) after a mixed step
+    backoff = skip = 0
+    for it in range(1, max_iter + 1):
+        f = admm_step(z)
+        g = f - z
+        if not skip:
+            history = (history + [(f, g)])[-solver.AA_MEMORY:]
+        z_next = f
+        if pending is not None:
+            plain, g_plain = pending
+            pending = None
+            if g @ g > solver.AA_SAFEGUARD ** 2 * g_plain:
+                z_next, history = plain, []
+                backoff = min(2 * backoff + 1, solver.AA_MAX_BACKOFF)
+                skip = backoff
+            elif backoff:
+                backoff -= 1
+        elif it % solver.CHECK_EVERY == 0 or it == max_iter:
+            v, u, v_new = z[:nvar], z[nvar:], f[:nvar]
+            mu = np.linalg.solve(G, b - A @ (v - u - c / rho))
             pri = np.linalg.norm(A @ v_new - b) / scale_b
             dua = rho * np.linalg.norm(v_new - v) / scale_c
             gap = abs(c @ v_new - b @ (rho * mu)) / max(1.0, abs(c @ v_new))
-        v = v_new
-        if it % 25 == 0 or it == max_iter:
             if pri <= eps and dua <= eps and gap <= max(eps, 1e-7) * 10:
                 break
-        if it % solver.PENALTY_CHECK_EVERY == 0:
-            if pri > solver.PENALTY_RATIO * dua and np.isfinite(pri):
-                rho, u = 2.0 * rho, u / 2.0
-            elif dua > solver.PENALTY_RATIO * pri and np.isfinite(dua):
-                rho, u = rho / 2.0, 2.0 * u
+            if it % solver.PENALTY_CHECK_EVERY == 0:
+                if pri > solver.PENALTY_RATIO * dua and np.isfinite(pri):
+                    rho, z_next[nvar:], history = 2.0 * rho, f[nvar:] / 2.0, []
+                elif dua > solver.PENALTY_RATIO * pri and np.isfinite(dua):
+                    rho, z_next[nvar:], history = rho / 2.0, 2.0 * f[nvar:], []
+        elif it % solver.CHECK_EVERY % 2 and it + 1 < max_iter:
+            if skip:
+                skip -= 1
+            elif len(history) > 1 and g @ g > 0.0:
+                # z = f + sum beta_i (F(z_i) - f), beta minimising
+                # |g + D^T beta|^2 + AA_RIDGE (|g|^2 + |D|^2) |beta|^2, with
+                # D the rows g_i - g
+                F_hist = np.array([fi for fi, _ in history])
+                D = np.array([gi for _, gi in history]) - g
+                ridge = solver.AA_RIDGE * (g @ g + np.sum(D * D))
+                gram = D @ D.T + ridge * np.eye(len(history))
+                beta = np.linalg.solve(gram, -D @ g)
+                z_next = f + beta @ (F_hist - f)
+                pending = (f, g @ g)
+        z = z_next
+    v = f[:nvar]
     if pri <= eps and dua <= eps:
         status = solver.SolveStatus.OPTIMAL
     elif np.linalg.norm(v) > 1e8:
@@ -315,8 +372,9 @@ def _criterion06_program(seed):
 
 
 class TestTextbookIteration:
-    """The lifted product, the fused cone step and the every-25 multiplier
-    solve take the same iterates as the iteration written out."""
+    """The lifted product, the fused cone step, the ring-buffer Anderson
+    step and the lazy check take the same iterates as the iteration
+    written out."""
 
     def _same(self, prog, **kw):
         sol = solver.solve(prog, **kw)
@@ -338,6 +396,73 @@ class TestTextbookIteration:
         # the last iteration is a check iteration too
         for k in range(10):
             self._same(_criterion10_program(k, le_rows=True), max_iter=40)
+
+
+class TestPlainExits:
+    """Every exit returns a plain ADMM image: Z is the projected iterate,
+    PSD to rounding, and the objective value is <C, Z>."""
+
+    @staticmethod
+    def _plain(prog, sol):
+        w = np.linalg.eigvalsh(sol.Z)
+        assert w[0] >= -1e-12 * max(1.0, w[-1])
+        C = prog.objective_matrix
+        assert abs(sol.objective_value - float(np.sum(C * sol.Z))) <= 1e-12 * max(
+            1.0, np.linalg.norm(C) * np.linalg.norm(sol.Z))
+
+    def test_optimal(self):
+        for k in range(0, 100, 7):
+            prog = _criterion10_program(k, le_rows=True)
+            sol = solver.solve(prog)
+            assert sol.status == solver.SolveStatus.OPTIMAL, k
+            self._plain(prog, sol)
+
+    def test_budget_cut_short(self):
+        statuses = set()
+        for k in range(10):
+            prog = _criterion10_program(k, le_rows=True)
+            sol = solver.solve(prog, max_iter=40)
+            statuses.add(sol.status)
+            self._plain(prog, sol)
+        assert solver.SolveStatus.MAX_ITER in statuses
+
+    def test_infeasible(self):
+        prog = solver.ConicProgram(
+            dim=2, objective_matrix=np.diag([1.0, -1.0]),
+            constraints=(solver.Constraint(np.eye(2), "EQ", -1.0),
+                         solver.Constraint(np.diag([1.0, 0.0]), "LE", 0.5)))
+        sol = solver.solve(prog, max_iter=2000)
+        assert sol.status == solver.SolveStatus.INFEASIBLE_LIKELY
+        self._plain(prog, sol)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    def test_scaled_le_rows(self, s):
+        for k in range(0, 100, 7):
+            prog = _scaled(_criterion10_program(k, le_rows=True), s)
+            self._plain(prog, solver.solve(prog))
+
+
+class TestScaledRatioProgram:
+    """The gallery's rtls_small normalised ratio program, min <s M_obj, Z>
+    with <s ball, Z> <= 0 and <s_B B, Z> = 1, solved directly at badly
+    scaled data, well inside the ratio layer's 400,000-iteration budget: the
+    safeguard keeps the mixed steps from stalling it (with every mixed point
+    kept, the all-scaled 1e6 case takes about 27,000 iterations)."""
+
+    @pytest.mark.parametrize("scale_B", [True, False])
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_value_at_every_scale(self, s, scale_B):
+        ent = gallery.load("rtls_small")
+        p = ratio.build_rtls(ent["data"], ent["rhs"], ent["radius"])
+        s_B = s if scale_B else 1.0
+        prog = solver.ConicProgram(
+            dim=p.dim, objective_matrix=s * p.M_obj,
+            constraints=(solver.Constraint(s * p.mset.matrices[0], "LE", 0.0),
+                         solver.Constraint(s_B * p.B, "EQ", 1.0)))
+        sol = solver.solve(prog, eps=1e-8, max_iter=400000)
+        assert sol.status == solver.SolveStatus.OPTIMAL
+        assert sol.iterations <= 10000
+        assert abs(sol.objective_value * s_B / s - 0.419956) <= 1e-6
 
 
 class TestRelaxation:
