@@ -283,7 +283,7 @@ def detect_qem(inst) -> int:
         for A in mats:
             core = A[:s, :s]
             pattern = np.kron(np.eye(k), core)
-            if np.max(np.abs(A - pattern), initial=0.0) > 1e-9 * max(1.0, np.max(np.abs(A))):
+            if np.max(np.abs(A - pattern), initial=0.0) > 1e-9 * np.max(np.abs(A)):
                 return False
         return True
 
@@ -298,7 +298,9 @@ def check_qmp_bounds(inst, supplied_generators=None) -> ExactnessReport:
     polyhedral bounds apply to a diagonal instance or supplied generators."""
     k = detect_qem(inst)
     m = inst.m
-    nb = int(np.sum(np.linalg.norm(inst.forms[1:, :inst.n, inst.n], axis=1) > 1e-9))
+    # a linear term is nonzero beyond 1e-9 times the norm of its form's embedding
+    nb = int(np.sum(np.linalg.norm(inst.forms[1:, :inst.n, inst.n], axis=1)
+                    > 1e-9 * np.linalg.norm(inst.forms[1:], axis=(1, 2))))
     rep = ExactnessReport(condition="qmp", verdict="NOT_APPLICABLE")
     rep.details["k"] = k
     rep.details["m"] = m
@@ -343,7 +345,7 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     vals = np.array([linalg.form_values(F, x_hat) for F in inst.forms])
     vals[0] -= t_hat
     g = np.array(gd.generators)
-    tight = g[g @ vals >= -STRICT_TOL * np.maximum(1.0, np.linalg.norm(g, axis=1))]
+    tight = g[g @ vals >= -STRICT_TOL * np.linalg.norm(g, axis=1)]
     if not len(tight):
         return "IN_D", None
     classification, _, B = gamma_mod.classify_face(inst, tight)

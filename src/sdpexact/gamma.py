@@ -6,6 +6,11 @@ aggregated matrix gamma_obj*A_obj + A(gamma) is PSD.  For instances whose
 quadratic terms are all diagonal the PSD condition reduces to n linear rows,
 so the cone is polyhedral with an explicit H-representation; otherwise the
 caller must supply a generator list and the analysis is relative to it.
+Either way the generators reach the faces at max |g| = 1.  Extreme rays
+come from double description with Fukuda and Prodon's combinatorial
+adjacency test (``dd_extreme_rays``): two rays are adjacent when no third
+ray is active on every H-row they share.  Each step then keeps exactly the
+extreme rays, so no rank test per pair, final filter or deduplication runs.
 
 The face conditions pass on a face whenever they pass on a larger face with
 the same shared kernel V(F), so only the faces maximal for their V(F) are
@@ -71,17 +76,20 @@ def build_gamma_hrep_diag(inst: model.QcqpInstance) -> np.ndarray:
     return np.vstack([diag_rows, sign_rows])
 
 
-def _active_set(rows: np.ndarray, r: np.ndarray) -> frozenset:
-    vals = rows @ r
-    scale = max(1.0, float(np.linalg.norm(r)))
-    return frozenset(int(i) for i in np.flatnonzero(np.abs(vals) <= RAY_TOL * scale))
-
-
 def dd_extreme_rays(rows) -> list:
     """Extreme rays of the pointed cone {x : rows @ x >= 0} by incremental
     double description; rows is a 2-D array with one H-row per row.  Each
     nonzero row is scaled to unit norm first, which leaves the rays alone
-    and puts RAY_TOL on the same footing at every scale of the rows."""
+    and puts RAY_TOL on the same footing at every scale of the rows.
+
+    Each ray carries its incidence row, the processed H-rows it is active
+    on; a new ray, a positive combination of a pair on either side of the
+    new H-row, is active on the pair's shared rows and the new one.  The
+    pair is adjacent when it shares at least dim - 2 rows and no third ray
+    is active on all of them (Fukuda and Prodon, "Double description method
+    revisited", 1996).  Every step keeps exactly the extreme rays of a
+    pointed cone, each once, so no final filter or deduplication is needed.
+    """
     import scipy.linalg
 
     rows = np.asarray(rows, dtype=float)
@@ -92,64 +100,35 @@ def dd_extreme_rays(rows) -> list:
         raise ValueError("ambient dimension cap (12) exceeded")
     if rows.shape[0] == 0:
         raise NotPointedError("no rows: cone is all of space")
-    rank = np.linalg.matrix_rank(rows, tol=1e-10)
-    if rank < dim:
-        raise NotPointedError(
-            "cone has a nontrivial lineality space; extreme rays undefined"
-        )
-    # initial simplicial cone from dim linearly independent rows
-    _, _, piv = scipy.linalg.qr(rows.T, pivoting=True)
-    base_idx = list(piv[:dim])
-    A0 = rows[base_idx]
-    rays = [col.copy() for col in np.linalg.inv(A0).T]
-    processed = list(base_idx)
-    remaining = [i for i in range(rows.shape[0]) if i not in base_idx]
-
-    for i in remaining:
-        a = rows[i]
-        vals = [float(a @ r) / max(1.0, float(np.linalg.norm(r))) for r in rays]
-        pos = [k for k, v in enumerate(vals) if v > RAY_TOL]
-        neg = [k for k, v in enumerate(vals) if v < -RAY_TOL]
-        zero = [k for k, v in enumerate(vals) if -RAY_TOL <= v <= RAY_TOL]
-        if not neg:
-            processed.append(i)
+    if np.linalg.matrix_rank(rows, tol=1e-10) < dim:
+        raise NotPointedError("cone has a nontrivial lineality space; extreme rays undefined")
+    # initial simplicial cone: ray k is active on every base row but the k-th
+    base = scipy.linalg.qr(rows.T, pivoting=True)[2][:dim]
+    rays = np.linalg.inv(rows[base]).T
+    incidence = np.zeros((dim, rows.shape[0]), dtype=bool)
+    incidence[:, base] = ~np.eye(dim, dtype=bool)
+    for i in sorted(set(range(rows.shape[0])) - set(base)):
+        dots = rays @ rows[i]
+        vals = dots / np.maximum(1.0, np.linalg.norm(rays, axis=1))
+        incidence[:, i] = np.abs(vals) <= RAY_TOL
+        pos, neg = np.flatnonzero(vals > RAY_TOL), np.flatnonzero(vals < -RAY_TOL)
+        if not neg.size:
             continue
-        proc_rows = rows[processed]
-        act = [_active_set(proc_rows, r) for r in rays]
-        new_rays = [rays[k] for k in pos + zero]
+        inactive, new_rays, new_incidence = ~incidence.T, [], []
         for kp in pos:
-            for kn in neg:
-                shared = act[kp] & act[kn]
-                if dim > 2:
-                    if not shared:
-                        continue
-                    sub = proc_rows[sorted(shared)]
-                    if np.linalg.matrix_rank(sub, tol=1e-10) < dim - 2:
-                        continue  # not adjacent
-                r_new = float(a @ rays[kp]) * rays[kn] - float(a @ rays[kn]) * rays[kp]
+            shared = incidence[kp] & incidence[neg]
+            covering = len(rays) - (shared @ inactive).sum(axis=1)  # the pair and any third ray
+            for kn in neg[(shared.sum(axis=1) >= dim - 2) & (covering == 2)]:
+                r_new = dots[kp] * rays[kn] - dots[kn] * rays[kp]
                 nrm = float(np.max(np.abs(r_new)))
                 if nrm > RAY_TOL:
                     new_rays.append(r_new / nrm)
-        rays = new_rays
-        processed.append(i)
-
-    # normalize, dedupe, and keep only extreme rays (active-row rank dim-1)
-    out = []
-    for r in rays:
-        nrm = float(np.max(np.abs(r)))
-        if nrm <= RAY_TOL:
-            continue
-        r = r / nrm
-        act = _active_set(rows, r)
-        if act:
-            sub = rows[sorted(act)]
-            if np.linalg.matrix_rank(sub, tol=1e-10) < dim - 1:
-                continue
-        elif dim > 1:
-            continue
-        if any(np.linalg.norm(r - s) < 1e-7 or np.linalg.norm(r + s) < 1e-7 for s in out):
-            continue
-        out.append(r)
+                    new_incidence.append(incidence[kp] & incidence[kn])
+        keep = np.concatenate([pos, np.flatnonzero(incidence[:, i])])
+        rays = np.vstack([rays[keep], *new_rays])
+        incidence = np.vstack([incidence[keep], *new_incidence])
+        incidence[len(keep):, i] = True
+    out = list(rays / np.max(np.abs(rays), axis=1, keepdims=True))
     out.sort(key=lambda r: tuple(np.round(r, 9)))
     return out
 
@@ -195,16 +174,10 @@ def classify_face(inst: model.QcqpInstance, gens_on_face):
 
 
 def face_slice_vrep(gens_on_face):
-    """Split face generators into unit-gamma_obj vertices and recession rays."""
-    vertices = []
-    rays = []
-    for g in gens_on_face:
-        g = np.asarray(g, dtype=float)
-        if g[0] > RAY_TOL:
-            vertices.append(g[1:] / g[0])
-        else:
-            rays.append(g[1:])
-    return vertices, rays
+    """Split face generators, each at max |g| = 1, into unit-gamma_obj
+    vertices and recession rays."""
+    gens = [np.asarray(g, dtype=float) for g in gens_on_face]
+    return [g[1:] / g[0] for g in gens if g[0] > RAY_TOL], [g[1:] for g in gens if g[0] <= RAY_TOL]
 
 
 def _closed_supports(inst: model.QcqpInstance, gens) -> dict:
@@ -246,7 +219,8 @@ def _closed_supports(inst: model.QcqpInstance, gens) -> dict:
 
 def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> GammaData:
     """Generators (double description on the diagonal path, else the
-    supplied rays, verified) and the faces that decide: the closed supports
+    supplied rays, each divided by its max |g| and verified; an all-zero ray
+    fails) and the faces that decide: the closed supports
     (``_closed_supports``), ordered by size, so the full support is last and
     its witness is Assumption 1's.  ``reason`` says why the face checks do
     not apply: the error of a non-diagonal instance without generators or of
@@ -261,7 +235,8 @@ def build_gamma_data(inst: model.QcqpInstance, supplied_generators=None) -> Gamm
             return GammaData((), (), provenance, None, str(exc))
     else:
         gens = [np.asarray(g, dtype=float).reshape(-1) for g in supplied_generators]
-        bad = [i for i, g in enumerate(gens) if not verify_generator(inst, g)]
+        gens = [g / np.max(np.abs(g)) if np.any(g) else g for g in gens]
+        bad = [i for i, g in enumerate(gens) if not np.any(g) or not verify_generator(inst, g)]
         if bad:
             raise ValueError(f"supplied generators at indices {bad} fail verification")
         provenance = "GENERATOR_SUPPLIED"

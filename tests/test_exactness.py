@@ -450,6 +450,18 @@ class TestQem:
                                   (q(np.eye(3), [0, 0, 0], -1.0),))
         assert exactness.detect_qem(inst) == 3
 
+    @pytest.mark.parametrize("s", [1e-10, 1.0, 1e10])
+    def test_cuts_scale_free(self, s):
+        # both cuts are relative: the block pattern to max |A|, the linear
+        # term to its form's embedding
+        inst = scaled(model.QcqpInstance(
+            4, q(np.diag([1.0, -1.0, 1.0, -1.0]), [0, 0, 0, 0], 0),
+            (q(np.eye(4), [0.5, 0, 0.5, 0], -1.0),)), s)
+        assert exactness.detect_qem(inst) == 2
+        rep = exactness.check_qmp_bounds(inst)
+        assert rep.details["nonzero_linear_terms"] == 1
+        assert rep.verdict == "HOLDS"
+
 
 class TestPointwise:
     def test_explicit_boundary_point_passes(self, explicit_gamma):

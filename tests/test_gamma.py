@@ -1,5 +1,7 @@
 """Multiplier cone: H-representation, extreme rays, faces, kernels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,64 @@ class TestDoubleDescription:
         rays = gamma.dd_extreme_rays(np.array([[1.0, 0.0], [-1.0, 1.0]]))
         assert len(rays) == 2
 
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_matches_brute_force(self, degenerate):
+        # random rows oriented to keep a random interior direction, or
+        # small-integer rows beside the sign rows, some repeated: many rows
+        # through each ray, and rows that cut no ray
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            d = int(rng.integers(2, 7))
+            if degenerate:
+                extra = rng.integers(-1, 3, size=(int(rng.integers(1, 11 - d)), d)).astype(float)
+                rows = np.vstack([np.eye(d), extra[np.any(extra, axis=1)]])
+                rows = np.vstack([rows, rows[rng.integers(0, len(rows), size=2)]])[:10]
+            else:
+                rows = rng.standard_normal((int(rng.integers(d, 11)), d))
+                rows *= np.sign(rows @ rng.standard_normal(d))[:, None]
+                if np.linalg.matrix_rank(rows) < d:
+                    continue
+            rays = gamma.dd_extreme_rays(rows)
+            want = _brute_force_rays(rows)
+            assert len(rays) == len(want), rows
+            for r in rays:
+                assert sum(np.max(np.abs(r - w)) <= 1e-9 for w in want) == 1, rows
+
+    def test_one_rank_per_call(self, monkeypatch):
+        # the lineality test is the only rank computation: adjacency is read
+        # off the incidence rows
+        calls = []
+        matrix_rank = np.linalg.matrix_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return matrix_rank(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        for inst in [make_explicit_instance()] + diag_family(1, 2, 5, 5):
+            calls.clear()
+            assert gamma.dd_extreme_rays(gamma.build_gamma_hrep_diag(inst))
+            assert len(calls) == 1
+
+
+def _brute_force_rays(rows):
+    """Extreme rays of the pointed cone {x : rows @ x >= 0}: the null vector
+    of every (dim - 1)-subset of the rows of rank dim - 1, oriented and kept
+    when feasible, each once, at max |x| = 1."""
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    dim = rows.shape[1]
+    out = []
+    for sub in itertools.combinations(range(len(rows)), dim - 1):
+        _, s, Vt = np.linalg.svd(rows[list(sub)])
+        if np.sum(s > 1e-10) < dim - 1:
+            continue
+        x = Vt[-1] / np.max(np.abs(Vt[-1]))
+        for r in (x, -x):
+            if (np.all(rows @ r >= -1e-10)
+                    and not any(np.max(np.abs(r - w)) <= 1e-9 for w in out)):
+                out.append(r)
+    return out
+
 
 class TestGenerators:
     def test_verify_explicit_rays(self):
@@ -196,6 +256,25 @@ class TestFaces:
         inst = make_explicit_instance()
         with pytest.raises(ValueError):
             gamma.build_gamma_data(inst, supplied_generators=[[0.0, 1.0, 0.0]])
+
+    def test_all_zero_generator_rejected(self):
+        inst = make_explicit_instance()
+        with pytest.raises(ValueError, match="indices \\[1\\]"):
+            gamma.build_gamma_data(inst, supplied_generators=[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("s", [1e-12, 1e6])
+    def test_supplied_generators_scale_free(self, s):
+        # each supplied ray is divided by its max |g|, so the slice split
+        # and the face checks read the same rays at any scale
+        d2, d3 = diag_family(0, 18, 2, 1), diag_family(5, 12, 3, 2)
+        for inst in (make_explicit_instance(), d2[17], d3[2], d3[11]):
+            gens = gamma.build_gamma_data(inst).generators
+            want = gamma.build_gamma_data(inst, supplied_generators=gens)
+            got = gamma.build_gamma_data(inst, supplied_generators=[s * g for g in gens])
+            assert all(np.max(np.abs(g)) == 1.0 for g in got.generators)
+            assert [f.generator_indices for f in got.faces] == \
+                [f.generator_indices for f in want.faces]
+            assert _verdicts(inst, got) == _verdicts(inst, want)
 
 
 class TestComputedOnce:
