@@ -50,9 +50,9 @@ class ExactnessReport:
 
 
 def _nullspace(A: np.ndarray) -> np.ndarray:
-    """Orthonormal nullspace columns of A (SVD, rank cut 1e-10 * max(1, s_0))."""
+    """Orthonormal nullspace columns of A (SVD, rank cut 1e-10 * s_0)."""
     _, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
+    rank = int(np.sum(s > 1e-10 * (s[0] if s.size else 0.0)))
     return Vt[rank:].T
 
 
@@ -327,11 +327,11 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     """Pointwise decomposition condition at a relaxation point (x_hat, t_hat).
 
     Identifies the cone face exposed by the aggregated constraint values at
-    the point (activity threshold STRICT_TOL) and searches the nullspace of
-    the ch system of its slice terms at x_hat (``_ch_null``) for a direction
-    (x', t'), taking the first null vector.  Returns (verdict, witness):
-    verdict in {"NOT_APPLICABLE", "IN_D", "PASS", "FAIL"}, NOT_APPLICABLE
-    whenever ``gd.reason`` is set.
+    the point (a generator is tight within STRICT_TOL * |g| @ |values|) and
+    searches the nullspace of the ch system of its slice terms at x_hat
+    (``_ch_null``) for a direction (x', t'), taking the first null vector.
+    Returns (verdict, witness): verdict in {"NOT_APPLICABLE", "IN_D", "PASS",
+    "FAIL"}, NOT_APPLICABLE whenever ``gd.reason`` is set.
     """
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     t_hat = float(t_hat)
@@ -345,7 +345,7 @@ def check_ch_general_pointwise(inst, gd: gamma_mod.GammaData, x_hat, t_hat):
     vals = np.array([linalg.form_values(F, x_hat) for F in inst.forms])
     vals[0] -= t_hat
     g = np.array(gd.generators)
-    tight = g[g @ vals >= -STRICT_TOL * np.linalg.norm(g, axis=1)]
+    tight = g[g @ vals >= -STRICT_TOL * (np.abs(g) @ np.abs(vals))]
     if not len(tight):
         return "IN_D", None
     classification, _, B = gamma_mod.classify_face(inst, tight)

@@ -272,36 +272,16 @@ def _is_sym_product(M, a, b) -> bool:
     return bool(r <= 1e-7 * np.linalg.norm(M))
 
 
-def _lmin(M1, M2, th):
-    """Smallest eigenvalue of cos(th) M1 + sin(th) M2 for each angle in th.
+def _segment_max(P, Q):
+    """(s, lambda_min((1 - s) P + s Q)) at the s in [0, 1] maximising it: lambda_min
+    is concave, so golden section finds the global maximum, to a bracket 4 ulps of 1."""
+    def lmin(s):
+        return float(np.linalg.eigvalsh((1.0 - s) * P + s * Q)[0])
 
-    A scalar th gives a 0-d array; an array of angles is decided by one
-    stacked LAPACK call.
-    """
-    th = np.asarray(th, dtype=float)[..., None, None]
-    return np.linalg.eigvalsh(np.cos(th) * M1 + np.sin(th) * M2)[..., 0]
-
-
-def _angular_scan(M1, M2, scale):
-    """Weights of a PSD combination, or None: the best of 4000 angles for
-    lambda_min, refined by golden section, if ``_psd_combination`` accepts it."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
-
-    def lmin(th):
-        return float(_lmin(M1, M2, th))
-
-    k = int(np.argmax(_lmin(M1, M2, thetas)))
-    a = thetas[k] - 2.0 * np.pi / 4000
-    b = thetas[k] + 2.0 * np.pi / 4000
-    # golden-section refinement of the (concave near max) profile, one new
-    # evaluation per step.  The bracket lies inside (-pi, 2pi), where no ulp
-    # exceeds spacing(2pi), so every step shrinks it; from the 4000-point
-    # grid the loop ends after about 58 steps.
     gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    e = a + gr * (b - a)
+    a, b, c, e = 0.0, 1.0, 1.0 - gr, gr
     fc, fe = lmin(c), lmin(e)
-    while b - a > 4.0 * np.spacing(2.0 * np.pi):
+    while b - a > 4.0 * np.spacing(1.0):
         if fc > fe:
             b, e, fe = e, c, fc
             c = b - gr * (b - a)
@@ -310,9 +290,19 @@ def _angular_scan(M1, M2, scale):
             a, c, fc = c, e, fe
             e = a + gr * (b - a)
             fe = lmin(e)
-    th = 0.5 * (a + b)
-    alpha = np.array([np.cos(th), np.sin(th)])
-    alpha /= np.max(np.abs(alpha))
+    return (c, fc) if fc > fe else (e, fe)
+
+
+def _edge_scan(M1, M2, scale):
+    """Weights of a PSD combination, or None: the best lambda_min on the square
+    max|alpha| = 1, exact since lambda_min is concave on a segment, if
+    ``_psd_combination`` accepts it.  On the edge p -> q, alpha = p + s (q - p)
+    gives (1 - s) P + s Q for P, Q the corners' combinations."""
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    edges = [(p, q, *_segment_max(p[0] * M1 + p[1] * M2, q[0] * M1 + q[1] * M2))
+             for p, q in zip(corners, np.roll(corners, -1, axis=0))]
+    p, q, s, _ = max(edges, key=lambda edge: edge[3])
+    alpha = p + s * (q - p)
     return alpha if _psd_combination(M1, M2, alpha, scale) else None
 
 
@@ -323,13 +313,13 @@ def _condition_i(M1, M2, scale):
     ``_is_pd_witness``; route names the step that settled it.
     ``_gordan_stiemke`` settles it alone ("bisection") when it returns
     weights, or a Z that ``_excludes_psd_combination`` proves leaves no
-    weights to find.  Otherwise ``_angular_scan`` runs ("scan") and its
-    weights, if any, win, so the outcome is that of scanning first.
+    weights to find.  Otherwise ``_edge_scan`` runs ("scan"), exact since
+    lambda_min is concave on a segment; its weights, if any, win.
     """
     alpha, Z = _gordan_stiemke(M1, M2, scale)
     if alpha is not None or (Z is not None and _excludes_psd_combination(M1, M2, Z, scale)):
         return alpha, Z, "bisection"
-    alpha = _angular_scan(M1, M2, scale)
+    alpha = _edge_scan(M1, M2, scale)
     return alpha, (Z if alpha is None else None), "scan"
 
 
@@ -671,21 +661,20 @@ def _empty_slice_weights(mats):
 
     Such a combination leaves the probe's slice {Z PSD, tr Z = 1,
     <M_i, Z> <= 0} empty and no unit z with every z^T M_i z <= slack.  Each
-    member alone is tried, then each pair at the best of 1000 angles in the
-    quadrant [0, pi/2] (one stacked ``_lmin``); a candidate counts only once
-    ``eigvalsh`` of the explicit combination confirms it.
+    member alone is tried, then each pair at theta = (1 - s, s) from
+    ``_segment_max``, exact since lambda_min is concave on a segment: on
+    theta_i + theta_j = 1 the test reads lambda_min > slack.  ``eigvalsh`` of
+    the explicit combination confirms each candidate.
     """
     slack = oracles.SPHERE_SLACK
     m = len(mats)
-    phis = np.linspace(0.0, 0.5 * np.pi, 1000)
-    quad = np.stack([np.cos(phis), np.sin(phis)], axis=1)
 
     def candidates():
         yield from np.eye(m)
         for i, j in itertools.combinations(range(m), 2):
-            margin = _lmin(mats[i], mats[j], phis) - slack * quad.sum(axis=1)
+            s = _segment_max(mats[i], mats[j])[0]
             theta = np.zeros(m)
-            theta[[i, j]] = quad[int(np.argmax(margin))]
+            theta[[i, j]] = 1.0 - s, s
             yield theta
 
     for theta in candidates():

@@ -90,6 +90,12 @@ class TestCheck:
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1] and "verdict: " in outs[0], k
 
+    def test_qmp(self, capsys):
+        path = pathlib.Path(gallery.__file__).parent / "gallery_data" / "qmp_k2.json"
+        assert cli.main(["check", "qmp", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "condition: qmp" in lines and "verdict: HOLDS" in lines
+
     def test_ch_point(self, instance_file, capsys):
         # (0, 0, 2) is on the relaxation's boundary: t = opt_sdp
         rc = cli.main(["check", "ch-point", instance_file, "--x", "0,0", "--t", "2"])
@@ -230,6 +236,28 @@ class TestRog:
 
 
 class TestRatio:
+    def test_rtls_small(self, capsys, tmp_path):
+        path = pathlib.Path(gallery.__file__).parent / "gallery_data" / "rtls_small.json"
+        out_json = tmp_path / "ratio.json"
+        assert cli.main(["ratio", str(path), "--json", str(out_json)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "value: 0.4199560401" in lines and "claim: EXACT" in lines
+        payload = json.loads(out_json.read_text())
+        assert f"{payload['value']:.10g}" == "0.4199560401"
+        assert payload["claim"] == "EXACT"
+
+    def test_general_form(self, tmp_path, capsys):
+        # min x^T diag(1, -1) x over |x| = 1 with x_1^2 <= 2 x_2^2: -1 at (0, 1)
+        path = tmp_path / "ratio.json"
+        path.write_text(json.dumps({
+            "M_obj": {"kind": "diag", "data": [1.0, -1.0]},
+            "B": {"kind": "diag", "data": [1.0, 1.0]},
+            "mset": {"matrices": [{"kind": "diag", "data": [1.0, -2.0]}],
+                     "senses": ["LE"]}}))
+        assert cli.main(["ratio", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {"value: -1", "claim: EXACT", "z: [0.0, 1.0]"} <= set(lines)
+
     def test_unknown_matrix_kind_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "ratio.json"
         path.write_text(json.dumps({

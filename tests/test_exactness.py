@@ -408,7 +408,7 @@ FIVE_SCALE_SET = ([_D2[i] for i in (8, 23, 85, 86, 89, 90, 111, 115, 145, 147)]
 
 
 class TestScaleFree:
-    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9, 1e12])
     def test_five_scales(self, s):
         for k, inst in enumerate(FIVE_SCALE_SET):
             assert _scale_key(scaled(inst, s)) == _scale_key(inst), k
@@ -493,20 +493,22 @@ class TestPointwise:
             # a vertex row reads lin/g0 . x' = t', a ray row lin . x' = 0
             assert abs(lin @ xp - (g0 * tp if g0 > gamma.RAY_TOL else 0.0)) <= 1e-12
 
-    def test_pinned_fail(self):
-        # a sampled relaxation point of diag_family(0, 150, 2, 1)[8]: two
-        # vertices are tight, and their rows over (V(F), t') have full rank
-        inst = diag_family(0, 9, 2, 1)[8]
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_pinned_fail(self, s):
+        # a sampled relaxation point of diag_family(0, 150, 2, 1)[8], with
+        # every form and t scaled by s: two vertices are tight, and their rows
+        # over (V(F), t') have full rank
+        inst = scaled(diag_family(0, 9, 2, 1)[8], s)
         gd = gamma.build_gamma_data(inst)
         x = np.array([-0.23073617406507363, -0.228659010636634])
-        t = -0.03123208380832243
+        t = -0.03123208380832243 * s
         assert exactness.check_ch_general_pointwise(inst, gd, x, t) == ("FAIL", None)
         rows = _tight_rows(inst, gd, x, t)
         assert [g0 for g0, _ in rows] == [1.0, 1.0]
         mix = np.mean([g for g in gd.generators if g[0] == 1.0], axis=0)
         w, V = np.linalg.eigh(model.aggregate(inst, mix)[:-1, :-1])
         B = V[:, np.abs(w) <= 1e-7 * np.max(np.abs(w))]
-        system = np.array([np.append(B.T @ lin / g0, -1.0) for g0, lin in rows])
+        system = np.array([np.append(B.T @ lin / (g0 * s), -1.0) for g0, lin in rows])
         assert np.linalg.svd(system, compute_uv=False)[-1] > 1e-3
 
     @pytest.mark.parametrize("inst,x,t", [
@@ -521,14 +523,16 @@ class TestPointwise:
 
 def _tight_rows(inst, gd, x, t):
     """(g_obj, linear term of the aggregate at x) per generator whose
-    aggregated value at (x, t) is within STRICT_TOL of zero, recomputed
-    from the forms."""
+    aggregated value at (x, t) is within STRICT_TOL * |g| @ |form values| of
+    zero, recomputed from the forms."""
+    vals = [model.eval_form(F, x) for F in (inst.objective, *inst.constraints)]
+    vals[0] -= t
     rows = []
     for g in gd.generators:
         M = model.aggregate(inst, g)
         agg = model.QuadraticForm(M[:-1, :-1], M[:-1, -1], M[-1, -1])
         value = model.eval_form(agg, x) - g[0] * t
-        if value >= -exactness.STRICT_TOL * max(1.0, np.linalg.norm(g)):
+        if value >= -exactness.STRICT_TOL * float(np.abs(g) @ np.abs(vals)):
             rows.append((g[0], agg.A @ x + agg.b))
     return rows
 

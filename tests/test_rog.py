@@ -16,6 +16,12 @@ M1_3D = np.diag([1.0, -1.0, 0.0])
 M2_3D = np.diag([0.0, 1.0, -1.0])
 
 
+def _lmin(A, B, th):
+    """lambda_min(cos t A + sin t B) for each angle t in th, one stacked call."""
+    th = np.asarray(th, dtype=float)[..., None, None]
+    return np.linalg.eigvalsh(np.cos(th) * A + np.sin(th) * B)[..., 0]
+
+
 def sym_outer(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -390,12 +396,12 @@ class TestScaling:
         assert rog.verify_certificate(v, M1, M2)
 
     def test_tiny_pair_indefinite_combination_rejected(self):
-        # pair 3 at 1e-6: the angular scan's best combination has lambda_min
+        # pair 3 at 1e-6: the best angle of a 4000-angle grid gives lambda_min
         # about -1% of the pair norm, so it is no PSD combination
         A, B = _scaling_pairs()[3]
         M1, M2 = 1e-6 * A, 1e-6 * B
         th = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
-        t = th[int(np.argmax(rog._lmin(M1, M2, th)))]
+        t = th[int(np.argmax(_lmin(M1, M2, th)))]
         alpha = np.array([np.cos(t), np.sin(t)]) / max(abs(np.cos(t)), abs(np.sin(t)))
         lmin = np.linalg.eigvalsh(alpha[0] * M1 + alpha[1] * M2)[0]
         assert -2e-2 < lmin / rog._pair_scale(M1, M2) < -5e-3
@@ -489,9 +495,9 @@ def _near_boundary(A, B, delta):
     maximum is -delta times its pair scale.  t stays the maximiser, since
     x cos(t' - t) <= x, and the maximum rises by exactly x."""
     th = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
-    k = int(np.argmax(rog._lmin(A, B, th)))
+    k = int(np.argmax(_lmin(A, B, th)))
     best = scipy.optimize.minimize_scalar(
-        lambda t: -float(rog._lmin(A, B, t)), method="bounded",
+        lambda t: -float(_lmin(A, B, t)), method="bounded",
         bounds=(th[k] - 2e-3, th[k] + 2e-3), options={"xatol": 1e-12})
     t, m = best.x, -best.fun
     I = np.eye(A.shape[0])
@@ -504,7 +510,7 @@ def _near_boundary(A, B, delta):
 class TestNearBoundary:
     # the NOT_ROG pairs 2-7 of seed 7, moved to within delta of a PSD
     # combination: far from it a PD witness decides, within the 1e-7
-    # tolerance of _psd_combination the angular scan does, and in between
+    # tolerance of _psd_combination the edge scan does, and in between
     # the pair may stay UNDECIDED but must never read ROG
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
     def test_verdicts_near_the_boundary(self, delta, monkeypatch):
@@ -522,9 +528,9 @@ class TestNearBoundary:
 
 
 def _scan_first_status(A, B):
-    """check_pair's status when the angular scan runs before the bisection."""
+    """check_pair's status when the edge scan runs before the bisection."""
     scale = rog._pair_scale(A, B)
-    if rog._dependence(A, B) is not None or rog._angular_scan(A, B, scale) is not None:
+    if rog._dependence(A, B) is not None or rog._edge_scan(A, B, scale) is not None:
         return "ROG_CERTIFIED"
     alpha, Z = rog.gordan_stiemke(A, B)
     assert alpha is None  # a probe passing where the scan misses would differ
@@ -539,7 +545,7 @@ def _no_psd_angle(A, B, n=20000):
     predicate itself at the best one."""
     th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     m = np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-    lmin = rog._lmin(A, B, th) / m
+    lmin = _lmin(A, B, th) / m
     k = int(np.argmax(lmin))
     alpha = np.array([np.cos(th[k]), np.sin(th[k])]) / m[k]
     scale = rog._pair_scale(A, B)
@@ -551,9 +557,9 @@ class TestConditionI:
 
     def test_battery_decided_without_scan(self, monkeypatch):
         def no_scan(*args):
-            raise AssertionError("angular scan ran")
+            raise AssertionError("edge scan ran")
 
-        monkeypatch.setattr(rog, "_angular_scan", no_scan)
+        monkeypatch.setattr(rog, "_edge_scan", no_scan)
         for A, B in _battery_pairs(200, 3):
             for s in self.SCALES:
                 v = rog.check_pair(s * A, s * B)
@@ -646,29 +652,46 @@ class TestExcludesPsdCombination:
 
 
 class TestAngularScan:
-    def test_stacked_grid_matches_per_angle(self):
-        rng = np.random.default_rng(41)
-        thetas = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
-        for d in (3, 4):
-            for _ in range(10):
-                A = random_sym(rng, d)
-                B = random_sym(rng, d)
-                stacked = rog._lmin(A, B, thetas)
-                ref = [np.linalg.eigvalsh(np.cos(t) * A + np.sin(t) * B)[0]
-                       for t in thetas]
-                assert stacked.shape == thetas.shape
-                assert np.max(np.abs(stacked - ref)) <= 1e-12
+    def test_edges_reach_a_dense_grid(self):
+        # lambda_min is concave on each edge of the square max|alpha| = 1, so
+        # no angle of a 20000-angle grid beats the four exact edge maxima, and
+        # the scan finds weights whenever the grid's best weights pass
+        rng = np.random.default_rng(43)
+        pairs = [(random_sym(rng, d), random_sym(rng, d)) for d in (3, 4) * 10]
+        pairs += [_near_boundary(A, B, delta) for A, B in pairs[:8]
+                  for delta in (1e-9, 1e-8, 1e-7, 1e-6, 1e-5)]
+        th = np.linspace(0.0, 2.0 * np.pi, 20000, endpoint=False)
+        m = np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        found = 0
+        for A, B in pairs:
+            scale = rog._pair_scale(A, B)
+            edges = max(rog._segment_max(p[0] * A + p[1] * B, q[0] * A + q[1] * B)[1]
+                        for p, q in zip(corners, np.roll(corners, -1, axis=0)))
+            grid = _lmin(A, B, th) / m
+            k = int(np.argmax(grid))
+            assert edges >= grid[k] - 1e-12 * scale
+            alpha = np.array([np.cos(th[k]), np.sin(th[k])]) / m[k]
+            if rog._psd_combination(A, B, alpha, scale):
+                found += 1
+                assert rog._edge_scan(A, B, scale) is not None
+        assert found >= 15
+
+    def test_segment_max_is_exact(self):
+        # lambda_min(diag(1 - 2s, 2s - 1/2)) peaks at s = 3/8 with value 1/4
+        s, lam = rog._segment_max(np.diag([1.0, -0.5]), np.diag([-1.0, 1.5]))
+        assert abs(s - 0.375) <= 1e-8 and abs(lam - 0.25) <= 1e-15
 
     def test_psd_combination_found_and_verified(self):
         A = np.diag([1.0, 1.0, -1.0])
         B = np.diag([0.0, 0.0, 1.0])
-        alpha = rog._angular_scan(A, B, rog._pair_scale(A, B))
+        alpha = rog._edge_scan(A, B, rog._pair_scale(A, B))
         assert alpha is not None
         assert abs(float(np.max(np.abs(alpha))) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(alpha[0] * A + alpha[1] * B)[0] >= -1e-7
 
     def test_pd_witness_pair_has_no_psd_combination(self):
-        assert rog._angular_scan(M1_3D, M2_3D, rog._pair_scale(M1_3D, M2_3D)) is None
+        assert rog._edge_scan(M1_3D, M2_3D, rog._pair_scale(M1_3D, M2_3D)) is None
 
 
 SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
@@ -934,6 +957,14 @@ class TestProbe:
         assert theta is not None and theta[0] > 0.0 and theta[1] > 0.0
         assert np.linalg.eigvalsh(theta[0] * M1 + theta[1] * M2)[0] > 1e-6 * sum(theta)
 
+    def test_empty_slices_pinned(self):
+        # the first 400 seed-3 pairs whose slice some nonnegative combination
+        # empties, each found by one member or one exact segment search
+        empty = [k for k, (M1, M2) in enumerate(_battery_pairs(400, 3))
+                 if rog._empty_slice_weights([M1, M2]) is not None]
+        assert empty == [1, 25, 51, 56, 80, 87, 153, 177, 181, 187, 215, 265, 315,
+                         336, 396]
+
     def test_nonempty_slice_solves_each_trial(self, monkeypatch):
         sols = _record_solves(monkeypatch)
         mset = rog.LmiSet((np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
@@ -1025,6 +1056,18 @@ class TestClconv:
         assert v.certificate["kind"] == "CommonFactor"
         rep = rog.clconv_report(inst, v)
         assert rep["consequence"] == "CLCONV_EQUALS_DSDP"
+
+    def test_semidefinite_block_closes_hull_up_to_closure(self):
+        # objective 0.3 x_2 subject to x_1^2 <= 1: the best combination of
+        # the blocks 0 and diag(1, 0) has lambda_min 0, so the single LMI's
+        # slice closes the hull only up to closure
+        inst = model.QcqpInstance(
+            2, model.QuadraticForm(np.zeros((2, 2)), np.array([0.0, 0.3]), 0.0),
+            (model.QuadraticForm(np.diag([1.0, 0.0]), np.zeros(2), -1.0),))
+        v = rog.check_set(rog.LmiSet.from_instance(inst))
+        assert v.status == "ROG_CERTIFIED"
+        rep = rog.clconv_report(inst, v)
+        assert (rep["consequence"], rep["t"]) == ("CLCONV_EQUALS_CL_DSDP", 0.0)
 
     def test_no_consequence_without_rog(self):
         inst = make_separation_instance()
